@@ -34,8 +34,9 @@ func BenchmarkFig2(b *testing.B)   { benchExperiment(b, "fig2", 0.05) }
 func BenchmarkFig3(b *testing.B)   { benchExperiment(b, "fig3", 0.05) }
 func BenchmarkFig4(b *testing.B)   { benchExperiment(b, "fig4", 0.05) }
 
-func BenchmarkMemModel(b *testing.B) { benchExperiment(b, "memmodel", 0.05) }
-func BenchmarkAblation(b *testing.B) { benchExperiment(b, "ablation", 0.05) }
+func BenchmarkMemModel(b *testing.B)  { benchExperiment(b, "memmodel", 0.05) }
+func BenchmarkAblation(b *testing.B)  { benchExperiment(b, "ablation", 0.05) }
+func BenchmarkOptMatrix(b *testing.B) { benchExperiment(b, "opt-matrix", 0.05) }
 
 // benchDES runs one system's des and reports virtual commands and native
 // instructions per second of *simulated* execution.

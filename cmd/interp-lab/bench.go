@@ -86,7 +86,7 @@ type benchReport struct {
 	SchedLedger   *schedLedgerSummary `json:"sched_ledger"`
 	SchedLedgerP2 *schedLedgerSummary `json:"sched_ledger_p2"`
 
-	// Measurement-cache arm: all nine experiments, first against an empty
+	// Measurement-cache arm: all ten experiments, first against an empty
 	// cache (cold: every job measured and stored), then again (warm: every
 	// job restored from disk).  The rendered text is verified byte-identical
 	// between the arms; warm Events is 0 because no native-instruction

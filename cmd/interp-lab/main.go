@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	interp-lab [-scale f] [-parallel n] [-monolithic-sweeps] [-cache dir] [-json manifest.json] [-trace trace.json] experiment...
+//	interp-lab [-scale f] [-parallel n] [-cache dir] [-json manifest.json] [-trace trace.json] experiment...
 //	interp-lab profile [-scale f] [-pprof file] [-folded file] [-top n] [-value type] [-json file] experiment
 //	interp-lab serve [-addr host:port] [-cache dir] [-parallel n] [-queue n] [-batch-window d]
 //	interp-lab cache [-dir d] [-max-age dur] stats|gc|clear|fingerprint
@@ -18,10 +18,6 @@
 // quickening and superinstructions per interpreter, each cell a distinct
 // manifest `variant` (see docs/EXPERIMENTS.md).  -parallel fans each experiment's measurements out over n
 // workers (default GOMAXPROCS; output is byte-identical to -parallel 1).
-// Parallel runs split each instruction-cache sweep into one job per
-// geometry point so a single sweep saturates the workers;
-// -monolithic-sweeps keeps a sweep one job (output is identical either
-// way).
 // -cache memoizes every measurement in a content-addressed on-disk cache:
 // a re-run of unchanged experiments on the same build restores results
 // instead of re-measuring, with byte-identical output (-cache-readonly
@@ -55,7 +51,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: interp-lab [-scale f] [-parallel n] [-monolithic-sweeps] [-cache dir [-cache-readonly]] [-json file] [-trace file] experiment...
+	fmt.Fprintf(os.Stderr, `usage: interp-lab [-scale f] [-parallel n] [-cache dir [-cache-readonly]] [-json file] [-trace file] experiment...
        interp-lab profile [-scale f] [-pprof file] [-folded file] [-top n] [-value type] [-json file] experiment
        interp-lab serve [-addr host:port] [-cache dir] [-parallel n] [-queue n] [-batch-window d]
        interp-lab cache [-dir d] [-max-age dur] stats|gc|clear|fingerprint
@@ -77,7 +73,6 @@ func main() {
 	cacheDir := flag.String("cache", "", "memoize measurements in the cache at `dir` (see docs/CACHING.md)")
 	cacheRO := flag.Bool("cache-readonly", false, "with -cache: consult the cache without writing new entries")
 	schedContention := flag.Bool("sched-contention", false, "bracket each measurement batch with mutex-/block-profile capture (diagnostic; adds overhead)")
-	monolithicSweeps := flag.Bool("monolithic-sweeps", false, "keep each cache sweep one job instead of one job per geometry point (output is identical; see docs/OBSERVABILITY.md)")
 	version := flag.Bool("version", false, "print the lab build identity (binary fingerprint, cache schema, toolchain) and exit")
 	flag.Usage = usage
 	flag.Parse()
@@ -130,7 +125,7 @@ func main() {
 	if err := validateParallel(*parallel); err != nil {
 		usageFatalf("%v", err)
 	}
-	cmdRun(args, *scale, *parallel, *jsonOut, *traceOut, openCacheFlags(*cacheDir, *cacheRO), *schedContention, *monolithicSweeps)
+	cmdRun(args, *scale, *parallel, *jsonOut, *traceOut, openCacheFlags(*cacheDir, *cacheRO), *schedContention)
 }
 
 // validateParallel rejects worker counts the scheduler cannot honor.  Both
@@ -186,12 +181,12 @@ func openCacheFlags(dir string, readonly bool) *rescache.Cache {
 // cmdRun executes the named experiments, optionally recording a run
 // manifest (-json), a span trace (-trace), and memoizing measurements
 // (-cache).
-func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string, cache *rescache.Cache, schedContention, monolithicSweeps bool) {
+func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string, cache *rescache.Cache, schedContention bool) {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = harness.Experiments
 	}
 	opt := harness.Options{Scale: scale, Out: os.Stdout, Parallelism: parallel, Cache: cache,
-		SchedContention: schedContention, MonolithicSweeps: monolithicSweeps}
+		SchedContention: schedContention}
 	var reg *telemetry.Registry
 	var man *telemetry.Manifest
 	if jsonOut != "" {

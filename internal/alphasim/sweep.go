@@ -92,23 +92,6 @@ func (s *ICacheSweep) EmitBlock(b *trace.Block) {
 // Points returns the accumulated sweep results.
 func (s *ICacheSweep) Points() []SweepPoint { return s.points }
 
-// LineSize returns the sweep's cache line size in bytes.
-func (s *ICacheSweep) LineSize() int { return s.lineSize }
-
-// Split decomposes the sweep into one single-point sweep per geometry, in
-// point order.  Each returned sweep is independent (fresh cache state), so
-// the parts can be measured concurrently; a full re-run of the workload
-// through part k accumulates exactly the counts point k of a monolithic
-// run would have, because the simulated caches never interact.  Reassemble
-// with RestorePoints over the parts' points, in the same order.
-func (s *ICacheSweep) Split() []*ICacheSweep {
-	parts := make([]*ICacheSweep, len(s.points))
-	for i, pt := range s.points {
-		parts[i] = NewICacheSweep([]int{pt.SizeKB}, []int{pt.Assoc}, s.lineSize)
-	}
-	return parts
-}
-
 // Geometry returns a canonical description of the sweep's configuration
 // grid — "8KB/1way,8KB/2way,...@32B" — independent of any accumulated
 // counts.  The measurement cache uses it as the sweep part of its key: two

@@ -16,26 +16,36 @@ import (
 // timeout, and the byte-identity property does not depend on scale.
 var detScale = 0.1
 
-// detRun executes one experiment with a manifest and profile set attached
-// and returns everything the parallel scheduler and the measurement cache
-// promise to keep byte-identical: the rendered text, the manifest run
-// entries (wall times zeroed — they vary even between two serial runs —
-// and cache_hit zeroed, the one field that legitimately flips between a
-// cold and a warm run), the merged folded profile, and its pprof
-// encoding.  tweaks adjust the Options before the run (e.g. forcing
-// monolithic sweeps).
-func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache, tweaks ...func(*Options)) (text string, runs []byte, folded string, pprof []byte, measured int) {
+// detOut is what detRun captures from one experiment run.
+type detOut struct {
+	text   string // rendered text
+	runs   []byte // manifest run entries
+	folded string // merged folded profile
+	pprof  []byte // the merged profile's pprof encoding
+	// measured counts the manifest's measurement records, and guestRuns
+	// the guest executions behind them (the registry's core.measures).
+	measured  int
+	guestRuns uint64
+}
+
+// detRun executes one experiment with a manifest, profile set, and
+// telemetry registry attached and returns everything the parallel
+// scheduler and the measurement cache promise to keep byte-identical: the
+// rendered text, the manifest run entries (wall times zeroed — they vary
+// even between two serial runs — and cache_hit zeroed, the one field that
+// legitimately flips between a cold and a warm run), the merged folded
+// profile, and its pprof encoding.
+func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache) detOut {
 	t.Helper()
 	var buf bytes.Buffer
 	man := telemetry.NewManifest(detScale)
 	set := profile.NewSet()
-	opt := Options{Scale: detScale, Out: &buf, Parallelism: parallelism, Manifest: man, Profile: set, Cache: cache}
-	for _, tweak := range tweaks {
-		tweak(&opt)
-	}
+	reg := telemetry.NewRegistry()
+	opt := Options{Scale: detScale, Out: &buf, Parallelism: parallelism, Manifest: man, Profile: set, Cache: cache, Telemetry: reg}
 	if err := Run(id, opt); err != nil {
 		t.Fatalf("%s (parallelism %d): %v", id, parallelism, err)
 	}
+	out := detOut{text: buf.String(), guestRuns: reg.Counter("core.measures").Value()}
 	for _, r := range man.Runs {
 		r.DurationUS = 0
 		// The sched block records scheduling itself — timestamps, worker
@@ -46,10 +56,10 @@ func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache, twe
 			r.Measurements[i].DurationUS = 0
 			r.Measurements[i].CacheHit = false
 		}
-		measured += len(r.Measurements)
+		out.measured += len(r.Measurements)
 	}
-	rb, err := json.Marshal(man.Runs)
-	if err != nil {
+	var err error
+	if out.runs, err = json.Marshal(man.Runs); err != nil {
 		t.Fatal(err)
 	}
 	merged := set.Merged()
@@ -60,7 +70,8 @@ func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache, twe
 	if err := merged.WritePprof(&pb); err != nil {
 		t.Fatal(err)
 	}
-	return buf.String(), rb, fb.String(), pb.Bytes(), measured
+	out.folded, out.pprof = fb.String(), pb.Bytes()
+	return out
 }
 
 // TestParallelOutputIsByteIdentical is the scheduler's acceptance test:
@@ -68,24 +79,32 @@ func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache, twe
 // rendered text, manifest entries, and folded profiles to a serial run.
 // Ordered collection in the batch makes this hold by construction; this
 // test pins it against regressions (including any nondeterminism in the
-// measured systems themselves, which would show up here first).
+// measured systems themselves, which would show up here first).  Both
+// runs must also execute the guest exactly once per recorded measurement:
+// a sweep is one job at any parallelism, never one re-run per geometry.
 func TestParallelOutputIsByteIdentical(t *testing.T) {
 	for _, id := range Experiments {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			sText, sRuns, sFolded, sPprof, _ := detRun(t, id, 1, nil)
-			pText, pRuns, pFolded, pPprof, _ := detRun(t, id, 8, nil)
-			if sText != pText {
-				t.Errorf("rendered text differs between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", sText, pText)
+			s := detRun(t, id, 1, nil)
+			p := detRun(t, id, 8, nil)
+			for parallelism, out := range map[int]detOut{1: s, 8: p} {
+				if out.guestRuns != uint64(out.measured) {
+					t.Errorf("parallelism %d ran the guest %d times for %d measurements, want once each",
+						parallelism, out.guestRuns, out.measured)
+				}
 			}
-			if !bytes.Equal(sRuns, pRuns) {
-				t.Errorf("manifest entries differ between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", sRuns, pRuns)
+			if s.text != p.text {
+				t.Errorf("rendered text differs between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", s.text, p.text)
 			}
-			if sFolded != pFolded {
-				t.Errorf("folded profiles differ between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", sFolded, pFolded)
+			if !bytes.Equal(s.runs, p.runs) {
+				t.Errorf("manifest entries differ between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", s.runs, p.runs)
 			}
-			if !bytes.Equal(sPprof, pPprof) {
+			if s.folded != p.folded {
+				t.Errorf("folded profiles differ between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", s.folded, p.folded)
+			}
+			if !bytes.Equal(s.pprof, p.pprof) {
 				t.Error("pprof encodings differ between serial and parallel")
 			}
 		})
@@ -99,7 +118,9 @@ func TestParallelOutputIsByteIdentical(t *testing.T) {
 // The uncached baseline matters: a key collision inside one experiment
 // (two same-ID program variants sharing an entry) corrupts cold and warm
 // runs identically, so only the comparison against ground truth exposes
-// it — exactly the bug the Program.Variant key field guards against.
+// it — exactly the bug the Program.Variant key field guards against.  The
+// cold run is serial and the warm run parallel, so a cache key that
+// depended on parallelism would show up as warm misses.
 func TestWarmCacheOutputIsByteIdentical(t *testing.T) {
 	for _, id := range Experiments {
 		id := id
@@ -109,67 +130,38 @@ func TestWarmCacheOutputIsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bText, bRuns, bFolded, _, measured := detRun(t, id, 1, nil)
-			cText, cRuns, cFolded, _, _ := detRun(t, id, 1, cache)
-			wText, wRuns, wFolded, _, _ := detRun(t, id, 1, cache)
+			base := detRun(t, id, 1, nil)
+			cold := detRun(t, id, 1, cache)
+			_, coldMisses, _, _ := cache.Counts()
+			warm := detRun(t, id, 8, cache)
 			hits, misses, puts, _ := cache.Counts()
 			// Config-only experiments (table3) measure nothing, so the
 			// cache legitimately stays idle; every measuring experiment
 			// must store each cold result and restore each warm one.
-			if measured > 0 && (hits == 0 || puts == 0) {
+			if base.measured > 0 && (hits == 0 || puts == 0) {
 				t.Fatalf("cache never engaged: hits=%d misses=%d puts=%d", hits, misses, puts)
 			}
 			if misses != puts {
 				t.Errorf("warm run missed: %d misses for %d cold puts", misses, puts)
 			}
-			for _, cmp := range []struct {
-				arm          string
-				text, folded string
-				runs         []byte
-			}{
-				{"cold", cText, cFolded, cRuns},
-				{"warm", wText, wFolded, wRuns},
-			} {
-				if cmp.text != bText {
-					t.Errorf("rendered text differs between uncached and %s:\n--- uncached ---\n%s\n--- %s ---\n%s", cmp.arm, bText, cmp.arm, cmp.text)
+			if misses != coldMisses {
+				t.Errorf("parallel warm run missed %d entries the serial cold run should have stored", misses-coldMisses)
+			}
+			for _, arm := range []struct {
+				name string
+				out  detOut
+			}{{"cold", cold}, {"warm", warm}} {
+				if arm.out.text != base.text {
+					t.Errorf("rendered text differs between uncached and %s:\n--- uncached ---\n%s\n--- %s ---\n%s", arm.name, base.text, arm.name, arm.out.text)
 				}
-				if !bytes.Equal(cmp.runs, bRuns) {
-					t.Errorf("manifest entries differ between uncached and %s:\n--- uncached ---\n%s\n--- %s ---\n%s", cmp.arm, bRuns, cmp.arm, cmp.runs)
+				if !bytes.Equal(arm.out.runs, base.runs) {
+					t.Errorf("manifest entries differ between uncached and %s:\n--- uncached ---\n%s\n--- %s ---\n%s", arm.name, base.runs, arm.name, arm.out.runs)
 				}
-				if cmp.folded != bFolded {
-					t.Errorf("folded profiles differ between uncached and %s:\n--- uncached ---\n%s\n--- %s ---\n%s", cmp.arm, bFolded, cmp.arm, cmp.folded)
+				if arm.out.folded != base.folded {
+					t.Errorf("folded profiles differ between uncached and %s:\n--- uncached ---\n%s\n--- %s ---\n%s", arm.name, base.folded, arm.name, arm.out.folded)
 				}
 			}
 		})
-	}
-}
-
-// TestSweepDecompositionIsByteIdentical pins the per-point sweep
-// decomposition against its monolithic baseline: a parallel fig4 run with
-// every sweep split into one job per cache geometry must produce
-// byte-identical rendered text, manifest entries, folded profiles, and
-// pprof encodings to the same run forced monolithic.  The simulated
-// caches never interact, so re-running the workload per single-point
-// sweep accumulates exactly the monolithic counts; this test is the wall
-// that keeps that equivalence from regressing.
-func TestSweepDecompositionIsByteIdentical(t *testing.T) {
-	mText, mRuns, mFolded, mPprof, measured := detRun(t, "fig4", 8, nil,
-		func(o *Options) { o.MonolithicSweeps = true })
-	dText, dRuns, dFolded, dPprof, dMeasured := detRun(t, "fig4", 8, nil)
-	if measured == 0 || dMeasured != measured {
-		t.Fatalf("measured %d monolithic vs %d decomposed manifest records", measured, dMeasured)
-	}
-	if mText != dText {
-		t.Errorf("rendered text differs between monolithic and per-point sweeps:\n--- monolithic ---\n%s\n--- per-point ---\n%s", mText, dText)
-	}
-	if !bytes.Equal(mRuns, dRuns) {
-		t.Errorf("manifest entries differ between monolithic and per-point sweeps:\n--- monolithic ---\n%s\n--- per-point ---\n%s", mRuns, dRuns)
-	}
-	if mFolded != dFolded {
-		t.Errorf("folded profiles differ between monolithic and per-point sweeps:\n--- monolithic ---\n%s\n--- per-point ---\n%s", mFolded, dFolded)
-	}
-	if !bytes.Equal(mPprof, dPprof) {
-		t.Error("pprof encodings differ between monolithic and per-point sweeps")
 	}
 }
 

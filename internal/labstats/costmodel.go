@@ -10,9 +10,7 @@ import (
 // history exists for a job shape.  The absolute numbers don't matter —
 // only the ordering they induce — but they track reality at the default
 // scale: a pipeline run simulates caches and a TLB on top of the
-// interpreter, a monolithic sweep runs 12 cache geometries in one pass,
-// a per-point sweep job runs one geometry (slightly more than a bare
-// measure because the event stream still replays in full), and setup /
+// interpreter, a sweep runs 12 cache geometries in one pass, and setup /
 // render are bookkeeping around the measurements.
 func kindWeight(kind string) float64 {
 	switch kind {
@@ -20,8 +18,6 @@ func kindWeight(kind string) float64 {
 		return 3
 	case "sweep":
 		return 12
-	case "sweep-point":
-		return 1.2
 	case "setup", "render":
 		return 0.05
 	}

@@ -312,7 +312,7 @@ type PhaseStats struct {
 
 // PhaseOf maps a ledger job kind to its scheduling phase: "setup" and
 // "render" name their own stages; every measurement kind (measure,
-// pipeline, sweep, sweep-point) is the "measure" stage between them.
+// pipeline, sweep) is the "measure" stage between them.
 func PhaseOf(kind string) string {
 	switch kind {
 	case "setup", "render":
