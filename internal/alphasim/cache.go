@@ -9,7 +9,12 @@
 // The simulator consumes the native-instruction stream produced by
 // internal/atom and accounts every unfilled issue slot to one of the
 // paper's stall causes (Figure 3).  It also provides a parametric
-// instruction-cache sweep used to regenerate Figure 4.
+// instruction-cache sweep used to regenerate Figure 4.  The sweep gets
+// every geometry from one pass: it drops fetches from the line just
+// fetched, which hit everywhere, keeps one LRU stack per distinct set
+// count, and counts each access at the stack depth where its line was
+// found, so an A-way cache misses on the accesses found at depth A or
+// deeper (stack-distance simulation, Mattson et al. 1970).
 package alphasim
 
 // CacheConfig describes one cache level.

@@ -194,41 +194,6 @@ func TestStatsFractionsSumToOne(t *testing.T) {
 	}
 }
 
-func TestICacheSweepOrdering(t *testing.T) {
-	// Property of caches: for the same stream, a bigger or more
-	// associative cache never misses more (LRU inclusion holds per
-	// geometry family here because we use the same line size).
-	sweep := NewICacheSweep([]int{8, 16, 32, 64}, []int{1, 2, 4}, 32)
-	rng := uint32(12345)
-	for i := 0; i < 200000; i++ {
-		rng ^= rng << 13
-		rng ^= rng >> 17
-		rng ^= rng << 5
-		// 48 KB working set with loop structure.
-		pc := (rng % (48 << 10)) &^ 3
-		sweep.Emit(trace.Event{PC: pc, Kind: trace.Int})
-	}
-	for _, assoc := range []int{1, 2, 4} {
-		var prev float64 = math.Inf(1)
-		for _, kb := range []int{8, 16, 32, 64} {
-			pt, ok := sweep.Point(kb, assoc)
-			if !ok {
-				t.Fatalf("missing point %d/%d", kb, assoc)
-			}
-			if pt.MissPer100() > prev+0.5 {
-				t.Errorf("%s: miss rate %.2f worse than smaller cache %.2f", pt.Label(), pt.MissPer100(), prev)
-			}
-			prev = pt.MissPer100()
-		}
-	}
-	if len(sweep.Points()) != 12 {
-		t.Errorf("points = %d, want 12", len(sweep.Points()))
-	}
-	if _, ok := sweep.Point(128, 1); ok {
-		t.Error("unknown geometry must not resolve")
-	}
-}
-
 func TestDefaultConfigMatchesTable3(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.ICache.Size != 8<<10 || cfg.ICache.Assoc != 1 {

@@ -2,6 +2,7 @@ package alphasim
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"interplab/internal/trace"
@@ -28,30 +29,119 @@ func (pt SweepPoint) MissPer100() float64 {
 // Label returns a short identifier such as "16KB/2way".
 func (pt SweepPoint) Label() string { return fmt.Sprintf("%dKB/%dway", pt.SizeKB, pt.Assoc) }
 
-// ICacheSweep simulates many instruction-cache geometries simultaneously
-// over a single event stream, so Figure 4 needs only one pass per workload.
-// It implements trace.Sink.
+// ICacheSweep simulates many true-LRU instruction-cache geometries, all
+// with one line size, in a single pass over one event stream, so Figure 4
+// needs only one run per workload.  It implements trace.Sink.
+//
+// It gets every geometry from stack-distance simulation (Mattson et al.
+// 1970; Hill & Smith 1989) rather than one cache per point:
+//
+//   - Same-line filter.  A fetch from the same line as the fetch before it
+//     hits in every geometry and leaves every LRU order as it was, so it
+//     only counts as an instruction.  The filter carries across blocks and
+//     across Emit and EmitBlock.
+//   - One LRU stack per distinct set count.  Each set keeps its lines most
+//     recently used first, as deep as the largest associativity sharing the
+//     set count.  An A-way cache with that set count holds exactly the top
+//     A lines of each set's stack.  The stacks run from fewest sets to
+//     most: each set of a stack splits into sets of the next, so a line on
+//     top of its set in one stack is on top in every later one, and the
+//     later stacks skip that access.
+//   - Depth histogram.  Each access is counted at the depth its line was
+//     found, or as not found, so point (S, A) misses on the accesses found
+//     at depth A or deeper plus those not found at all.
+//
+// The default grid's 12 points need six stacks (64 to 2048 sets).
 type ICacheSweep struct {
-	points   []SweepPoint
-	caches   []*Cache
-	lineSize int
+	points    []SweepPoint
+	lineSize  int
+	lineShift uint
+	stacks    []lruStack // by ascending set count
+
+	// last is the tag (line+1) of the previous fetch; 0 before the first.
+	last uint32
+	// tags is EmitBlock's scratch column: the block's fetches still to
+	// simulate, same-line repeats dropped.
+	tags []uint32
+}
+
+// lruStack is one Mattson LRU stack per set for one set count.
+type lruStack struct {
+	mask  uint32
+	depth int
+	// tags holds depth entries per set, most recently used first; a tag is
+	// line+1, so 0 marks an empty entry, and empties sit at a set's tail.
+	tags []uint32
+	// points indexes the sweep points with this set count.
+	points []int
+	// hist[d] counts accesses found at depth d, hist[depth] those not found.
+	hist []uint64
+}
+
+// access moves tag to the top of its set and returns the depth it was
+// found at, or st.depth when it was not in the set's top st.depth lines.
+func (st *lruStack) access(tag uint32) int {
+	set := st.tags[int((tag-1)&st.mask)*st.depth:][:st.depth]
+	if set[0] == tag {
+		return 0
+	}
+	d := 1
+	for d < len(set) && set[d] != tag {
+		d++
+	}
+	for i := min(d, len(set)-1); i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = tag
+	return d
+}
+
+// charge adds the misses recorded in st.hist to every point of the stack
+// and clears the histogram: an A-way point misses on every access at depth
+// A or deeper, the not-found slot included.
+func (st *lruStack) charge(points []SweepPoint) {
+	for _, p := range st.points {
+		var misses uint64
+		for _, n := range st.hist[points[p].Assoc:] {
+			misses += n
+		}
+		points[p].Misses += misses
+	}
+	clear(st.hist)
 }
 
 // NewICacheSweep builds a sweep over the cross product of sizes (in KB) and
-// associativities, with the given line size in bytes.
+// associativities, with the given line size in bytes.  As for Cache, the
+// line size and every set count must be powers of two; NewICacheSweep
+// panics on a set count that is not.
 func NewICacheSweep(sizesKB, assocs []int, lineSize int) *ICacheSweep {
-	s := &ICacheSweep{lineSize: lineSize}
+	s := &ICacheSweep{lineSize: lineSize, tags: make([]uint32, trace.BlockCap)}
+	for 1<<s.lineShift < lineSize {
+		s.lineShift++
+	}
+	bySets := make(map[int]*lruStack)
 	for _, kb := range sizesKB {
 		for _, a := range assocs {
+			sets := CacheConfig{Size: kb << 10, LineSize: lineSize, Assoc: a}.Sets()
+			if sets&(sets-1) != 0 {
+				panic(fmt.Sprintf("alphasim: %dKB/%dway with %dB lines has %d sets, not a power of two", kb, a, lineSize, sets))
+			}
+			st, ok := bySets[sets]
+			if !ok {
+				st = &lruStack{mask: uint32(sets - 1)}
+				bySets[sets] = st
+			}
+			st.depth = max(st.depth, a)
+			st.points = append(st.points, len(s.points))
 			s.points = append(s.points, SweepPoint{SizeKB: kb, Assoc: a})
-			s.caches = append(s.caches, NewCache(CacheConfig{
-				Name:     fmt.Sprintf("i%dk%dw", kb, a),
-				Size:     kb << 10,
-				LineSize: lineSize,
-				Assoc:    a,
-			}))
 		}
 	}
+	for sets, st := range bySets {
+		st.tags = make([]uint32, sets*st.depth)
+		st.hist = make([]uint64, st.depth+1)
+		s.stacks = append(s.stacks, *st)
+	}
+	sort.Slice(s.stacks, func(i, j int) bool { return s.stacks[i].mask < s.stacks[j].mask })
 	return s
 }
 
@@ -61,31 +151,58 @@ func DefaultICacheSweep() *ICacheSweep {
 	return NewICacheSweep([]int{8, 16, 32, 64}, []int{1, 2, 4}, 32)
 }
 
-// Emit probes every configured cache with the instruction's fetch address.
+// Emit simulates one instruction fetch in every geometry.
 func (s *ICacheSweep) Emit(e trace.Event) {
-	for i, c := range s.caches {
-		s.points[i].Instructions++
-		if !c.Access(e.PC) {
-			s.points[i].Misses++
+	if tag := e.PC>>s.lineShift + 1; tag != s.last {
+		s.last = tag
+		for i := range s.stacks {
+			st := &s.stacks[i]
+			d := st.access(tag)
+			st.hist[d]++
+			st.charge(s.points)
+			if d == 0 {
+				break
+			}
 		}
+	}
+	for i := range s.points {
+		s.points[i].Instructions++
 	}
 }
 
-// EmitBlock probes every configured cache with a whole batch, transposed:
-// the outer loop walks the geometries and the inner loop streams the
-// block's PC column through one cache at a time, so each cache's tag state
-// stays hot while the PCs arrive as a sequential array scan.  The per-point
-// counters are updated once per block instead of once per event.
+// EmitBlock simulates a whole batch.  It first compacts the block's PC
+// column into line tags, dropping same-line repeats, then streams that
+// column through one LRU stack at a time, so each stack's state stays hot
+// while the tags arrive as a sequential array scan.  Each stack drops the
+// tags it found on top before handing the column to the next.  The
+// per-point counters are updated once per block instead of once per event.
 func (s *ICacheSweep) EmitBlock(b *trace.Block) {
-	for i, c := range s.caches {
-		misses := uint64(0)
-		for k := 0; k < b.N; k++ {
-			if !c.Access(b.PC[k]) {
-				misses++
+	tags, last, n := s.tags, s.last, 0
+	for _, pc := range b.PC[:b.N] {
+		tag := pc>>s.lineShift + 1
+		if tag != last {
+			tags[n] = tag
+			n++
+			last = tag
+		}
+	}
+	s.last = last
+	for i := range s.stacks {
+		st := &s.stacks[i]
+		kept := 0
+		for _, tag := range tags[:n] {
+			d := st.access(tag)
+			st.hist[d]++
+			if d != 0 {
+				tags[kept] = tag
+				kept++
 			}
 		}
+		n = kept
+		st.charge(s.points)
+	}
+	for i := range s.points {
 		s.points[i].Instructions += uint64(b.N)
-		s.points[i].Misses += misses
 	}
 }
 

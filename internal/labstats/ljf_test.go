@@ -282,9 +282,9 @@ func TestPhaseOf(t *testing.T) {
 func TestCostModelProvenanceAndConvergence(t *testing.T) {
 	m := NewCostModel()
 
-	// Cold: static estimates, ordered sweep > pipeline > measure > setup,
+	// Cold: static estimates, ordered pipeline > sweep > measure > setup,
 	// and linear in scale.
-	kinds := []string{"sweep", "pipeline", "measure", "setup"}
+	kinds := []string{"pipeline", "sweep", "measure", "setup"}
 	var prev float64
 	for i, kind := range kinds {
 		est, src := m.Estimate(kind, "p", 1)
@@ -333,8 +333,8 @@ func TestCostModelProvenanceAndConvergence(t *testing.T) {
 	// Nil model degrades to bare weights.
 	var nilModel *CostModel
 	est, src = nilModel.Estimate("sweep", "p", 1)
-	if est != 12 || src != EstStatic {
-		t.Errorf("nil model estimate = %v/%q, want 12/static", est, src)
+	if est != 2 || src != EstStatic {
+		t.Errorf("nil model estimate = %v/%q, want 2/static", est, src)
 	}
 	nilModel.Observe("measure", "p", 1, 100) // must not panic
 }
