@@ -119,8 +119,8 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 	if *schedPar < 1 {
 		usageFatalf("-sched-parallelism must be >= 1 (got %d)", *schedPar)
 	}
-	if scale <= 0 {
-		fatalf("-scale must be > 0 (got %g)", scale)
+	if err := validateScale(scale); err != nil {
+		fatalf("%v", err)
 	}
 	blocks := int(30 * scale)
 	if blocks < 2 {
@@ -235,10 +235,6 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 		fmt.Printf("scheduler ledger (%d workers, %s, %d cpus): serial fraction %.3f, imbalance %.1f%%, dilation %.2fx, batch speedup %.2fx vs Amdahl %.2fx\n",
 			l.EffectiveWorkers, l.ClaimPolicy, l.CPUs, l.SerialFraction,
 			l.ImbalancePct, l.DilationX, l.MeasuredSpeedupX, l.PredictedSpeedupX)
-		for _, ph := range l.Phases {
-			fmt.Printf("  phase %-8s %3d jobs, wall %8.0fus, busy %8.0fus\n",
-				ph.Phase, ph.Jobs, ph.WallUS, ph.BusyUS)
-		}
 	}
 	fmt.Printf("cache (%d experiments): cold %.2fs, warm %.2fs (%.1fx)\n",
 		rep.CacheExperiments, rep.CacheCold.BestSeconds, rep.CacheWarm.BestSeconds, rep.CacheSpeedupX)
@@ -325,10 +321,6 @@ type schedLedgerSummary struct {
 	CPUs        int     `json:"cpus,omitempty"`
 	GOMAXPROCS  int     `json:"gomaxprocs,omitempty"`
 	DilationX   float64 `json:"dilation_x,omitempty"`
-	// Phases decomposes the batch wall by scheduling stage (setup,
-	// measure, render) — a speedup regression localizes to the stage that
-	// slowed.
-	Phases []labstats.PhaseStats `json:"phases,omitempty"`
 }
 
 // summarizeLedger condenses a batch's speedup ledger; nil in, nil out.
@@ -348,7 +340,6 @@ func summarizeLedger(s *labstats.SchedStats) *schedLedgerSummary {
 		CPUs:              s.CPUs,
 		GOMAXPROCS:        s.GOMAXPROCS,
 		DilationX:         s.DilationX,
-		Phases:            s.Phases,
 	}
 	for _, w := range s.Workers {
 		out.WorkerUtilization = append(out.WorkerUtilization, w.Utilization)

@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 
@@ -72,7 +73,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event file to `file`")
 	cacheDir := flag.String("cache", "", "memoize measurements in the cache at `dir` (see docs/CACHING.md)")
 	cacheRO := flag.Bool("cache-readonly", false, "with -cache: consult the cache without writing new entries")
-	schedContention := flag.Bool("sched-contention", false, "bracket each measurement batch with mutex-/block-profile capture (diagnostic; adds overhead)")
 	version := flag.Bool("version", false, "print the lab build identity (binary fingerprint, cache schema, toolchain) and exit")
 	flag.Usage = usage
 	flag.Parse()
@@ -119,13 +119,22 @@ func main() {
 		cmdBenchTelemetry(args[1:], *scale, *cacheDir)
 		return
 	}
-	if *scale <= 0 {
-		usageFatalf("-scale must be > 0 (got %g)", *scale)
+	if err := validateScale(*scale); err != nil {
+		usageFatalf("%v", err)
 	}
 	if err := validateParallel(*parallel); err != nil {
 		usageFatalf("%v", err)
 	}
-	cmdRun(args, *scale, *parallel, *jsonOut, *traceOut, openCacheFlags(*cacheDir, *cacheRO), *schedContention)
+	cmdRun(args, *scale, *parallel, *jsonOut, *traceOut, openCacheFlags(*cacheDir, *cacheRO))
+}
+
+// validateScale rejects workload scales the experiments cannot honor:
+// zero, negative, NaN and infinite values.
+func validateScale(f float64) error {
+	if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("-scale must be > 0 and finite (got %g)", f)
+	}
+	return nil
 }
 
 // validateParallel rejects worker counts the scheduler cannot honor.  Both
@@ -181,12 +190,11 @@ func openCacheFlags(dir string, readonly bool) *rescache.Cache {
 // cmdRun executes the named experiments, optionally recording a run
 // manifest (-json), a span trace (-trace), and memoizing measurements
 // (-cache).
-func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string, cache *rescache.Cache, schedContention bool) {
+func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string, cache *rescache.Cache) {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = harness.Experiments
 	}
-	opt := harness.Options{Scale: scale, Out: os.Stdout, Parallelism: parallel, Cache: cache,
-		SchedContention: schedContention}
+	opt := harness.Options{Scale: scale, Out: os.Stdout, Parallelism: parallel, Cache: cache}
 	var reg *telemetry.Registry
 	var man *telemetry.Manifest
 	if jsonOut != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,6 +31,26 @@ func TestValidateParallel(t *testing.T) {
 	for _, n := range []int{1, 2, 64} {
 		if err := validateParallel(n); err != nil {
 			t.Errorf("validateParallel(%d) = %v, want nil", n, err)
+		}
+	}
+}
+
+// TestValidateScale pins the CLI contract for -scale: zero, negative, NaN
+// and infinite values are usage errors naming the flag.
+func TestValidateScale(t *testing.T) {
+	for _, f := range []float64{-1, 0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := validateScale(f)
+		if err == nil {
+			t.Errorf("validateScale(%g) = nil, want error", f)
+			continue
+		}
+		if !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("validateScale(%g) error should mention the flag: %q", f, err)
+		}
+	}
+	for _, f := range []float64{0.05, 1, 4} {
+		if err := validateScale(f); err != nil {
+			t.Errorf("validateScale(%g) = %v, want nil", f, err)
 		}
 	}
 }

@@ -37,8 +37,8 @@ func cmdProfile(args []string, defaultScale float64, defaultCache string, defaul
 		fs.Usage()
 		os.Exit(2)
 	}
-	if *scale <= 0 {
-		usageFatalf("-scale must be > 0 (got %g)", *scale)
+	if err := validateScale(*scale); err != nil {
+		usageFatalf("%v", err)
 	}
 	if err := validateParallel(*parallel); err != nil {
 		usageFatalf("%v", err)

@@ -30,125 +30,101 @@ import (
 // section order.
 func Ablation(opt Options) error {
 	scale := opt.scale()
-	b := opt.newBatch()
-
-	var (
-		tkdiff   core.Program
-		itlbJobs []*job
-		flatJobs []*job
-		da       *dispatchAblationJobs
-		fdProgs  []core.Program
-		fdJobs   []*job
-	)
-	itlbSizes := []int{8, 32}
-	flatModes := []bool{false, true}
+	var tkdiff core.Program
+	for _, p := range workloads.TclSuite(scale) {
+		if p.Name == "tkdiff" {
+			tkdiff = p
+		}
+	}
 	blocks := int(150 * scale)
 	if blocks < 8 {
 		blocks = 8
 	}
+	b := opt.newBatch()
 
-	b.addSetup("ablation", func() error {
-		for _, p := range workloads.TclSuite(scale) {
-			if p.Name == "tkdiff" {
-				tkdiff = p
-			}
-		}
-		fdProgs = []core.Program{
-			workloads.DESMIPSI(blocks),
-			workloads.DESJava(int(260 * scale)),
-			workloads.DESPerl(int(18 * scale)),
-			workloads.DESTcl(int(6 * scale)),
-		}
-		return nil
-	})
+	// Section 1: iTLB size sweep on Tcl/Tk tkdiff.
+	itlbSizes := []int{8, 32}
+	itlbJobs := make([]*job, len(itlbSizes))
+	for i, entries := range itlbSizes {
+		cfg := alphasim.DefaultConfig()
+		cfg.ITLBEntries = entries
+		itlbJobs[i] = b.measurePipeline(tkdiff, cfg)
+	}
 
-	b.plan(func() error {
-		// Section 1: iTLB size sweep on Tcl/Tk tkdiff.
-		itlbJobs = make([]*job, len(itlbSizes))
-		for i, entries := range itlbSizes {
-			cfg := alphasim.DefaultConfig()
-			cfg.ITLBEntries = entries
-			itlbJobs[i] = b.measurePipeline(tkdiff, cfg)
-		}
+	// Section 2: MIPSI page tables vs flat memory.
+	flatModes := []bool{false, true}
+	flatJobs := make([]*job, len(flatModes))
+	for i, flat := range flatModes {
+		flat := flat
+		flatJobs[i] = b.measure(core.Program{
+			System: core.SysMIPSI, Name: "des",
+			Variant: map[bool]string{false: "page-tables", true: "flat-memory"}[flat],
+			Run: func(ctx *core.Ctx) error {
+				prog, err := minicc.CompileMIPS("des", minicc.WithStdlib(desSourceForAblation(blocks)))
+				if err != nil {
+					return err
+				}
+				ip, err := mipsi.New(prog, ctx.OS, ctx.Image, ctx.Probe)
+				if err != nil {
+					return err
+				}
+				ip.FlatMemory = flat
+				return ip.Run(0)
+			},
+		})
+	}
 
-		// Section 2: MIPSI page tables vs flat memory.
-		flatJobs = make([]*job, len(flatModes))
-		for i, flat := range flatModes {
-			flat := flat
-			flatJobs[i] = b.measure(core.Program{
-				System: core.SysMIPSI, Name: "des",
-				Variant: map[bool]string{false: "page-tables", true: "flat-memory"}[flat],
-				Run: func(ctx *core.Ctx) error {
-					prog, err := minicc.CompileMIPS("des", minicc.WithStdlib(desSourceForAblation(blocks)))
-					if err != nil {
-						return err
-					}
-					ip, err := mipsi.New(prog, ctx.OS, ctx.Image, ctx.Probe)
-					if err != nil {
-						return err
-					}
-					ip.FlatMemory = flat
-					return ip.Run(0)
-				},
-			})
-		}
+	// Section 3: dispatch implementations (§5).
+	da := enqueueDispatchAblation(b, blocks, scale)
 
-		// Section 3: dispatch implementations (§5).
-		da = enqueueDispatchAblation(b, blocks, scale)
+	// Section 4: fetch/decode share per interpreter.
+	fdProgs := []core.Program{
+		workloads.DESMIPSI(blocks),
+		workloads.DESJava(int(260 * scale)),
+		workloads.DESPerl(int(18 * scale)),
+		workloads.DESTcl(int(6 * scale)),
+	}
+	fdJobs := make([]*job, len(fdProgs))
+	for i, p := range fdProgs {
+		fdJobs[i] = b.measure(p)
+	}
 
-		// Section 4: fetch/decode share per interpreter.
-		fdJobs = make([]*job, len(fdProgs))
-		for i, p := range fdProgs {
-			fdJobs[i] = b.measure(p)
-		}
-		return nil
-	})
+	if err := b.run(); err != nil {
+		return err
+	}
+	w := opt.out()
+	fmt.Fprintf(w, "Ablation 1: iTLB size (Tcl/Tk tkdiff through the pipeline)\n")
+	for i, entries := range itlbSizes {
+		res := itlbJobs[i].res
+		fmt.Fprintf(w, "  iTLB %2d entries: itlb stalls %.2f%% of issue slots, CPI %.2f\n",
+			entries, 100*res.Pipe.StallFrac(alphasim.CauseITLB, 2), res.Pipe.CPI())
+	}
 
-	// Each section renders as its own job; the buffers flush in
-	// registration order, so the sections appear in order regardless of
-	// which render job finishes first.
-	b.addRender("ablation-1", func(w io.Writer) error {
-		fmt.Fprintf(w, "Ablation 1: iTLB size (Tcl/Tk tkdiff through the pipeline)\n")
-		for i, entries := range itlbSizes {
-			res := itlbJobs[i].res
-			fmt.Fprintf(w, "  iTLB %2d entries: itlb stalls %.2f%% of issue slots, CPI %.2f\n",
-				entries, 100*res.Pipe.StallFrac(alphasim.CauseITLB, 2), res.Pipe.CPI())
+	fmt.Fprintf(w, "\nAblation 2: MIPSI simulated page tables vs flat memory (des)\n")
+	for i, flat := range flatModes {
+		res := flatJobs[i].res
+		fd, ex := res.PerCommand()
+		mm, _ := res.Stats.Region("memmodel")
+		label := "page tables"
+		if flat {
+			label = "flat memory"
 		}
-		return nil
-	})
-	b.addRender("ablation-2", func(w io.Writer) error {
-		fmt.Fprintf(w, "\nAblation 2: MIPSI simulated page tables vs flat memory (des)\n")
-		for i, flat := range flatModes {
-			res := flatJobs[i].res
-			fd, ex := res.PerCommand()
-			mm, _ := res.Stats.Region("memmodel")
-			label := "page tables"
-			if flat {
-				label = "flat memory"
-			}
-			fmt.Fprintf(w, "  %-12s: %8s native instr, fd/cmd %.0f, ex/cmd %.1f, memmodel %4.1f%%\n",
-				label, fmtK(res.NativeInstructions()), fd, ex,
-				100*float64(mm.Instructions)/float64(res.NativeInstructions()))
-		}
-		return nil
-	})
-	b.addRender("ablation-3", func(w io.Writer) error {
-		fmt.Fprintf(w, "\nAblation 3: dispatch implementation (§5: threaded code, bytecode caching)\n")
-		da.render(w)
-		return nil
-	})
-	b.addRender("ablation-4", func(w io.Writer) error {
-		fmt.Fprintf(w, "\nAblation 4: fetch/decode share (the dispatch-optimization bound, §5)\n")
-		for i := range fdProgs {
-			res := fdJobs[i].res
-			fdShare := float64(res.Stats.FetchDecode) / float64(res.NativeInstructions())
-			fmt.Fprintf(w, "  %-10s fetch/decode is %4.1f%% of native instructions\n",
-				res.Program.System, 100*fdShare)
-		}
-		return nil
-	})
+		fmt.Fprintf(w, "  %-12s: %8s native instr, fd/cmd %.0f, ex/cmd %.1f, memmodel %4.1f%%\n",
+			label, fmtK(res.NativeInstructions()), fd, ex,
+			100*float64(mm.Instructions)/float64(res.NativeInstructions()))
+	}
 
-	return b.run()
+	fmt.Fprintf(w, "\nAblation 3: dispatch implementation (§5: threaded code, bytecode caching)\n")
+	da.render(w)
+
+	fmt.Fprintf(w, "\nAblation 4: fetch/decode share (the dispatch-optimization bound, §5)\n")
+	for _, j := range fdJobs {
+		res := j.res
+		fdShare := float64(res.Stats.FetchDecode) / float64(res.NativeInstructions())
+		fmt.Fprintf(w, "  %-10s fetch/decode is %4.1f%% of native instructions\n",
+			res.Program.System, 100*fdShare)
+	}
+	return nil
 }
 
 // desSourceForAblation re-exposes the shared des source (kept in the

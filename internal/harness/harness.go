@@ -4,16 +4,17 @@
 // numbers.
 //
 // Measurements within an experiment are mutually independent, so each
-// experiment enumerates its jobs into a batch (sched.go) that fans them out
-// over Options.Parallelism workers and collects results in submission
-// order — rendered text, manifests and profiles are byte-identical to a
-// serial run.
+// experiment enumerates its measurements into a batch (sched.go) that fans
+// them out over Options.Parallelism workers and collects results in
+// submission order, then renders its text from those results — rendered
+// text, manifests and profiles are byte-identical to a serial run.
 package harness
 
 import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -32,8 +33,8 @@ import (
 
 // Options configures an experiment run.
 type Options struct {
-	// Scale multiplies workload sizes (1 = default; 0 means "default",
-	// negative is rejected by Run).
+	// Scale multiplies workload sizes (1 = default; 0 means "default";
+	// negative, NaN and infinite values are rejected by Run).
 	Scale float64
 	// Out receives the rendered table/figure.  nil means os.Stdout, so
 	// library callers can leave it unset without nil-dereferencing.
@@ -75,15 +76,6 @@ type Options struct {
 	// run.  Rendered output is byte-identical either way; manifests mark
 	// restored measurements with cache_hit.
 	Cache *rescache.Cache
-
-	// SchedContention arms the scheduler ledger's optional mutex-/block-
-	// profile bracket: each batch raises the runtime's contention
-	// sampling rates while it runs and records how many contended stacks
-	// appeared (manifest sched block, `contention` field).  Off by
-	// default — the bracket perturbs the runtime's profiling rates
-	// process-wide, so it is opt-in diagnostics, not steady-state
-	// telemetry.
-	SchedContention bool
 
 	// rec is the manifest entry of the experiment currently dispatched by
 	// Run; the measure helpers record into it.
@@ -144,8 +136,8 @@ func Known(id string) bool {
 
 // Run dispatches an experiment by id.
 func Run(id string, opt Options) error {
-	if opt.Scale < 0 {
-		return fmt.Errorf("harness: scale must be positive (got %g)", opt.Scale)
+	if opt.Scale < 0 || math.IsNaN(opt.Scale) || math.IsInf(opt.Scale, 0) {
+		return fmt.Errorf("harness: scale must be positive and finite (got %g)", opt.Scale)
 	}
 	if opt.Parallelism < 0 {
 		return fmt.Errorf("harness: parallelism must be >= 1 (got %d; 0 means GOMAXPROCS)", opt.Parallelism)
@@ -285,45 +277,36 @@ var systems = []core.System{core.SysMIPSI, core.SysJava, core.SysPerl, core.SysT
 // ratios of simulated machine cycles against the compiled-C run of the
 // same operation count.
 func Table1(opt Options) error {
+	micros := workloads.Micros(opt.scale())
 	type t1row struct {
 		base *job
 		sys  []*job
 	}
-	var (
-		micros []workloads.Micro
-		rows   []t1row
-	)
 	b := opt.newBatch()
-	b.addSetup("table1", func() error {
-		micros = workloads.Micros(opt.scale())
-		return nil
-	})
-	b.plan(func() error {
-		rows = make([]t1row, 0, len(micros))
-		for _, m := range micros {
-			r := t1row{base: b.measurePipeline(m.Progs[core.SysC], alphasim.DefaultConfig())}
-			for _, sys := range systems {
-				r.sys = append(r.sys, b.measurePipeline(m.Progs[sys], alphasim.DefaultConfig()))
-			}
-			rows = append(rows, r)
+	rows := make([]t1row, 0, len(micros))
+	for _, m := range micros {
+		r := t1row{base: b.measurePipeline(m.Progs[core.SysC], alphasim.DefaultConfig())}
+		for _, sys := range systems {
+			r.sys = append(r.sys, b.measurePipeline(m.Progs[sys], alphasim.DefaultConfig()))
 		}
-		return nil
-	})
-	b.addRender("table1", func(w io.Writer) error {
-		fmt.Fprintf(w, "Table 1: microbenchmark slowdowns relative to C (simulated cycles)\n\n")
-		fmt.Fprintf(w, "%-14s %-50s %9s %9s %9s %9s\n", "Benchmark", "Description", "MIPSI", "Java", "Perl", "Tcl")
-		for i, m := range micros {
-			cCycles := float64(rows[i].base.res.Pipe.Cycles)
-			fmt.Fprintf(w, "%-14s %-50s", m.Name, m.Desc)
-			for _, j := range rows[i].sys {
-				slow := float64(j.res.Pipe.Cycles) / cCycles
-				fmt.Fprintf(w, " %9s", fmtSlowdown(slow))
-			}
-			fmt.Fprintln(w)
+		rows = append(rows, r)
+	}
+	if err := b.run(); err != nil {
+		return err
+	}
+	w := opt.out()
+	fmt.Fprintf(w, "Table 1: microbenchmark slowdowns relative to C (simulated cycles)\n\n")
+	fmt.Fprintf(w, "%-14s %-50s %9s %9s %9s %9s\n", "Benchmark", "Description", "MIPSI", "Java", "Perl", "Tcl")
+	for i, m := range micros {
+		cCycles := float64(rows[i].base.res.Pipe.Cycles)
+		fmt.Fprintf(w, "%-14s %-50s", m.Name, m.Desc)
+		for _, j := range rows[i].sys {
+			slow := float64(j.res.Pipe.Cycles) / cCycles
+			fmt.Fprintf(w, " %9s", fmtSlowdown(slow))
 		}
-		return nil
-	})
-	return b.run()
+		fmt.Fprintln(w)
+	}
+	return nil
 }
 
 func fmtSlowdown(s float64) string {
@@ -340,41 +323,32 @@ func fmtSlowdown(s float64) string {
 // Table2 regenerates the baseline performance table: commands, native
 // instructions, fetch/decode and execute averages, and simulated cycles.
 func Table2(opt Options) error {
-	var (
-		progs []core.Program
-		jobs  []*job
-	)
 	b := opt.newBatch()
-	b.addSetup("table2", func() error {
-		progs = table2Order(opt.scale())
-		return nil
-	})
-	b.plan(func() error {
-		for _, p := range progs {
-			jobs = append(jobs, b.measurePipeline(p, alphasim.DefaultConfig()))
+	var jobs []*job
+	for _, p := range table2Order(opt.scale()) {
+		jobs = append(jobs, b.measurePipeline(p, alphasim.DefaultConfig()))
+	}
+	if err := b.run(); err != nil {
+		return err
+	}
+	w := opt.out()
+	fmt.Fprintf(w, "Table 2: baseline interpreter performance\n\n")
+	fmt.Fprintf(w, "%-6s %-10s %8s %10s %14s %10s %8s %8s %12s\n",
+		"Lang", "Benchmark", "Size(KB)", "VCmds(K)", "NativeI(K)", "(startup)", "FD/cmd", "Ex/cmd", "Cycles(K)")
+	for _, j := range jobs {
+		res := j.res
+		fd, ex := res.PerCommand()
+		startup := ""
+		if res.StartupInstructions() > 0 && res.Program.System == core.SysPerl {
+			startup = fmt.Sprintf("(%s)", fmtK(res.StartupInstructions()))
 		}
-		return nil
-	})
-	b.addRender("table2", func(w io.Writer) error {
-		fmt.Fprintf(w, "Table 2: baseline interpreter performance\n\n")
-		fmt.Fprintf(w, "%-6s %-10s %8s %10s %14s %10s %8s %8s %12s\n",
-			"Lang", "Benchmark", "Size(KB)", "VCmds(K)", "NativeI(K)", "(startup)", "FD/cmd", "Ex/cmd", "Cycles(K)")
-		for _, j := range jobs {
-			res := j.res
-			fd, ex := res.PerCommand()
-			startup := ""
-			if res.StartupInstructions() > 0 && res.Program.System == core.SysPerl {
-				startup = fmt.Sprintf("(%s)", fmtK(res.StartupInstructions()))
-			}
-			fmt.Fprintf(w, "%-6s %-10s %8.1f %10s %14s %10s %8.0f %8.1f %12s\n",
-				res.Program.System, res.Program.Name,
-				float64(res.SizeBytes)/1024,
-				fmtK(res.Commands()), fmtK(res.NativeInstructions()), startup,
-				fd, ex, fmtK(res.Pipe.Cycles))
-		}
-		return nil
-	})
-	return b.run()
+		fmt.Fprintf(w, "%-6s %-10s %8.1f %10s %14s %10s %8.0f %8.1f %12s\n",
+			res.Program.System, res.Program.Name,
+			float64(res.SizeBytes)/1024,
+			fmtK(res.Commands()), fmtK(res.NativeInstructions()), startup,
+			fd, ex, fmtK(res.Pipe.Cycles))
+	}
+	return nil
 }
 
 // table2Order interleaves C des first, then per-language groups, as the
@@ -409,16 +383,10 @@ func fmtK(v uint64) string {
 }
 
 // Table3 prints the simulated machine description.  It measures nothing,
-// but still runs as a batch so the description renders as a render-stage
-// job like every other experiment's output.
+// so it renders without a batch.
 func Table3(opt Options) error {
-	b := opt.newBatch()
-	b.addRender("table3", table3Render)
-	return b.run()
-}
-
-func table3Render(w io.Writer) error {
 	cfg := alphasim.DefaultConfig()
+	w := opt.out()
 	fmt.Fprintf(w, "Table 3: simulated processor (2-issue, 21064-like)\n\n")
 	fmt.Fprintf(w, "%-12s %-10s %s\n", "Cause", "Latency", "Description")
 	rows := []struct{ c, l, d string }{
@@ -457,30 +425,16 @@ func interpretedSuite(scale float64) []core.Program {
 // Fig1 regenerates the cumulative execute-instruction distributions: the
 // share of execute instructions covered by the top-x virtual commands.
 func Fig1(opt Options) error {
-	var (
-		progs []core.Program
-		jobs  []*job
-	)
+	progs := interpretedSuite(opt.scale())
 	b := opt.newBatch()
-	b.addSetup("fig1", func() error {
-		progs = interpretedSuite(opt.scale())
-		return nil
-	})
-	b.plan(func() error {
-		jobs = make([]*job, len(progs))
-		for i, p := range progs {
-			jobs[i] = b.measure(p)
-		}
-		return nil
-	})
-	b.addRender("fig1", func(w io.Writer) error {
-		fig1Render(w, progs, jobs)
-		return nil
-	})
-	return b.run()
-}
-
-func fig1Render(w io.Writer, progs []core.Program, jobs []*job) {
+	jobs := make([]*job, len(progs))
+	for i, p := range progs {
+		jobs[i] = b.measure(p)
+	}
+	if err := b.run(); err != nil {
+		return err
+	}
+	w := opt.out()
 	fmt.Fprintf(w, "Figure 1: cumulative native instruction count distributions\n")
 	fmt.Fprintf(w, "(execute instructions covered by the top-x virtual commands)\n\n")
 	fmt.Fprintf(w, "%-18s %6s %6s %6s %6s %6s\n", "Benchmark", "top1", "top2", "top3", "top5", "top10")
@@ -509,6 +463,7 @@ func fig1Render(w io.Writer, progs []core.Program, jobs []*job) {
 		fmt.Fprintf(w, "%-18s %5.0f%% %5.0f%% %5.0f%% %5.0f%% %5.0f%%\n",
 			p.ID(), cum[0], cum[1], cum[2], cum[3], cum[4])
 	}
+	return nil
 }
 
 func max(a, b float64) float64 {
@@ -522,46 +477,37 @@ func max(a, b float64) float64 {
 // top virtual commands with their share of commands and of execute
 // instructions.
 func Fig2(opt Options) error {
-	var (
-		progs []core.Program
-		jobs  []*job
-	)
+	progs := interpretedSuite(opt.scale())
 	b := opt.newBatch()
-	b.addSetup("fig2", func() error {
-		progs = interpretedSuite(opt.scale())
-		return nil
-	})
-	b.plan(func() error {
-		jobs = make([]*job, len(progs))
-		for i, p := range progs {
-			jobs[i] = b.measure(p)
+	jobs := make([]*job, len(progs))
+	for i, p := range progs {
+		jobs[i] = b.measure(p)
+	}
+	if err := b.run(); err != nil {
+		return err
+	}
+	w := opt.out()
+	fmt.Fprintf(w, "Figure 2: virtual command and execute-instruction distributions\n\n")
+	for i, p := range progs {
+		res := jobs[i].res
+		fmt.Fprintf(w, "%s:\n", p.ID())
+		ops := res.Stats.Ops
+		if p.System == core.SysJava {
+			ops = groupJavaOps(ops)
 		}
-		return nil
-	})
-	b.addRender("fig2", func(w io.Writer) error {
-		fmt.Fprintf(w, "Figure 2: virtual command and execute-instruction distributions\n\n")
-		for i, p := range progs {
-			res := jobs[i].res
-			fmt.Fprintf(w, "%s:\n", p.ID())
-			ops := res.Stats.Ops
-			if p.System == core.SysJava {
-				ops = groupJavaOps(ops)
-			}
-			sort.Slice(ops, func(a, b int) bool { return ops[a].Execute > ops[b].Execute })
-			n := len(ops)
-			if n > 6 {
-				n = 6
-			}
-			for _, op := range ops[:n] {
-				cmdShare := 100 * float64(op.Count) / float64(res.Stats.Commands)
-				exShare := 100 * float64(op.Execute) / float64(res.Stats.Execute)
-				fmt.Fprintf(w, "  %-14s %5.1f%% of commands  %5.1f%% of execute  %s\n",
-					op.Name, cmdShare, exShare, bar(exShare))
-			}
+		sort.Slice(ops, func(a, b int) bool { return ops[a].Execute > ops[b].Execute })
+		n := len(ops)
+		if n > 6 {
+			n = 6
 		}
-		return nil
-	})
-	return b.run()
+		for _, op := range ops[:n] {
+			cmdShare := 100 * float64(op.Count) / float64(res.Stats.Commands)
+			exShare := 100 * float64(op.Execute) / float64(res.Stats.Execute)
+			fmt.Fprintf(w, "  %-14s %5.1f%% of commands  %5.1f%% of execute  %s\n",
+				op.Name, cmdShare, exShare, bar(exShare))
+		}
+	}
+	return nil
 }
 
 func bar(pct float64) string {
@@ -574,74 +520,56 @@ func bar(pct float64) string {
 
 // MemModel regenerates the §3.3 memory-model measurements.
 func MemModel(opt Options) error {
-	var (
-		progs []core.Program
-		jobs  []*job
-	)
+	progs := interpretedSuite(opt.scale())
 	b := opt.newBatch()
-	b.addSetup("memmodel", func() error {
-		progs = interpretedSuite(opt.scale())
-		return nil
-	})
-	b.plan(func() error {
-		jobs = make([]*job, len(progs))
-		for i, p := range progs {
-			jobs[i] = b.measure(p)
-		}
-		return nil
-	})
-	b.addRender("memmodel", func(w io.Writer) error {
-		fmt.Fprintf(w, "Section 3.3: memory model costs\n\n")
-		fmt.Fprintf(w, "%-18s %-12s %10s %12s %8s\n", "Benchmark", "Region", "Accesses", "Instr/access", "%total")
-		for i, p := range progs {
-			res := jobs[i].res
-			total := float64(res.NativeInstructions())
-			for _, region := range res.Stats.Regions {
-				if region.Accesses == 0 {
-					continue
-				}
-				switch region.Name {
-				case "memmodel", "java.stack", "java.field":
-					fmt.Fprintf(w, "%-18s %-12s %10d %12.0f %7.1f%%\n",
-						p.ID(), region.Name, region.Accesses, region.PerAccess(),
-						100*float64(region.Instructions)/total)
-				}
+	jobs := make([]*job, len(progs))
+	for i, p := range progs {
+		jobs[i] = b.measure(p)
+	}
+	if err := b.run(); err != nil {
+		return err
+	}
+	w := opt.out()
+	fmt.Fprintf(w, "Section 3.3: memory model costs\n\n")
+	fmt.Fprintf(w, "%-18s %-12s %10s %12s %8s\n", "Benchmark", "Region", "Accesses", "Instr/access", "%total")
+	for i, p := range progs {
+		res := jobs[i].res
+		total := float64(res.NativeInstructions())
+		for _, region := range res.Stats.Regions {
+			if region.Accesses == 0 {
+				continue
+			}
+			switch region.Name {
+			case "memmodel", "java.stack", "java.field":
+				fmt.Fprintf(w, "%-18s %-12s %10d %12.0f %7.1f%%\n",
+					p.ID(), region.Name, region.Accesses, region.PerAccess(),
+					100*float64(region.Instructions)/total)
 			}
 		}
-		return nil
-	})
-	return b.run()
+	}
+	return nil
 }
 
 // Fig3 regenerates the issue-slot stall distributions for the interpreted
 // suite and the native baselines.
 func Fig3(opt Options) error {
-	var (
-		progs []core.Program
-		jobs  []*job
-	)
+	progs := append(workloads.NativeSuite(opt.scale()), workloads.Suite(opt.scale())...)
 	b := opt.newBatch()
-	b.addSetup("fig3", func() error {
-		progs = append(workloads.NativeSuite(opt.scale()), workloads.Suite(opt.scale())...)
-		return nil
-	})
-	b.plan(func() error {
-		jobs = make([]*job, len(progs))
-		for i, p := range progs {
-			jobs[i] = b.measurePipeline(p, alphasim.DefaultConfig())
-		}
-		return nil
-	})
-	b.addRender("fig3", func(w io.Writer) error {
-		fmt.Fprintf(w, "Figure 3: overall execution behavior (%% of issue slots)\n\n")
-		fmt.Fprintf(w, "%-18s %5s %6s %6s %6s %6s %6s %6s %6s %6s\n",
-			"Benchmark", "busy", "other", "shint", "load", "mispr", "dtlb", "itlb", "dmiss", "imiss")
-		for i, p := range progs {
-			fig3Row(w, p, jobs[i].res)
-		}
-		return nil
-	})
-	return b.run()
+	jobs := make([]*job, len(progs))
+	for i, p := range progs {
+		jobs[i] = b.measurePipeline(p, alphasim.DefaultConfig())
+	}
+	if err := b.run(); err != nil {
+		return err
+	}
+	w := opt.out()
+	fmt.Fprintf(w, "Figure 3: overall execution behavior (%% of issue slots)\n\n")
+	fmt.Fprintf(w, "%-18s %5s %6s %6s %6s %6s %6s %6s %6s %6s\n",
+		"Benchmark", "busy", "other", "shint", "load", "mispr", "dtlb", "itlb", "dmiss", "imiss")
+	for i, p := range progs {
+		fig3Row(w, p, jobs[i].res)
+	}
+	return nil
 }
 
 func fig3Row(w io.Writer, p core.Program, res core.Result) {
@@ -666,51 +594,43 @@ func fig3Row(w io.Writer, p core.Program, res core.Result) {
 // trace-driven: each program runs once, as one job, and its instruction
 // stream feeds every geometry of an alphasim.ICacheSweep.
 func Fig4(opt Options) error {
-	var (
-		progs  []core.Program
-		sweeps []*alphasim.ICacheSweep
-	)
-	b := opt.newBatch()
-	b.addSetup("fig4", func() error {
-		for _, p := range workloads.Suite(opt.scale()) {
-			switch p.System {
-			case core.SysC:
+	var progs []core.Program
+	for _, p := range workloads.Suite(opt.scale()) {
+		switch p.System {
+		case core.SysC:
+			continue
+		case core.SysMIPSI:
+			if p.Name != "des" {
 				continue
-			case core.SysMIPSI:
-				if p.Name != "des" {
-					continue
-				}
 			}
-			progs = append(progs, p)
 		}
-		return nil
-	})
-	b.plan(func() error {
-		sweeps = make([]*alphasim.ICacheSweep, len(progs))
-		for i, p := range progs {
-			// Each job gets a private sweep; jobs run concurrently.
-			sweeps[i] = alphasim.DefaultICacheSweep()
-			b.measureSweep(p, sweeps[i])
-		}
-		return nil
-	})
-	b.addRender("fig4", func(w io.Writer) error {
-		fmt.Fprintf(w, "Figure 4: instruction cache behavior (misses per 100 instructions)\n\n")
-		fmt.Fprintf(w, "%-18s", "Benchmark")
-		for _, pt := range alphasim.DefaultICacheSweep().Points() {
-			fmt.Fprintf(w, " %9s", pt.Label())
+		progs = append(progs, p)
+	}
+	b := opt.newBatch()
+	sweeps := make([]*alphasim.ICacheSweep, len(progs))
+	for i, p := range progs {
+		// Each job gets a private sweep; jobs run concurrently.
+		sweeps[i] = alphasim.DefaultICacheSweep()
+		b.measureSweep(p, sweeps[i])
+	}
+	if err := b.run(); err != nil {
+		return err
+	}
+	w := opt.out()
+	fmt.Fprintf(w, "Figure 4: instruction cache behavior (misses per 100 instructions)\n\n")
+	fmt.Fprintf(w, "%-18s", "Benchmark")
+	for _, pt := range alphasim.DefaultICacheSweep().Points() {
+		fmt.Fprintf(w, " %9s", pt.Label())
+	}
+	fmt.Fprintln(w)
+	for i, p := range progs {
+		fmt.Fprintf(w, "%-18s", p.ID())
+		for _, pt := range sweeps[i].Points() {
+			fmt.Fprintf(w, " %9.2f", pt.MissPer100())
 		}
 		fmt.Fprintln(w)
-		for i, p := range progs {
-			fmt.Fprintf(w, "%-18s", p.ID())
-			for _, pt := range sweeps[i].Points() {
-				fmt.Fprintf(w, " %9.2f", pt.MissPer100())
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	})
-	return b.run()
+	}
+	return nil
 }
 
 // groupJavaOps folds raw bytecodes into the primary categories Figure 2

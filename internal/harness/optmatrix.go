@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"interplab/internal/alphasim"
 	"interplab/internal/core"
@@ -27,98 +26,85 @@ func OptMatrix(opt Options) error {
 	b := opt.newBatch()
 
 	type cell struct {
-		tier  workloads.Tier
-		pipe  *job
-		sweep *job
-		sw    *alphasim.ICacheSweep
+		tier workloads.Tier
+		pipe *job
+		sw   *alphasim.ICacheSweep
 	}
 	matrixSystems := []core.System{core.SysMIPSI, core.SysJava, core.SysPerl, core.SysTcl}
+	var rows [][]cell
+	for _, sys := range matrixSystems {
+		var row []cell
+		for _, t := range workloads.Tiers(sys) {
+			p := workloads.DESTiered(sys, scale, t)
+			sw := alphasim.DefaultICacheSweep()
+			row = append(row, cell{
+				tier: t,
+				pipe: b.measurePipeline(p, alphasim.DefaultConfig()),
+				sw:   sw,
+			})
+			b.measureSweep(p, sw)
+		}
+		rows = append(rows, row)
+	}
 	pairSystems := []core.System{core.SysMIPSI, core.SysJava}
-	var (
-		rows     [][]cell
-		pairJobs []*job
-	)
+	var pairJobs []*job
+	for _, sys := range pairSystems {
+		pairJobs = append(pairJobs, b.measure(workloads.DESHotPairs(sys, scale)))
+	}
+	if err := b.run(); err != nil {
+		return err
+	}
 
-	b.plan(func() error {
-		for _, sys := range matrixSystems {
-			var row []cell
-			for _, t := range workloads.Tiers(sys) {
-				p := workloads.DESTiered(sys, scale, t)
-				sw := alphasim.DefaultICacheSweep()
-				row = append(row, cell{
-					tier:  t,
-					pipe:  b.measurePipeline(p, alphasim.DefaultConfig()),
-					sweep: b.measureSweep(p, sw),
-					sw:    sw,
-				})
-			}
-			rows = append(rows, row)
+	w := opt.out()
+	fmt.Fprintf(w, "Optimization-tier matrix (des workload)\n\n")
+	fmt.Fprintf(w, "Superinstruction selection evidence — consecutive-dispatch pair counts:\n\n")
+	for i, sys := range pairSystems {
+		res := pairJobs[i].res
+		if err := profile.WriteHotPairs(w, string(sys)+"/des", res.Stats.Pairs, 8); err != nil {
+			return err
 		}
-		for _, sys := range pairSystems {
-			pairJobs = append(pairJobs, b.measure(workloads.DESHotPairs(sys, scale)))
-		}
-		return nil
-	})
+		fmt.Fprintln(w)
+	}
 
-	b.addRender("opt-matrix-pairs", func(w io.Writer) error {
-		fmt.Fprintf(w, "Optimization-tier matrix (des workload)\n\n")
-		fmt.Fprintf(w, "Superinstruction selection evidence — consecutive-dispatch pair counts:\n\n")
-		for i, sys := range pairSystems {
-			res := pairJobs[i].res
-			if err := profile.WriteHotPairs(w, string(sys)+"/des", res.Stats.Pairs, 8); err != nil {
-				return err
+	fmt.Fprintf(w, "Dispatch and execution by tier:\n\n")
+	fmt.Fprintf(w, "%-6s %-14s %10s %12s %12s %8s %8s %12s\n",
+		"Lang", "Tier", "VCmds(K)", "FD(K)", "NativeI(K)", "FD/cmd", "Ex/cmd", "Cycles(K)")
+	for i, sys := range matrixSystems {
+		for _, c := range rows[i] {
+			res := c.pipe.res
+			fd, ex := res.PerCommand()
+			fmt.Fprintf(w, "%-6s %-14s %10s %12s %12s %8.0f %8.1f %12s\n",
+				sys, c.tier.Key,
+				fmtK(res.Commands()), fmtK(res.Stats.FetchDecode),
+				fmtK(res.NativeInstructions()), fd, ex, fmtK(res.Pipe.Cycles))
+		}
+	}
+	fmt.Fprintf(w, "\nDispatch recovered per tier (fetch/decode instructions vs baseline):\n")
+	for i, sys := range matrixSystems {
+		base := rows[i][0].pipe.res
+		for _, c := range rows[i][1:] {
+			res := c.pipe.res
+			saved := 100 * (1 - float64(res.Stats.FetchDecode)/float64(base.Stats.FetchDecode))
+			cyc := 100 * (1 - float64(res.Pipe.Cycles)/float64(base.Pipe.Cycles))
+			fmt.Fprintf(w, "  %-6s %-14s fetch/decode %+5.1f%%, cycles %+5.1f%%\n",
+				sys, c.tier.Key, -saved, -cyc)
+		}
+	}
+
+	fmt.Fprintf(w, "\nInstruction-cache signature by tier (misses per 100 instructions):\n\n")
+	fmt.Fprintf(w, "%-6s %-14s", "Lang", "Tier")
+	for _, pt := range alphasim.DefaultICacheSweep().Points() {
+		fmt.Fprintf(w, " %9s", pt.Label())
+	}
+	fmt.Fprintln(w)
+	for i, sys := range matrixSystems {
+		for _, c := range rows[i] {
+			fmt.Fprintf(w, "%-6s %-14s", sys, c.tier.Key)
+			for _, pt := range c.sw.Points() {
+				fmt.Fprintf(w, " %9.2f", pt.MissPer100())
 			}
 			fmt.Fprintln(w)
 		}
-		return nil
-	})
-
-	b.addRender("opt-matrix-table", func(w io.Writer) error {
-		fmt.Fprintf(w, "Dispatch and execution by tier:\n\n")
-		fmt.Fprintf(w, "%-6s %-14s %10s %12s %12s %8s %8s %12s\n",
-			"Lang", "Tier", "VCmds(K)", "FD(K)", "NativeI(K)", "FD/cmd", "Ex/cmd", "Cycles(K)")
-		for i, sys := range matrixSystems {
-			for _, c := range rows[i] {
-				res := c.pipe.res
-				fd, ex := res.PerCommand()
-				fmt.Fprintf(w, "%-6s %-14s %10s %12s %12s %8.0f %8.1f %12s\n",
-					sys, c.tier.Key,
-					fmtK(res.Commands()), fmtK(res.Stats.FetchDecode),
-					fmtK(res.NativeInstructions()), fd, ex, fmtK(res.Pipe.Cycles))
-			}
-		}
-		fmt.Fprintf(w, "\nDispatch recovered per tier (fetch/decode instructions vs baseline):\n")
-		for i, sys := range matrixSystems {
-			base := rows[i][0].pipe.res
-			for _, c := range rows[i][1:] {
-				res := c.pipe.res
-				saved := 100 * (1 - float64(res.Stats.FetchDecode)/float64(base.Stats.FetchDecode))
-				cyc := 100 * (1 - float64(res.Pipe.Cycles)/float64(base.Pipe.Cycles))
-				fmt.Fprintf(w, "  %-6s %-14s fetch/decode %+5.1f%%, cycles %+5.1f%%\n",
-					sys, c.tier.Key, -saved, -cyc)
-			}
-		}
-		return nil
-	})
-
-	b.addRender("opt-matrix-icache", func(w io.Writer) error {
-		fmt.Fprintf(w, "\nInstruction-cache signature by tier (misses per 100 instructions):\n\n")
-		fmt.Fprintf(w, "%-6s %-14s", "Lang", "Tier")
-		for _, pt := range alphasim.DefaultICacheSweep().Points() {
-			fmt.Fprintf(w, " %9s", pt.Label())
-		}
-		fmt.Fprintln(w)
-		for i, sys := range matrixSystems {
-			for _, c := range rows[i] {
-				fmt.Fprintf(w, "%-6s %-14s", sys, c.tier.Key)
-				for _, pt := range c.sw.Points() {
-					fmt.Fprintf(w, " %9.2f", pt.MissPer100())
-				}
-				fmt.Fprintln(w)
-			}
-		}
-		return nil
-	})
-
-	return b.run()
+	}
+	return nil
 }

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,52 +15,38 @@ import (
 
 // This file is the parallel measurement scheduler.  The experiments'
 // measurements are mutually independent — every core.Measure* call runs
-// against a fresh image/probe/OS — so each experiment enumerates its work
-// into a batch, the batch fans it out over Options.Parallelism workers,
-// and results are collected in submission order.  Because rendering goes
-// to per-job buffers flushed in submission order and manifest/profile
-// recording also happens in submission order, the rendered tables,
-// manifest entries, and merged profiles are byte-identical to a serial
-// run; the only observable differences are wall time and the lanes
-// concurrent spans land on in the Chrome trace.
+// against a fresh image/probe/OS — so each experiment enumerates its
+// measurements into a batch, the batch fans them out over
+// Options.Parallelism workers, and results are collected in submission
+// order.  Experiments render their text from the collected results only
+// after the batch succeeds, and manifest/profile recording happens in
+// submission order, so the rendered tables, manifest entries, and merged
+// profiles are byte-identical to a serial run; the only observable
+// differences are wall time and the lanes concurrent spans land on in the
+// Chrome trace.
 //
-// A batch runs in sequential stages:
+// A batch is a list of measurement jobs and nothing else: each job is a
+// "measure", "pipeline" or "sweep" run of one program, and runs its guest
+// exactly once; a sweep job simulates every cache geometry over that one
+// event stream (see measureSweep).
 //
-//	setup jobs  →  plan callbacks  →  measurement jobs  →  render jobs
+// Parallel workers claim jobs longest-job-first: jobs are ordered by a
+// cost estimate (static kind weights, refined by the process-global
+// labstats cost model as batches drain), so critical-path jobs start
+// first and the batch's tail stays short.  With uniform estimates the
+// order degenerates to submission order — exactly the old FIFO cursor.
 //
-// Setup jobs compute per-experiment inputs (workload enumeration), plan
-// callbacks turn those inputs into measurement jobs, and render jobs
-// format the collected results into private buffers.  Moving setup and
-// render inside the batch means the speedup ledger's wall covers the
-// whole experiment, and the ledger decomposes it per phase.  Each
-// measurement job runs its guest exactly once; a sweep job simulates
-// every cache geometry over that one event stream (see measureSweep).
-//
-// Within a parallel stage, workers claim jobs longest-job-first: jobs are
-// ordered by a cost estimate (static kind weights, refined by the
-// process-global labstats cost model as batches drain), so critical-path
-// jobs start first and the stage's tail stays short.  With uniform
-// estimates the order degenerates to submission order — exactly the old
-// FIFO cursor.
-//
-// On failure the first error in submission order is returned, nothing
-// after it is recorded, and the render stage is skipped, matching the
-// pre-staged path's stop-at-first-error semantics (workers stop claiming
-// jobs once any job has failed, so later jobs may simply never run).
+// On failure the first error in submission order is returned and nothing
+// after it is recorded (workers stop claiming jobs once any job has
+// failed, so later jobs may simply never run).
 
-// job is one schedulable unit: a measurement, a setup closure, or a
-// render closure.
+// job is one schedulable measurement.
 type job struct {
-	kind  string // "measure", "pipeline", "sweep", "setup", "render"
-	name  string // setup/render jobs: display name (measure jobs use prog.ID())
+	kind  string // "measure", "pipeline", "sweep"
 	prog  core.Program
 	cfg   alphasim.Config       // pipeline jobs
 	sweep *alphasim.ICacheSweep // sweep jobs
 	lidx  int                   // this job's index in the batch ledger
-
-	fn       func() error          // setup jobs
-	renderFn func(io.Writer) error // render jobs
-	buf      *bytes.Buffer         // render jobs: private output, flushed in submission order
 
 	// scope and profiling override the batch-wide cache scope and
 	// profiling mode for this one job (exported-Batch callers only;
@@ -76,27 +60,15 @@ type job struct {
 	ran bool
 }
 
-// label returns the job's ledger/estimate identity.
-func (j *job) label() string {
-	if j.name != "" {
-		return j.name
-	}
-	return j.prog.ID()
-}
-
-// batch accumulates an experiment's staged work and runs it.
+// batch accumulates an experiment's measurement jobs and runs them.
 type batch struct {
-	opt    Options
-	setups []*job
-	plans  []func() error
+	opt Options
 	// jobs holds the measurement jobs in submission (= record) order.
-	jobs    []*job
-	renders []*job
+	jobs []*job
 	// led is the batch's scheduling ledger: per-job
 	// enqueue/claim/start/finish timestamps, cost estimates, worker
 	// assignment, and bracketing runtime snapshots, folded into the
-	// manifest's sched block and the sched.* registry instruments after
-	// the batch drains.
+	// manifest's sched block after the batch drains.
 	led *labstats.Ledger
 	// keepGoing switches the batch from the experiments'
 	// stop-at-first-error contract to the server's
@@ -113,34 +85,9 @@ type batch struct {
 // newBatch starts an empty batch carrying the experiment's options.
 func (o Options) newBatch() *batch { return &batch{opt: o, led: labstats.NewLedger()} }
 
-// addSetup registers a setup-stage job: fn runs (possibly concurrently
-// with other setup jobs) before any plan callback or measurement.
-func (b *batch) addSetup(name string, fn func() error) *job {
-	j := &job{kind: "setup", name: name, fn: fn}
-	j.lidx = b.led.Enqueue(j.kind, name)
-	b.setups = append(b.setups, j)
-	return j
-}
-
-// plan registers a callback that runs on the coordinating goroutine after
-// the setup stage drains, to enqueue measurement jobs from setup results.
-// Callbacks run in registration order.
-func (b *batch) plan(fn func() error) { b.plans = append(b.plans, fn) }
-
-// addRender registers a render-stage job: fn runs after every measurement
-// has been collected, writing into a private buffer that run() flushes to
-// Options.Out in submission order — so parallel rendering keeps serial
-// bytes.
-func (b *batch) addRender(name string, fn func(io.Writer) error) *job {
-	j := &job{kind: "render", name: name, renderFn: fn}
-	j.lidx = b.led.Enqueue(j.kind, name)
-	b.renders = append(b.renders, j)
-	return j
-}
-
 // addJob appends one measurement job in submission order.
 func (b *batch) addJob(j *job) *job {
-	j.lidx = b.led.Enqueue(j.kind, j.label())
+	j.lidx = b.led.Enqueue(j.kind, j.prog.ID())
 	b.jobs = append(b.jobs, j)
 	return j
 }
@@ -164,64 +111,23 @@ func (b *batch) measureSweep(p core.Program, sweep *alphasim.ICacheSweep) *job {
 	return b.addJob(&job{kind: "sweep", prog: p, sweep: sweep})
 }
 
-// capWorkers bounds the worker count by the stage width, min 1.
-func capWorkers(requested, width int) int {
-	w := requested
-	if w > width {
-		w = width
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// run executes the staged batch, then records results into the manifest
-// and profile set and flushes rendered text, all in submission order.  It
-// returns the first (stage-order, then submission-order) error, recording
-// only the measurements before it.
+// run executes the batch's jobs on up to Options.Parallelism workers, then
+// records results into the manifest and profile set in submission order.
+// It returns the first error in submission order, recording only the
+// measurements before it.
 func (b *batch) run() error {
 	requested := b.opt.parallelism()
-	if b.opt.SchedContention {
-		b.led.CaptureContention()
+	workers := min(requested, len(b.jobs))
+	if workers < 1 {
+		workers = 1
 	}
 	if requested > 1 {
 		b.led.SetPolicy(labstats.PolicyLJF)
 	} else {
 		b.led.SetPolicy(labstats.PolicyFIFO)
 	}
-	// The effective worker count is the widest stage's; planning can
-	// still widen the measure stage, so it is finalized after the plan
-	// callbacks run.
-	b.led.Begin(requested, capWorkers(requested, len(b.setups)))
-
-	setupFailed := b.runStage(b.setups, requested)
-
-	var planErr error
-	if !setupFailed {
-		for _, plan := range b.plans {
-			if planErr = plan(); planErr != nil {
-				break
-			}
-		}
-	}
-	width := len(b.setups)
-	for _, n := range []int{len(b.jobs), len(b.renders)} {
-		if n > width {
-			width = n
-		}
-	}
-	b.led.SetEffective(capWorkers(requested, width))
-
-	measureFailed := false
-	if !setupFailed && planErr == nil {
-		measureFailed = b.runStage(b.jobs, requested)
-	}
-
-	if !setupFailed && planErr == nil && !measureFailed {
-		b.runStage(b.renders, requested)
-	}
-
+	b.led.Begin(requested, workers)
+	b.runJobs(workers)
 	b.led.End()
 	b.recordSched()
 	if b.keepGoing {
@@ -229,14 +135,6 @@ func (b *batch) run() error {
 		// themselves and keep no manifest, so nothing is recorded here and
 		// individual failures do not fail the batch.
 		return nil
-	}
-	for _, j := range b.setups {
-		if j.err != nil {
-			return j.err
-		}
-	}
-	if planErr != nil {
-		return planErr
 	}
 	for _, j := range b.jobs {
 		if j.err != nil {
@@ -249,47 +147,32 @@ func (b *batch) run() error {
 		}
 		b.opt.record(j.kind, j.res, j.dur, j.sweep)
 	}
-	for _, j := range b.renders {
-		if j.err != nil {
-			return j.err
-		}
-		if j.ran && j.buf != nil {
-			if _, err := j.buf.WriteTo(b.opt.out()); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
-// runStage executes one stage's units on up to `requested` workers and
-// reports whether any unit failed.  Parallel stages claim longest-job-
-// first over the cost-model estimates; the serial path executes in
-// submission order on the main trace lane, exactly the pre-scheduler
-// behavior.
-func (b *batch) runStage(units []*job, requested int) (failed bool) {
-	if len(units) == 0 {
-		return false
-	}
+// runJobs executes the batch's jobs on the given number of workers.
+// Parallel runs claim longest-job-first over the cost-model estimates;
+// the serial path executes in submission order on the main trace lane,
+// exactly the pre-scheduler behavior.
+func (b *batch) runJobs(workers int) {
 	scale := b.opt.scale()
 	cost := labstats.GlobalCostModel()
-	ests := make([]float64, len(units))
-	for i, j := range units {
-		est, src := cost.Estimate(j.kind, j.label(), scale)
+	ests := make([]float64, len(b.jobs))
+	for i, j := range b.jobs {
+		est, src := cost.Estimate(j.kind, j.prog.ID(), scale)
 		ests[i] = est
 		b.led.SetEstimate(j.lidx, est, src)
 	}
 
-	workers := capWorkers(requested, len(units))
 	if workers <= 1 {
-		for _, j := range units {
+		for _, j := range b.jobs {
 			b.led.Claim(j.lidx, 0)
 			b.exec(j, 0, b.opt.Telemetry)
 			if j.err != nil && !b.keepGoing {
-				return true
+				return
 			}
 		}
-		return false
+		return
 	}
 
 	// Jobs are claimed longest-first via an atomic cursor over the LJF
@@ -297,15 +180,15 @@ func (b *batch) runStage(units []*job, requested int) (failed bool) {
 	// worker abandons at most the one job it claims after the failure,
 	// and everything beyond stays unclaimed.
 	//
-	// Each worker updates a private registry shard, keeping the stage off
+	// Each worker updates a private registry shard, keeping the batch off
 	// the shared registry's mutex and counter cache lines; shards are
-	// folded back in worker order once the stage drains, so the merged
+	// folded back in worker order once the batch drains, so the merged
 	// totals are deterministic.
 	order := labstats.LJFOrder(ests)
 	var (
-		cursor     atomic.Int64
-		failedFlag atomic.Bool
-		wg         sync.WaitGroup
+		cursor atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
 	)
 	shards := make([]*telemetry.Registry, workers)
 	for w := 0; w < workers; w++ {
@@ -320,13 +203,13 @@ func (b *batch) runStage(units []*job, requested int) (failed bool) {
 				if n >= len(order) {
 					return
 				}
-				j := units[order[n]]
-				if !b.keepGoing && failedFlag.Load() {
+				j := b.jobs[order[n]]
+				if !b.keepGoing && failed.Load() {
 					b.led.Abandon(j.lidx, w)
 					return
 				}
 				b.led.Claim(j.lidx, w)
-				b.opt.Tracer.InstantOn(lane, "claim "+j.label(), "job", order[n], "worker", w)
+				b.opt.Tracer.InstantOn(lane, "claim "+j.prog.ID(), "job", order[n], "worker", w)
 				if !lastFinish.IsZero() {
 					if gap := time.Since(lastFinish); gap > 0 {
 						b.opt.Tracer.InstantOn(lane, "idle", "worker", w,
@@ -336,7 +219,7 @@ func (b *batch) runStage(units []*job, requested int) (failed bool) {
 				b.exec(j, lane, shards[w])
 				lastFinish = time.Now()
 				if j.err != nil && !b.keepGoing {
-					failedFlag.Store(true)
+					failed.Store(true)
 					return
 				}
 			}
@@ -346,32 +229,25 @@ func (b *batch) runStage(units []*job, requested int) (failed bool) {
 	for _, s := range shards {
 		b.opt.Telemetry.Merge(s)
 	}
-	return failedFlag.Load()
 }
 
 // exec performs one job on the given trace lane (0 = main lane), updating
 // the given telemetry registry (the shared one, or a worker's shard).
 func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 	o := b.opt
-	args := []any{"program", j.label()}
+	id := j.prog.ID()
+	args := []any{"program", id}
 	switch j.kind {
 	case "pipeline":
 		args = append(args, "sink", "pipeline")
 	case "sweep":
 		args = append(args, "sink", "icache-sweep")
 	}
-	spanName := "measure " + j.label()
-	if j.kind == "setup" || j.kind == "render" {
-		spanName = j.kind + " " + j.label()
-	}
-	span := o.Tracer.StartOn(lane, spanName, args...)
+	span := o.Tracer.StartOn(lane, "measure "+id, args...)
 	defer span.End()
-	var opts []core.MeasureOption
-	if j.fn == nil && j.renderFn == nil {
-		opts = o.measureOpts(reg, j)
-		if lane > 0 {
-			opts = append(opts, core.WithTraceLane(lane))
-		}
+	opts := o.measureOpts(reg, j)
+	if lane > 0 {
+		opts = append(opts, core.WithTraceLane(lane))
 	}
 	start := time.Now()
 	b.led.Start(j.lidx)
@@ -382,7 +258,7 @@ func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 			// crash — a panic there is a lab bug that should be loud.
 			defer func() {
 				if r := recover(); r != nil {
-					j.err = fmt.Errorf("%s: measurement panicked: %v", j.label(), r)
+					j.err = fmt.Errorf("%s: measurement panicked: %v", id, r)
 				}
 			}()
 		}
@@ -393,11 +269,6 @@ func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 			j.res, j.err = core.MeasureWithPipeline(j.prog, j.cfg, opts...)
 		case "sweep":
 			j.res, j.err = core.MeasureWithSweep(j.prog, j.sweep, opts...)
-		case "setup":
-			j.err = j.fn()
-		case "render":
-			j.buf = &bytes.Buffer{}
-			j.err = j.renderFn(j.buf)
 		}
 	}()
 	b.led.Finish(j.lidx, j.err != nil)
@@ -405,15 +276,15 @@ func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 	j.ran = true
 	if j.err == nil {
 		labstats.GlobalCostModel().Observe(
-			j.kind, j.label(), b.opt.scale(), float64(j.dur)/float64(time.Microsecond))
+			j.kind, id, b.opt.scale(), float64(j.dur)/float64(time.Microsecond))
 	}
 }
 
 // recordSched folds the drained batch's ledger into the run record: the
 // manifest entry's sched block (even for failed batches — the ledger must
-// balance exactly when something went wrong) and the sched.* registry
-// instruments, including a per-worker utilization gauge and busy/job
-// counters.
+// balance exactly when something went wrong) and the cumulative sched.*
+// registry instruments.  Per-batch numbers (utilization, serial fraction,
+// speedup) live only in the sched block.
 func (b *batch) recordSched() {
 	s := b.led.Stats()
 	if s == nil {
@@ -431,15 +302,4 @@ func (b *batch) recordSched() {
 	reg.Counter("sched.abandoned").Add(uint64(s.Jobs.Abandoned))
 	reg.Counter("sched.unclaimed").Add(uint64(s.Jobs.Unclaimed))
 	reg.Histogram("sched.batch_wall_us").Observe(uint64(s.WallUS))
-	reg.Gauge("sched.workers_effective").Set(float64(s.WorkersEffective))
-	reg.Gauge("sched.serial_fraction").Set(s.SerialFraction)
-	reg.Gauge("sched.imbalance_pct").Set(s.ImbalancePct)
-	reg.Gauge("sched.measured_speedup_x").Set(s.MeasuredSpeedupX)
-	reg.Gauge("sched.contention_wait_us").Set(s.ContentionWaitUS)
-	reg.Gauge("sched.dilation_x").Set(s.DilationX)
-	for _, w := range s.Workers {
-		reg.Gauge(fmt.Sprintf("sched.worker.%d.utilization", w.Worker)).Set(w.Utilization)
-		reg.Counter(fmt.Sprintf("sched.worker.%d.jobs", w.Worker)).Add(uint64(w.Jobs))
-		reg.Counter(fmt.Sprintf("sched.worker.%d.busy_us", w.Worker)).Add(uint64(w.BusyUS))
-	}
 }

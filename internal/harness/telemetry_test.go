@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -158,12 +159,18 @@ func TestOptionsOutDefaultsToStdout(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNegativeScale pins the satellite fix: negative scale is a
-// clear error, not a silent clamp.
+// TestRunRejectsNegativeScale: a negative or non-finite scale is a clear
+// error, not a silent clamp — and never reaches a guest or a cache key.
 func TestRunRejectsNegativeScale(t *testing.T) {
-	err := Run("table3", Options{Scale: -1, Out: &bytes.Buffer{}})
-	if err == nil || !strings.Contains(err.Error(), "scale") {
-		t.Fatalf("want scale error, got %v", err)
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var out bytes.Buffer
+		err := Run("table3", Options{Scale: scale, Out: &out})
+		if err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("scale %g: want scale error, got %v", scale, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("scale %g: rejected run still printed %q", scale, out.String())
+		}
 	}
 }
 

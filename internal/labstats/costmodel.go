@@ -13,16 +13,13 @@ import (
 // interpreter; a sweep's one-pass stack simulation of its 12 cache
 // geometries costs about two thirds of that (per event on des, 2-vCPU
 // Xeon: guest and core 15.7 ns, plus the sweep sink's 4.4 ns against the
-// pipeline sink's 14.9 ns); and setup / render are bookkeeping around the
-// measurements.
+// pipeline sink's 14.9 ns).
 func kindWeight(kind string) float64 {
 	switch kind {
 	case "pipeline":
 		return 3
 	case "sweep":
 		return 2
-	case "setup", "render":
-		return 0.05
 	}
 	return 1 // "measure" and anything unknown
 }
@@ -99,7 +96,7 @@ func (m *CostModel) Observe(kind, program string, scale, durUS float64) {
 // exists, EstStatic otherwise.  Static estimates are the kind weight
 // scaled by the scale factor and the observed global mean (or 1µs-units
 // when the model is empty) — crude, but they order a cold batch sensibly:
-// pipelines before sweeps before measures before bookkeeping.
+// pipelines before sweeps before measures.
 func (m *CostModel) Estimate(kind, program string, scale float64) (us float64, source string) {
 	w := kindWeight(kind)
 	if scale > 0 {

@@ -94,10 +94,8 @@ type Ledger struct {
 	ended            bool
 	claimPolicy      string
 
-	captureContention bool
-	contention        *ContentionStats
-	snapBegin         RuntimeSnapshot
-	snapValid         bool
+	snapBegin RuntimeSnapshot
+	snapValid bool
 }
 
 // NewLedger starts an empty ledger whose epoch is now.
@@ -115,17 +113,6 @@ func (l *Ledger) SetClock(now func() time.Time) {
 	}
 	l.now = now
 	l.epoch = now()
-}
-
-// CaptureContention arms the optional mutex-/block-profile bracket: Begin
-// will raise the runtime's contention profiling rates and End will restore
-// them, recording how many contended stacks appeared in between.  Call
-// before Begin.
-func (l *Ledger) CaptureContention() {
-	if l == nil {
-		return
-	}
-	l.captureContention = true
 }
 
 // stamp returns microseconds since the epoch.
@@ -183,19 +170,6 @@ func (l *Ledger) Begin(requested, effective int) {
 	l.snapBegin = ReadRuntimeSnapshot()
 	l.snapBegin.AtUS = l.beginUS
 	l.snapValid = true
-	if l.captureContention {
-		l.contention = beginContention()
-	}
-}
-
-// SetEffective updates the effective worker count after Begin.  The
-// staged scheduler finalizes it once planning has revealed the widest
-// stage — plan callbacks can enqueue jobs after Begin has been called.
-func (l *Ledger) SetEffective(n int) {
-	if l == nil || n < 1 {
-		return
-	}
-	l.workersEffective = n
 }
 
 // Claim records worker taking job i.
@@ -244,17 +218,13 @@ func (l *Ledger) Abandon(i, worker int) {
 	j.Outcome = OutcomeAbandoned
 }
 
-// End marks the batch drained: wall time stops here, and the closing
-// runtime snapshot (and contention bracket, if armed) is taken.
+// End marks the batch drained: wall time stops here.
 func (l *Ledger) End() {
 	if l == nil {
 		return
 	}
 	l.endUS = l.stamp()
 	l.ended = true
-	if l.contention != nil {
-		endContention(l.contention)
-	}
 }
 
 // Stats folds the ledger into the speedup ledger.  Returns nil for a nil
@@ -281,7 +251,6 @@ func (l *Ledger) Stats() *SchedStats {
 		}
 		s.ContentionWaitUS = float64(d.MutexWaitNS) / float64(time.Microsecond/time.Nanosecond)
 	}
-	s.Contention = l.contention
 	return s
 }
 
@@ -296,29 +265,6 @@ type JobCounts struct {
 	Errors    int `json:"errors,omitempty"`
 	Abandoned int `json:"abandoned,omitempty"`
 	Unclaimed int `json:"unclaimed,omitempty"`
-}
-
-// PhaseStats is one scheduling phase's line in the speedup ledger.  The
-// batch runs in sequential stages — setup jobs, then measurement jobs,
-// then render jobs — so each phase's wall is the claim-to-finish extent of
-// its jobs, and the three extents tile the batch wall (minus the
-// per-stage scheduling gaps between them).
-type PhaseStats struct {
-	Phase  string  `json:"phase"`
-	Jobs   int     `json:"jobs"`
-	WallUS float64 `json:"wall_us"`
-	BusyUS float64 `json:"busy_us"`
-}
-
-// PhaseOf maps a ledger job kind to its scheduling phase: "setup" and
-// "render" name their own stages; every measurement kind (measure,
-// pipeline, sweep) is the "measure" stage between them.
-func PhaseOf(kind string) string {
-	switch kind {
-	case "setup", "render":
-		return kind
-	}
-	return "measure"
 }
 
 // WorkerStats is one worker's line in the speedup ledger.  BusyUS + IdleUS
@@ -385,19 +331,14 @@ type SchedStats struct {
 	// estimates were recorded.
 	DilationX float64 `json:"dilation_x,omitempty"`
 
-	// Phases decomposes the batch by scheduling stage (setup, measure,
-	// render) so a speedup regression localizes to the stage that slowed.
-	Phases []PhaseStats `json:"phases,omitempty"`
-
 	// ContentionWaitUS is the runtime's cumulative sync.Mutex wait time
 	// across the batch (from runtime/metrics), an estimate of lock
 	// contention inside the workers.
 	ContentionWaitUS float64 `json:"contention_wait_us"`
 
-	Workers    []WorkerStats    `json:"workers"`
-	Runtime    *RuntimeDelta    `json:"runtime,omitempty"`
-	Contention *ContentionStats `json:"contention,omitempty"`
-	Ledger     []JobRecord      `json:"ledger,omitempty"`
+	Workers []WorkerStats `json:"workers"`
+	Runtime *RuntimeDelta `json:"runtime,omitempty"`
+	Ledger  []JobRecord   `json:"ledger,omitempty"`
 }
 
 // Compute folds job records into the speedup ledger.  It is a pure
@@ -466,7 +407,6 @@ func Compute(jobs []JobRecord, requested, effective int, beginUS, endUS float64)
 		s.ImbalancePct = 100 * (maxBusy - mean) / mean
 	}
 
-	s.Phases = phaseProfile(jobs)
 	var estPriorUS, durPriorUS float64
 	for _, j := range jobs {
 		if j.executed() && j.EstSource == EstPrior && j.EstUS > 0 {
@@ -514,46 +454,6 @@ func Compute(jobs []JobRecord, requested, effective int, beginUS, endUS float64)
 		s.ImpliedSerialFraction = 1
 	}
 	return s
-}
-
-// phaseProfile folds executed jobs into per-phase lines, in fixed
-// setup/measure/render order, omitting phases with no jobs.  Wall per
-// phase is the claim-to-finish extent of its jobs — valid because the
-// batch runs its stages sequentially, never interleaved.
-func phaseProfile(jobs []JobRecord) []PhaseStats {
-	order := []string{"setup", "measure", "render"}
-	byPhase := make(map[string]*PhaseStats, len(order))
-	ext := make(map[string][2]float64, len(order))
-	for _, j := range jobs {
-		if !j.executed() {
-			continue
-		}
-		ph := PhaseOf(j.Kind)
-		p := byPhase[ph]
-		if p == nil {
-			p = &PhaseStats{Phase: ph}
-			byPhase[ph] = p
-			ext[ph] = [2]float64{j.ClaimUS, j.FinishUS}
-		}
-		p.Jobs++
-		p.BusyUS += j.DurUS
-		e := ext[ph]
-		if j.ClaimUS < e[0] {
-			e[0] = j.ClaimUS
-		}
-		if j.FinishUS > e[1] {
-			e[1] = j.FinishUS
-		}
-		ext[ph] = e
-	}
-	var out []PhaseStats
-	for _, ph := range order {
-		if p := byPhase[ph]; p != nil {
-			p.WallUS = ext[ph][1] - ext[ph][0]
-			out = append(out, *p)
-		}
-	}
-	return out
 }
 
 // concurrencyProfile sweeps the executed jobs' start/finish timeline and

@@ -212,32 +212,6 @@ func TestRuntimeSnapshotDelta(t *testing.T) {
 	}
 }
 
-// TestContentionBracket: the bracket restores the previous sampling rates
-// and never reports negative growth.
-func TestContentionBracket(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLedger()
-	l.SetClock(clk.now)
-	l.Enqueue("measure", "Sys/prog")
-	l.CaptureContention()
-	l.Begin(1, 1)
-	l.Claim(0, 0)
-	l.Start(0)
-	clk.advance(time.Millisecond)
-	l.Finish(0, false)
-	l.End()
-	s := l.Stats()
-	if s.Contention == nil {
-		t.Fatal("contention bracket not recorded")
-	}
-	if s.Contention.MutexStacks < 0 || s.Contention.BlockStacks < 0 {
-		t.Errorf("negative profile growth: %+v", s.Contention)
-	}
-	if s.Contention.MutexProfileFraction != contentionMutexFraction {
-		t.Errorf("fraction = %d", s.Contention.MutexProfileFraction)
-	}
-}
-
 // TestWriteReportShape: the text report carries the headline numbers and
 // one row per worker.
 func TestWriteReportShape(t *testing.T) {

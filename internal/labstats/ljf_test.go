@@ -153,12 +153,12 @@ func TestLJFOrderPermutation(t *testing.T) {
 	}
 }
 
-// TestLedgerPolicyEstimateAndAbandonAccounting exercises the new ledger
-// fields end to end on a synthetic timeline: claim policy and effective-
-// worker updates pass through to the stats, per-job estimates land in the
+// TestLedgerPolicyEstimateAndAbandonAccounting exercises the ledger's
+// bookkeeping end to end on a synthetic timeline: the claim policy and
+// worker counts pass through to the stats, per-job estimates land in the
 // ledger records, dilation is measured-over-estimated across prior-backed
-// jobs only, phase lines follow the job kinds, and the balance equations
-// hold with an abandoned and an unclaimed job in the books.
+// jobs only, and the balance equations hold with an abandoned and an
+// unclaimed job in the books.
 func TestLedgerPolicyEstimateAndAbandonAccounting(t *testing.T) {
 	ms := time.Millisecond
 	clk := newFakeClock()
@@ -167,21 +167,16 @@ func TestLedgerPolicyEstimateAndAbandonAccounting(t *testing.T) {
 	l.SetClock(clk.now)
 	l.SetPolicy(PolicyLJF)
 
-	l.Enqueue("setup", "exp/setup")   // 0
-	l.Enqueue("measure", "sim/a")     // 1
-	l.Enqueue("measure", "sim/b")     // 2
-	l.Enqueue("render", "exp/render") // 3
-	l.Enqueue("measure", "sim/c")     // 4: abandoned mid-batch
-	l.Enqueue("measure", "sim/d")     // 5: never claimed
+	l.Enqueue("pipeline", "sim/p") // 0
+	l.Enqueue("measure", "sim/a")  // 1
+	l.Enqueue("measure", "sim/b")  // 2
+	l.Enqueue("sweep", "sim/s")    // 3
+	l.Enqueue("measure", "sim/c")  // 4: abandoned mid-batch
+	l.Enqueue("measure", "sim/d")  // 5: never claimed
 	l.SetEstimate(0, 10, EstStatic)
 	l.SetEstimate(1, 1000, EstPrior)
 	l.SetEstimate(2, 500, EstPrior)
-
-	// Begin caps at 1 before planning; SetEffective raises it once the
-	// widest stage is known — the staged scheduler's calling sequence.
-	l.Begin(2, 1)
-	l.SetEffective(2)
-	l.SetEffective(0) // guard: invalid counts are ignored
+	l.Begin(2, 2)
 
 	run := func(i, worker int, start, finish time.Duration) {
 		clk.at = epoch.Add(start)
@@ -190,12 +185,12 @@ func TestLedgerPolicyEstimateAndAbandonAccounting(t *testing.T) {
 		clk.at = epoch.Add(finish)
 		l.Finish(i, false)
 	}
-	run(0, 0, 0, 1*ms)    // setup
+	run(0, 0, 0, 1*ms)    // pipeline p: static estimate
 	run(1, 0, 1*ms, 3*ms) // measure a: 2000us against a 1000us prior
 	run(2, 1, 1*ms, 2*ms) // measure b: 1000us against a 500us prior
 	clk.at = epoch.Add(3 * ms)
 	l.Abandon(4, 1)
-	run(3, 0, 3*ms, 4*ms) // render
+	run(3, 0, 3*ms, 4*ms) // sweep s: no estimate
 	clk.at = epoch.Add(4 * ms)
 	l.End()
 
@@ -203,8 +198,9 @@ func TestLedgerPolicyEstimateAndAbandonAccounting(t *testing.T) {
 	if s.ClaimPolicy != PolicyLJF {
 		t.Errorf("claim policy = %q, want %q", s.ClaimPolicy, PolicyLJF)
 	}
-	if s.WorkersEffective != 2 {
-		t.Errorf("workers effective = %d, want 2 after SetEffective", s.WorkersEffective)
+	if s.WorkersRequested != 2 || s.WorkersEffective != 2 || len(s.Workers) != 2 {
+		t.Errorf("workers = %d requested / %d effective / %d rows, want 2/2/2",
+			s.WorkersRequested, s.WorkersEffective, len(s.Workers))
 	}
 	if s.CPUs <= 0 || s.GOMAXPROCS <= 0 {
 		t.Errorf("cpu accounting missing: cpus=%d gomaxprocs=%d", s.CPUs, s.GOMAXPROCS)
@@ -221,8 +217,8 @@ func TestLedgerPolicyEstimateAndAbandonAccounting(t *testing.T) {
 	}
 
 	// Dilation counts only the prior-backed finished jobs: (2000 + 1000)
-	// measured over (1000 + 500) estimated.  The static setup estimate and
-	// the abandoned job must not contaminate it.
+	// measured over (1000 + 500) estimated.  The static pipeline estimate
+	// and the abandoned job must not contaminate it.
 	eq(t, "dilation", s.DilationX, 2)
 
 	// Estimates pass through to the ledger records verbatim.
@@ -238,40 +234,6 @@ func TestLedgerPolicyEstimateAndAbandonAccounting(t *testing.T) {
 	if r := s.Ledger[5]; r.Outcome != OutcomeUnclaimed {
 		t.Errorf("unclaimed job record = %+v", r)
 	}
-
-	// Phase lines in setup/measure/render order, abandoned and unclaimed
-	// jobs excluded; each phase's wall is its claim-to-finish extent.
-	if len(s.Phases) != 3 {
-		t.Fatalf("phases = %+v, want setup/measure/render", s.Phases)
-	}
-	wantPhases := []PhaseStats{
-		{Phase: "setup", Jobs: 1, WallUS: 1000, BusyUS: 1000},
-		{Phase: "measure", Jobs: 2, WallUS: 2000, BusyUS: 3000},
-		{Phase: "render", Jobs: 1, WallUS: 1000, BusyUS: 1000},
-	}
-	for i, want := range wantPhases {
-		got := s.Phases[i]
-		if got.Phase != want.Phase || got.Jobs != want.Jobs {
-			t.Errorf("phase %d = %+v, want %+v", i, got, want)
-		}
-		eq(t, fmt.Sprintf("phase %s wall", want.Phase), got.WallUS, want.WallUS)
-		eq(t, fmt.Sprintf("phase %s busy", want.Phase), got.BusyUS, want.BusyUS)
-	}
-}
-
-// TestPhaseOf pins the kind-to-phase mapping the profile folds by.
-func TestPhaseOf(t *testing.T) {
-	for kind, want := range map[string]string{
-		"setup":    "setup",
-		"render":   "render",
-		"measure":  "measure",
-		"pipeline": "measure",
-		"sweep":    "measure",
-	} {
-		if got := PhaseOf(kind); got != want {
-			t.Errorf("PhaseOf(%q) = %q, want %q", kind, got, want)
-		}
-	}
 }
 
 // TestCostModelProvenanceAndConvergence covers the estimate lifecycle: a
@@ -282,9 +244,9 @@ func TestPhaseOf(t *testing.T) {
 func TestCostModelProvenanceAndConvergence(t *testing.T) {
 	m := NewCostModel()
 
-	// Cold: static estimates, ordered pipeline > sweep > measure > setup,
-	// and linear in scale.
-	kinds := []string{"pipeline", "sweep", "measure", "setup"}
+	// Cold: static estimates, ordered pipeline > sweep > measure, and
+	// linear in scale.
+	kinds := []string{"pipeline", "sweep", "measure"}
 	var prev float64
 	for i, kind := range kinds {
 		est, src := m.Estimate(kind, "p", 1)

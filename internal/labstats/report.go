@@ -58,18 +58,10 @@ func (s *SchedStats) WriteReport(w io.Writer, id string) error {
 		}
 		fmt.Fprintln(w)
 	}
-	for _, ph := range s.Phases {
-		fmt.Fprintf(w, "  phase %-8s %4d jobs, wall %s, busy %s\n",
-			ph.Phase, ph.Jobs, fmtUS(ph.WallUS), fmtUS(ph.BusyUS))
-	}
 	if r := s.Runtime; r != nil {
 		fmt.Fprintf(w, "  runtime: %s alloc (%s/job), %d mallocs, %d gc cycles (%s pause), goroutines %d -> %d\n",
 			fmtBytes(r.AllocBytes), fmtBytes(uint64(r.AllocBytesPerJob)), r.Mallocs,
 			r.GCCycles, fmtUS(float64(r.GCPauseNS)/1e3), r.GoroutinesBefore, r.GoroutinesAfter)
-	}
-	if c := s.Contention; c != nil {
-		fmt.Fprintf(w, "  contention bracket: %d mutex stacks, %d block stacks (fraction %d, block rate %dns)\n",
-			c.MutexStacks, c.BlockStacks, c.MutexProfileFraction, c.BlockProfileRateNS)
 	}
 	fmt.Fprintf(w, "  %-8s %6s %12s %12s %6s\n", "worker", "jobs", "busy", "idle", "util")
 	for _, ws := range s.Workers {

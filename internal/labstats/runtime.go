@@ -3,7 +3,6 @@ package labstats
 import (
 	"runtime"
 	"runtime/metrics"
-	"runtime/pprof"
 )
 
 // mutexWaitMetric is the runtime's cumulative sync.Mutex/RWMutex wait
@@ -69,61 +68,4 @@ func (s RuntimeSnapshot) DeltaTo(after RuntimeSnapshot) RuntimeDelta {
 		GoroutinesBefore: s.Goroutines,
 		GoroutinesAfter:  after.Goroutines,
 	}
-}
-
-// Contention-bracket sampling rates: 1/contentionMutexFraction mutex
-// contention events and every blocking event >= contentionBlockRateNS are
-// sampled while a bracket is open.
-const (
-	contentionMutexFraction = 5
-	contentionBlockRateNS   = 10_000
-)
-
-// ContentionStats records the optional mutex-/block-profile bracket around
-// a batch: the sampling rates used and how many distinct contended call
-// stacks each profile gained while the bracket was open.  The stacks
-// themselves stay in the runtime's profiles (go test -mutexprofile /
-// pprof.Lookup) — the ledger only wants "did contention appear, and
-// roughly how much".
-type ContentionStats struct {
-	MutexProfileFraction int `json:"mutex_profile_fraction"`
-	BlockProfileRateNS   int `json:"block_profile_rate_ns"`
-	MutexStacks          int `json:"mutex_stacks"`
-	BlockStacks          int `json:"block_stacks"`
-
-	prevMutexFraction int
-	mutexBefore       int
-	blockBefore       int
-}
-
-// beginContention raises the runtime's contention sampling rates and
-// records the profiles' current sizes.
-func beginContention() *ContentionStats {
-	c := &ContentionStats{
-		MutexProfileFraction: contentionMutexFraction,
-		BlockProfileRateNS:   contentionBlockRateNS,
-	}
-	c.prevMutexFraction = runtime.SetMutexProfileFraction(contentionMutexFraction)
-	runtime.SetBlockProfileRate(contentionBlockRateNS)
-	if p := pprof.Lookup("mutex"); p != nil {
-		c.mutexBefore = p.Count()
-	}
-	if p := pprof.Lookup("block"); p != nil {
-		c.blockBefore = p.Count()
-	}
-	return c
-}
-
-// endContention restores the runtime's sampling rates (block profiling has
-// no previous-rate getter; it is returned to 0, the default) and records
-// the profiles' growth.
-func endContention(c *ContentionStats) {
-	if p := pprof.Lookup("mutex"); p != nil {
-		c.MutexStacks = p.Count() - c.mutexBefore
-	}
-	if p := pprof.Lookup("block"); p != nil {
-		c.BlockStacks = p.Count() - c.blockBefore
-	}
-	runtime.SetMutexProfileFraction(c.prevMutexFraction)
-	runtime.SetBlockProfileRate(0)
 }

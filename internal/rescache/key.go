@@ -68,11 +68,13 @@ type Key struct {
 
 // Hash returns the key's content address: the hex sha256 of its canonical
 // JSON encoding.  Field order is fixed by the struct, so the encoding — and
-// the hash — is stable across runs and builds.
+// the hash — is stable across runs and builds.  Scale must be finite: JSON
+// has no NaN or ±Inf, and harness.Run and labserver.resolve reject them
+// before any key is built.
 func (k Key) Hash() string {
 	b, err := json.Marshal(k)
 	if err != nil {
-		// Key is a struct of plain scalars; Marshal cannot fail.
+		// Only a non-finite Scale can fail the encoding; see above.
 		panic(fmt.Sprintf("rescache: marshal key: %v", err))
 	}
 	sum := sha256.Sum256(b)
