@@ -9,8 +9,9 @@
 // (virtual commands, native instructions, fetch/decode vs. execute,
 // per-command and per-region accounts).  MeasureWithPipeline additionally
 // streams the native-instruction trace through the simulated 2-issue
-// processor and reports cycles and stall breakdowns (Figure 3), and
-// MeasureWithSweep drives the Figure 4 instruction-cache sweeps.
+// processor and reports cycles and stall breakdowns (Figure 3),
+// MeasureWithSweep drives the Figure 4 instruction-cache sweeps, and
+// MeasureWithPipelineAndSweep feeds both from one run of the program.
 package core
 
 import (
@@ -279,7 +280,7 @@ func (mc *measureConfig) lookup(p Program, key rescache.Key, valid func(*rescach
 		return Result{}, false
 	}
 	e, ok := mc.cache.Get(key)
-	if ok && valid != nil && !valid(e) {
+	if ok && !valid(e) {
 		ok = false
 	}
 	if !ok {
@@ -332,33 +333,34 @@ func (mc *measureConfig) store(key rescache.Key, res Result, sweepPts []alphasim
 	}
 }
 
-// run executes p against a fresh environment with the given sink.
-func run(p Program, sink trace.Sink, mc measureConfig) (Result, error) {
+// run executes p against a fresh environment, fanning its one event stream
+// out to the counter, the profiler when profiling, and the given sinks.
+func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 	res := Result{Program: p}
 	var counter trace.Counter
 	var col *profile.Collector
 	missJoin := false
+	fan := []trace.Sink{&counter}
 	if mc.profiling {
 		col = profile.NewCollector()
-		// The collector must see each event before any simulating sink so
-		// its cached attribution node is current when the pipeline reports
-		// that event's cache misses back to it.
-		if mo, ok := sink.(interface {
-			SetMissObserver(alphasim.MissObserver)
-		}); ok {
-			mo.SetMissObserver(col)
-			missJoin = true
+		// Each simulating sink that reports cache misses (the pipeline)
+		// reports them to the collector.  The check runs on the sinks
+		// themselves: a fan built around them would hide the method.
+		for _, s := range sinks {
+			if mo, ok := s.(interface {
+				SetMissObserver(alphasim.MissObserver)
+			}); ok {
+				mo.SetMissObserver(col)
+				missJoin = true
+			}
 		}
+		// The collector must precede the simulating sinks in the fan so
+		// its cached attribution node is current when the pipeline reports
+		// an event's cache misses back to it; Combine preserves argument
+		// order.
+		fan = append(fan, col)
 	}
-	// The collector must precede the simulating sink in the fan so its
-	// cached attribution node is current when the pipeline reports an
-	// event's cache misses back to it; Combine preserves argument order.
-	var fanned trace.Sink
-	if col != nil {
-		fanned = trace.Combine(&counter, col, sink)
-	} else {
-		fanned = trace.Combine(&counter, sink)
-	}
+	fanned := trace.Combine(append(fan, sinks...)...)
 	// With telemetry enabled the stream is observed on its way to the
 	// counting/simulation sinks; disabled, Wrap returns the fan unchanged.
 	observed := telemetry.Wrap(fanned, mc.reg, mc.sampleEvery)
@@ -434,35 +436,13 @@ func run(p Program, sink trace.Sink, mc measureConfig) (Result, error) {
 
 // Measure runs p and collects the software metrics only.
 func Measure(p Program, opts ...MeasureOption) (Result, error) {
-	mc := newMeasureConfig(opts)
-	key := mc.cacheKey(p, "measure", "", "")
-	if res, ok := mc.lookup(p, key, nil); ok {
-		return res, nil
-	}
-	res, err := run(p, nil, mc)
-	if err == nil {
-		mc.store(key, res, nil)
-	}
-	return res, err
+	return measure(p, nil, nil, opts)
 }
 
 // MeasureWithPipeline runs p with the trace streaming through a simulated
 // processor.
 func MeasureWithPipeline(p Program, cfg alphasim.Config, opts ...MeasureOption) (Result, error) {
-	mc := newMeasureConfig(opts)
-	key := mc.cacheKey(p, "pipeline", rescache.ConfigKey(cfg), "")
-	if res, ok := mc.lookup(p, key, func(e *rescache.Entry) bool { return e.Pipe != nil }); ok {
-		return res, nil
-	}
-	pipe := alphasim.New(cfg)
-	res, err := run(p, pipe, mc)
-	if err != nil {
-		return res, err
-	}
-	st := pipe.Stats()
-	res.Pipe = &st
-	mc.store(key, res, nil)
-	return res, nil
+	return measure(p, &cfg, nil, opts)
 }
 
 // MeasureWithSweep runs p once while probing every geometry of the
@@ -470,15 +450,64 @@ func MeasureWithPipeline(p Program, cfg alphasim.Config, opts ...MeasureOption) 
 // are restored from the entry, so callers reading sweep.Points() see the
 // same counts a live run would have accumulated.
 func MeasureWithSweep(p Program, sweep *alphasim.ICacheSweep, opts ...MeasureOption) (Result, error) {
+	return measure(p, nil, sweep, opts)
+}
+
+// MeasureWithPipelineAndSweep runs p once and fans its trace out to both a
+// simulated processor and the instruction-cache sweep: the result and the
+// sweep's points equal those of a MeasureWithPipeline plus a
+// MeasureWithSweep of p, from one guest execution.  The measurement is
+// cached as a pipeline entry keyed by the sweep's geometry too, so it
+// neither answers nor is answered by a plain pipeline measurement.  A nil
+// sweep makes it MeasureWithPipeline.
+func MeasureWithPipelineAndSweep(p Program, cfg alphasim.Config, sweep *alphasim.ICacheSweep, opts ...MeasureOption) (Result, error) {
+	return measure(p, &cfg, sweep, opts)
+}
+
+// measure is the one measurement path behind the Measure* functions: it
+// consults the cache, runs p once with its stream fanned out to the
+// processor pipeline (when cfg is non-nil) and the instruction-cache sweep
+// (when sweep is non-nil), and stores the result.  The kind in the cache
+// key is "pipeline" whenever a pipeline runs, else "sweep" or "measure".
+func measure(p Program, cfg *alphasim.Config, sweep *alphasim.ICacheSweep, opts []MeasureOption) (Result, error) {
 	mc := newMeasureConfig(opts)
-	key := mc.cacheKey(p, "sweep", "", sweep.Geometry())
-	restore := func(e *rescache.Entry) bool { return sweep.RestorePoints(e.Sweep) }
-	if res, ok := mc.lookup(p, key, restore); ok {
+	kind, config, geometry := "measure", "", ""
+	if sweep != nil {
+		kind, geometry = "sweep", sweep.Geometry()
+	}
+	if cfg != nil {
+		kind, config = "pipeline", rescache.ConfigKey(*cfg)
+	}
+	key := mc.cacheKey(p, kind, config, geometry)
+	// An entry must restore every requested sink; the pipeline check comes
+	// first because RestorePoints overwrites the sweep when it succeeds.
+	valid := func(e *rescache.Entry) bool {
+		return (cfg == nil || e.Pipe != nil) && (sweep == nil || sweep.RestorePoints(e.Sweep))
+	}
+	if res, ok := mc.lookup(p, key, valid); ok {
 		return res, nil
 	}
-	res, err := run(p, sweep, mc)
-	if err == nil {
-		mc.store(key, res, sweep.Points())
+	var sinks []trace.Sink
+	var pipe *alphasim.Pipeline
+	if cfg != nil {
+		pipe = alphasim.New(*cfg)
+		sinks = append(sinks, pipe)
 	}
-	return res, err
+	if sweep != nil {
+		sinks = append(sinks, sweep)
+	}
+	res, err := run(p, mc, sinks...)
+	if err != nil {
+		return res, err
+	}
+	if pipe != nil {
+		st := pipe.Stats()
+		res.Pipe = &st
+	}
+	var points []alphasim.SweepPoint
+	if sweep != nil {
+		points = sweep.Points()
+	}
+	mc.store(key, res, points)
+	return res, nil
 }

@@ -214,9 +214,11 @@ func TestMeasureCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMeasureCachePipelineAndSweep pins fidelity for the two richer
+// TestMeasureCachePipelineAndSweep pins fidelity for the richer
 // measurement kinds: pipeline stats and sweep points must be restored, and
-// a pipeline entry must not satisfy a plain-measure or sweep lookup.
+// a pipeline entry must not satisfy a plain-measure or sweep lookup.  A
+// fused pipeline-and-sweep run must equal the two separate runs, restore
+// both halves, and share no entry with a pipeline-only run.
 func TestMeasureCachePipelineAndSweep(t *testing.T) {
 	cache, scope := openTestCache(t)
 	p := toyProgram(SysTcl)
@@ -257,6 +259,51 @@ func TestMeasureCachePipelineAndSweep(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warmSweep.Points(), coldSweep.Points()) {
 		t.Errorf("sweep points not restored:\n%+v\nvs\n%+v", warmSweep.Points(), coldSweep.Points())
+	}
+
+	// The fused run must miss the pipeline-only entry stored above, and
+	// match the separate pipeline and sweep runs.
+	fusedSweep := alphasim.DefaultICacheSweep()
+	fused, err := MeasureWithPipelineAndSweep(p, cfg, fusedSweep, WithCache(cache, scope))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused.FromCache {
+		t.Error("fused run hit a pipeline-only entry")
+	}
+	if fused.Pipe == nil || *fused.Pipe != *fresh.Pipe {
+		t.Errorf("fused pipeline stats %+v != separate %+v", fused.Pipe, fresh.Pipe)
+	}
+	if !reflect.DeepEqual(fused.Stats, fresh.Stats) || fused.Counter != fresh.Counter {
+		t.Errorf("fused stats/counter %+v/%+v != separate %+v/%+v", fused.Stats, fused.Counter, fresh.Stats, fresh.Counter)
+	}
+	if !reflect.DeepEqual(fusedSweep.Points(), coldSweep.Points()) {
+		t.Errorf("fused sweep points differ from a separate sweep:\n%+v\nvs\n%+v", fusedSweep.Points(), coldSweep.Points())
+	}
+	warmFusedSweep := alphasim.DefaultICacheSweep()
+	warmFused, err := MeasureWithPipelineAndSweep(p, cfg, warmFusedSweep, WithCache(cache, scope))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCacheFidelity(t, fused, warmFused)
+	if warmFused.Pipe == nil || *warmFused.Pipe != *fused.Pipe {
+		t.Errorf("fused pipeline stats not restored: %+v != %+v", warmFused.Pipe, fused.Pipe)
+	}
+	if !reflect.DeepEqual(warmFusedSweep.Points(), fusedSweep.Points()) {
+		t.Errorf("fused sweep points not restored:\n%+v\nvs\n%+v", warmFusedSweep.Points(), fusedSweep.Points())
+	}
+
+	// A pipeline-only lookup must miss a cache holding only the fused entry.
+	fusedOnly, fusedScope := openTestCache(t)
+	if _, err := MeasureWithPipelineAndSweep(p, cfg, alphasim.DefaultICacheSweep(), WithCache(fusedOnly, fusedScope)); err != nil {
+		t.Fatal(err)
+	}
+	pipeOnly, err := MeasureWithPipeline(p, cfg, WithCache(fusedOnly, fusedScope))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipeOnly.FromCache {
+		t.Error("pipeline-only measure hit a fused entry")
 	}
 }
 
@@ -338,7 +385,9 @@ func TestMeasureTelemetryFidelity(t *testing.T) {
 // batching mode: plain profiled measurements keep full, segment-marked
 // blocks (no attribution flushes), while pipeline runs — whose cache-miss
 // callbacks join on the collector's cached node — force a flush per
-// attribution transition.
+// attribution transition.  A pipeline run that also feeds a sweep must
+// keep the pipeline's miss attribution: its imiss and dmiss totals equal
+// the pipeline-only run's.
 func TestProfilingBatchModeSelection(t *testing.T) {
 	plain, err := Measure(toyProgram(SysPerl), WithProfiling())
 	if err != nil {
@@ -363,5 +412,22 @@ func TestProfilingBatchModeSelection(t *testing.T) {
 	}
 	if got, want := piped.Profile.Total(profile.SampleInstructions), int64(piped.Stats.Instructions); got != want {
 		t.Errorf("piped profile total = %d, want %d", got, want)
+	}
+	fused, err := MeasureWithPipelineAndSweep(toyProgram(SysPerl), alphasim.DefaultConfig(), alphasim.DefaultICacheSweep(), WithProfiling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused.Batch.FlushAttr == 0 {
+		t.Error("miss-joining fused run must flush per attribution transition")
+	}
+	for _, vi := range []int{profile.SampleIMiss, profile.SampleDMiss} {
+		name := profile.SampleTypes[vi].Type
+		want := piped.Profile.Total(vi)
+		if want == 0 {
+			t.Errorf("pipeline run attributed no %s; the comparison below proves nothing", name)
+		}
+		if got := fused.Profile.Total(vi); got != want {
+			t.Errorf("fused run attributed %d %s, pipeline-only %d: miss observer lost", got, name, want)
+		}
 	}
 }

@@ -27,7 +27,8 @@ import (
 //
 // All four sections' measurements are enumerated into one batch, so a
 // parallel run overlaps them freely; rendering happens afterwards in
-// section order.
+// section order.  MIPSI des with default knobs appears in three sections
+// and runs once for all of them.
 func Ablation(opt Options) error {
 	scale := opt.scale()
 	var tkdiff core.Program
@@ -40,6 +41,7 @@ func Ablation(opt Options) error {
 	if blocks < 8 {
 		blocks = 8
 	}
+	desSrc := workloads.DESMiniCSource(blocks)
 	b := opt.newBatch()
 
 	// Section 1: iTLB size sweep on Tcl/Tk tkdiff.
@@ -51,42 +53,27 @@ func Ablation(opt Options) error {
 		itlbJobs[i] = b.measurePipeline(tkdiff, cfg)
 	}
 
+	// MIPSI des with every knob at its default is Section 2's page-tables
+	// arm, Section 3's switch-dispatch arm and Section 4's MIPSI row: one
+	// run feeds all three.
+	mipsiDES := b.measure(workloads.DESMIPSI(blocks))
+
 	// Section 2: MIPSI page tables vs flat memory.
 	flatModes := []bool{false, true}
-	flatJobs := make([]*job, len(flatModes))
-	for i, flat := range flatModes {
-		flat := flat
-		flatJobs[i] = b.measure(core.Program{
-			System: core.SysMIPSI, Name: "des",
-			Variant: map[bool]string{false: "page-tables", true: "flat-memory"}[flat],
-			Run: func(ctx *core.Ctx) error {
-				prog, err := minicc.CompileMIPS("des", minicc.WithStdlib(desSourceForAblation(blocks)))
-				if err != nil {
-					return err
-				}
-				ip, err := mipsi.New(prog, ctx.OS, ctx.Image, ctx.Probe)
-				if err != nil {
-					return err
-				}
-				ip.FlatMemory = flat
-				return ip.Run(0)
-			},
-		})
+	flatJobs := []*job{
+		mipsiDES,
+		b.measure(ablationMIPSI(desSrc, "flat-memory", func(ip *mipsi.Interp) { ip.FlatMemory = true })),
 	}
 
 	// Section 3: dispatch implementations (§5).
-	da := enqueueDispatchAblation(b, blocks, scale)
+	da := enqueueDispatchAblation(b, mipsiDES, desSrc, scale)
 
 	// Section 4: fetch/decode share per interpreter.
-	fdProgs := []core.Program{
-		workloads.DESMIPSI(blocks),
-		workloads.DESJava(int(260 * scale)),
-		workloads.DESPerl(int(18 * scale)),
-		workloads.DESTcl(int(6 * scale)),
-	}
-	fdJobs := make([]*job, len(fdProgs))
-	for i, p := range fdProgs {
-		fdJobs[i] = b.measure(p)
+	fdJobs := []*job{
+		mipsiDES,
+		b.measure(workloads.DESJava(int(260 * scale))),
+		b.measure(workloads.DESPerl(int(18 * scale))),
+		b.measure(workloads.DESTcl(int(6 * scale))),
 	}
 
 	if err := b.run(); err != nil {
@@ -127,10 +114,81 @@ func Ablation(opt Options) error {
 	return nil
 }
 
-// desSourceForAblation re-exposes the shared des source (kept in the
-// workloads package) for the flat-memory run.
-func desSourceForAblation(blocks int) string {
-	return workloads.DESMiniCSource(blocks)
+// ablationMIPSI is the mini-C program src interpreted by MIPSI with knob
+// applied to the interpreter.  Like the suite's MIPSI runs it fails when
+// the guest exits nonzero — des's main returns its round-trip error count,
+// so a knob that broke the guest cannot render numbers.
+func ablationMIPSI(src, variant string, knob func(*mipsi.Interp)) core.Program {
+	return core.Program{
+		System: core.SysMIPSI, Name: "des", Variant: variant,
+		Run: func(ctx *core.Ctx) error {
+			prog, err := minicc.CompileMIPS("des", minicc.WithStdlib(src))
+			if err != nil {
+				return err
+			}
+			ip, err := mipsi.New(prog, ctx.OS, ctx.Image, ctx.Probe)
+			if err != nil {
+				return err
+			}
+			knob(ip)
+			if err := ip.Run(0); err != nil {
+				return err
+			}
+			if ip.M.ExitCode != 0 {
+				return fmt.Errorf("guest exited with %d", ip.M.ExitCode)
+			}
+			return nil
+		},
+	}
+}
+
+// ablationJava is the mini-C program src compiled to bytecode and run by
+// the JVM with knob applied; it fails when main returns nonzero.
+func ablationJava(src, variant string, knob func(*jvm.VM)) core.Program {
+	return core.Program{
+		System: core.SysJava, Name: "des", Variant: variant,
+		Run: func(ctx *core.Ctx) error {
+			mod, err := minicc.CompileJVM("des", minicc.WithStdlibJVM(src))
+			if err != nil {
+				return err
+			}
+			if err := mod.Bind(jvm.OSNatives(ctx.OS)); err != nil {
+				return err
+			}
+			vm, err := jvm.New(mod, ctx.Image, ctx.Probe)
+			if err != nil {
+				return err
+			}
+			knob(vm)
+			ret, err := vm.Run("main", 0)
+			if err != nil {
+				return err
+			}
+			if ret != 0 {
+				return fmt.Errorf("main returned %d", ret)
+			}
+			return nil
+		},
+	}
+}
+
+// ablationTcl is the Tcl script src run with knob applied; it fails when
+// the script exits nonzero.
+func ablationTcl(src, variant string, knob func(*tcl.Interp)) core.Program {
+	return core.Program{
+		System: core.SysTcl, Name: "des", Variant: variant,
+		Run: func(ctx *core.Ctx) error {
+			i := tcl.New(ctx.OS, ctx.Image, ctx.Probe)
+			knob(i)
+			if _, err := i.Eval(src); err != nil {
+				return err
+			}
+			if i.ExitCode() != 0 {
+				return fmt.Errorf("script exited with %d", i.ExitCode())
+			}
+			return nil
+		},
+	}
 }
 
 // dispatchAblationJobs holds Section 3's enqueued measurements: the §5
@@ -140,28 +198,15 @@ type dispatchAblationJobs struct {
 	mipsi, java, tcl [2]*job // index 0 = baseline, 1 = optimized
 }
 
-// enqueueDispatchAblation adds Section 3's six measurements to the batch.
-func enqueueDispatchAblation(b *batch, blocks int, scale float64) *dispatchAblationJobs {
+// enqueueDispatchAblation adds Section 3's measurements to the batch.  Its
+// MIPSI baseline is mipsiDES, the shared default-knob run of the mini-C
+// des source src.
+func enqueueDispatchAblation(b *batch, mipsiDES *job, src string, scale float64) *dispatchAblationJobs {
 	da := &dispatchAblationJobs{}
 	// MIPSI: switch vs. threaded dispatch.
-	for i, threaded := range []bool{false, true} {
-		threaded := threaded
-		da.mipsi[i] = b.measure(core.Program{
-			System: core.SysMIPSI, Name: "des",
-			Variant: map[bool]string{false: "switch-dispatch", true: "threaded-dispatch"}[threaded],
-			Run: func(ctx *core.Ctx) error {
-				prog, err := minicc.CompileMIPS("des", minicc.WithStdlib(desSourceForAblation(blocks)))
-				if err != nil {
-					return err
-				}
-				ip, err := mipsi.New(prog, ctx.OS, ctx.Image, ctx.Probe)
-				if err != nil {
-					return err
-				}
-				ip.Threaded = threaded
-				return ip.Run(0)
-			},
-		})
+	da.mipsi = [2]*job{
+		mipsiDES,
+		b.measure(ablationMIPSI(src, "threaded-dispatch", func(ip *mipsi.Interp) { ip.Threaded = true })),
 	}
 
 	// Java: switch vs. threaded dispatch.
@@ -169,28 +214,10 @@ func enqueueDispatchAblation(b *batch, blocks int, scale float64) *dispatchAblat
 	if jblocks < 16 {
 		jblocks = 16
 	}
+	jsrc := workloads.DESMiniCSource(jblocks)
 	for i, threaded := range []bool{false, true} {
-		threaded := threaded
-		da.java[i] = b.measure(core.Program{
-			System: core.SysJava, Name: "des",
-			Variant: map[bool]string{false: "switch-dispatch", true: "threaded-dispatch"}[threaded],
-			Run: func(ctx *core.Ctx) error {
-				mod, err := minicc.CompileJVM("des", minicc.WithStdlibJVM(desSourceForAblation(jblocks)))
-				if err != nil {
-					return err
-				}
-				if err := mod.Bind(jvm.OSNatives(ctx.OS)); err != nil {
-					return err
-				}
-				vm, err := jvm.New(mod, ctx.Image, ctx.Probe)
-				if err != nil {
-					return err
-				}
-				vm.Threaded = threaded
-				_, err = vm.Run("main", 0)
-				return err
-			},
-		})
+		variant := map[bool]string{false: "switch-dispatch", true: "threaded-dispatch"}[threaded]
+		da.java[i] = b.measure(ablationJava(jsrc, variant, func(vm *jvm.VM) { vm.Threaded = threaded }))
 	}
 
 	// Tcl: direct string interpretation vs. cached parse (Tcl 8 model).
@@ -198,18 +225,10 @@ func enqueueDispatchAblation(b *batch, blocks int, scale float64) *dispatchAblat
 	if tblocks < 2 {
 		tblocks = 2
 	}
+	tsrc := workloads.DESTclSource(tblocks)
 	for i, cached := range []bool{false, true} {
-		cached := cached
-		da.tcl[i] = b.measure(core.Program{
-			System: core.SysTcl, Name: "des",
-			Variant: map[bool]string{false: "re-parse", true: "cached-parse"}[cached],
-			Run: func(ctx *core.Ctx) error {
-				i := tcl.New(ctx.OS, ctx.Image, ctx.Probe)
-				i.CachedParse = cached
-				_, err := i.Eval(workloads.DESTclSource(tblocks))
-				return err
-			},
-		})
+		variant := map[bool]string{false: "re-parse", true: "cached-parse"}[cached]
+		da.tcl[i] = b.measure(ablationTcl(tsrc, variant, func(ip *tcl.Interp) { ip.CachedParse = cached }))
 	}
 	return da
 }

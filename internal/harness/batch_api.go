@@ -26,8 +26,10 @@ import (
 type BatchJob struct {
 	// Kind selects the measurement: "measure" (software metrics only),
 	// "pipeline" (through the simulated processor, using Config), or
-	// "sweep" (through the instruction-cache sweep, which must be private
-	// to this job — jobs run concurrently).
+	// "sweep" (through the instruction-cache sweep).  A pipeline job may
+	// carry a Sweep too: its one guest run then feeds both, and its result
+	// is the pipeline measurement with the sweep's points filled.  A sweep
+	// must be private to its job — jobs run concurrently.
 	Kind    string
 	Program core.Program
 	Config  alphasim.Config
@@ -111,6 +113,6 @@ func (j *Job) Result() core.Result { return j.j.res }
 // Duration returns the job's execution wall time.
 func (j *Job) Duration() time.Duration { return j.j.dur }
 
-// Sweep returns the sweep the job was submitted with (nil for non-sweep
-// jobs), for reading its per-geometry points after Run.
+// Sweep returns the sweep the job was submitted with (nil for a job
+// submitted without one), for reading its per-geometry points after Run.
 func (j *Job) Sweep() *alphasim.ICacheSweep { return j.j.sweep }

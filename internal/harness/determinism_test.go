@@ -26,6 +26,7 @@ type detOut struct {
 	// the guest executions behind them (the registry's core.measures).
 	measured  int
 	guestRuns uint64
+	records   []telemetry.Measurement // the manifest's measurement records
 }
 
 // detRun executes one experiment with a manifest, profile set, and
@@ -57,6 +58,7 @@ func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache) det
 			r.Measurements[i].CacheHit = false
 		}
 		out.measured += len(r.Measurements)
+		out.records = append(out.records, r.Measurements...)
 	}
 	var err error
 	if out.runs, err = json.Marshal(man.Runs); err != nil {
@@ -82,7 +84,12 @@ func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache) det
 // measured systems themselves, which would show up here first).  Both
 // runs must also execute the guest exactly once per recorded measurement:
 // a sweep is one job at any parallelism, never one re-run per geometry.
+// The cold benchmark's experiments run each distinct program once, so
+// their guest-run counts are pinned exactly: an opt-matrix cell is one
+// pipeline run that also fills its 12-point sweep, and ablation's
+// default-knob MIPSI des is one run shared by three sections.
 func TestParallelOutputIsByteIdentical(t *testing.T) {
+	wantGuestRuns := map[string]uint64{"table1": 30, "ablation": 12, "opt-matrix": 10}
 	for _, id := range Experiments {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -93,6 +100,18 @@ func TestParallelOutputIsByteIdentical(t *testing.T) {
 				if out.guestRuns != uint64(out.measured) {
 					t.Errorf("parallelism %d ran the guest %d times for %d measurements, want once each",
 						parallelism, out.guestRuns, out.measured)
+				}
+				if want, ok := wantGuestRuns[id]; ok && out.guestRuns != want {
+					t.Errorf("parallelism %d ran the guest %d times, want %d", parallelism, out.guestRuns, want)
+				}
+				if id != "opt-matrix" {
+					continue
+				}
+				for _, m := range out.records {
+					if m.Kind == "sweep" || len(m.Sweep) != 12 {
+						t.Errorf("parallelism %d: opt-matrix record %s %s is kind %q with %d sweep points, want a fused record with 12",
+							parallelism, m.Program, m.Variant, m.Kind, len(m.Sweep))
+					}
 				}
 			}
 			if s.text != p.text {

@@ -5,6 +5,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"interplab/internal/core"
+	"interplab/internal/jvm"
+	"interplab/internal/mipsi"
+	"interplab/internal/tcl"
 )
 
 // runExp captures one experiment's output at test scale.
@@ -244,6 +249,24 @@ func TestAblationRuns(t *testing.T) {
 	for _, want := range []string{"iTLB", "flat memory", "fetch/decode"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestAblationArmsCheckExitStatus pins that every ablation knob arm fails
+// on a nonzero guest exit status instead of rendering numbers: des's main
+// returns its round-trip error count, so a knob that broke the cipher must
+// fail the measurement.
+func TestAblationArmsCheckExitStatus(t *testing.T) {
+	const src = "int main() { return 3; }"
+	for _, p := range []core.Program{
+		ablationMIPSI(src, "test", func(*mipsi.Interp) {}),
+		ablationJava(src, "test", func(*jvm.VM) {}),
+		ablationTcl("exit 3", "test", func(*tcl.Interp) {}),
+	} {
+		_, err := core.Measure(p)
+		if err == nil || !strings.HasSuffix(err.Error(), " 3") {
+			t.Errorf("%s: measuring a guest that exits 3 gave error %v, want one naming the status", p.ID(), err)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 // OptMatrix measures the §5 optimization ladder as an interpreter × tier
 // matrix on the des workload: quickening (operand specialization at first
 // execution) and superinstructions (fused hot opcode pairs), separately
-// and combined, each cell a full pipeline measurement plus an
-// instruction-cache sweep.  A hot-pair profiling pass on the two fusing
-// interpreters shows the dispatch-pair evidence the fusion tables were
-// selected from.
+// and combined.  Each cell is one run of its program that feeds both the
+// simulated processor and an instruction-cache sweep.  The baseline cells
+// of the two fusing interpreters also count consecutive-dispatch pairs,
+// the evidence their fusion tables were selected from.
 //
 // The rendered matrix is the headline artifact: per interpreter, how the
 // dispatched-command count, the fetch/decode share, and the cache-miss
@@ -28,28 +28,20 @@ func OptMatrix(opt Options) error {
 	type cell struct {
 		tier workloads.Tier
 		pipe *job
-		sw   *alphasim.ICacheSweep
 	}
 	matrixSystems := []core.System{core.SysMIPSI, core.SysJava, core.SysPerl, core.SysTcl}
 	var rows [][]cell
 	for _, sys := range matrixSystems {
 		var row []cell
 		for _, t := range workloads.Tiers(sys) {
-			p := workloads.DESTiered(sys, scale, t)
-			sw := alphasim.DefaultICacheSweep()
+			// Each cell gets a private sweep; jobs run concurrently.
 			row = append(row, cell{
 				tier: t,
-				pipe: b.measurePipeline(p, alphasim.DefaultConfig()),
-				sw:   sw,
+				pipe: b.measurePipelineSweep(workloads.DESTiered(sys, scale, t),
+					alphasim.DefaultConfig(), alphasim.DefaultICacheSweep()),
 			})
-			b.measureSweep(p, sw)
 		}
 		rows = append(rows, row)
-	}
-	pairSystems := []core.System{core.SysMIPSI, core.SysJava}
-	var pairJobs []*job
-	for _, sys := range pairSystems {
-		pairJobs = append(pairJobs, b.measure(workloads.DESHotPairs(sys, scale)))
 	}
 	if err := b.run(); err != nil {
 		return err
@@ -58,8 +50,11 @@ func OptMatrix(opt Options) error {
 	w := opt.out()
 	fmt.Fprintf(w, "Optimization-tier matrix (des workload)\n\n")
 	fmt.Fprintf(w, "Superinstruction selection evidence — consecutive-dispatch pair counts:\n\n")
-	for i, sys := range pairSystems {
-		res := pairJobs[i].res
+	for i, sys := range matrixSystems {
+		if sys != core.SysMIPSI && sys != core.SysJava {
+			continue // only the fusing interpreters count pairs
+		}
+		res := rows[i][0].pipe.res // the baseline cell
 		if err := profile.WriteHotPairs(w, string(sys)+"/des", res.Stats.Pairs, 8); err != nil {
 			return err
 		}
@@ -100,7 +95,7 @@ func OptMatrix(opt Options) error {
 	for i, sys := range matrixSystems {
 		for _, c := range rows[i] {
 			fmt.Fprintf(w, "%-6s %-14s", sys, c.tier.Key)
-			for _, pt := range c.sw.Points() {
+			for _, pt := range c.pipe.sweep.Points() {
 				fmt.Fprintf(w, " %9.2f", pt.MissPer100())
 			}
 			fmt.Fprintln(w)

@@ -27,8 +27,9 @@ import (
 //
 // A batch is a list of measurement jobs and nothing else: each job is a
 // "measure", "pipeline" or "sweep" run of one program, and runs its guest
-// exactly once; a sweep job simulates every cache geometry over that one
-// event stream (see measureSweep).
+// exactly once; a sweep simulates every cache geometry over that one event
+// stream (see measureSweep), and a pipeline job may feed a sweep from the
+// same stream (see measurePipelineSweep).
 //
 // Parallel workers claim jobs longest-job-first: jobs are ordered by a
 // cost estimate (static kind weights, refined by the process-global
@@ -45,7 +46,7 @@ type job struct {
 	kind  string // "measure", "pipeline", "sweep"
 	prog  core.Program
 	cfg   alphasim.Config       // pipeline jobs
-	sweep *alphasim.ICacheSweep // sweep jobs
+	sweep *alphasim.ICacheSweep // sweep jobs, and pipeline jobs that also sweep
 	lidx  int                   // this job's index in the batch ledger
 
 	// scope and profiling override the batch-wide cache scope and
@@ -101,6 +102,14 @@ func (b *batch) measure(p core.Program) *job {
 // processor.
 func (b *batch) measurePipeline(p core.Program, cfg alphasim.Config) *job {
 	return b.addJob(&job{kind: "pipeline", prog: p, cfg: cfg})
+}
+
+// measurePipelineSweep enqueues one run of p that feeds both the simulated
+// processor and the instruction-cache sweep: a pipeline job whose result
+// also fills the sweep's points, recorded as one pipeline measurement that
+// carries them.  The sweep must be private to this job.
+func (b *batch) measurePipelineSweep(p core.Program, cfg alphasim.Config, sweep *alphasim.ICacheSweep) *job {
+	return b.addJob(&job{kind: "pipeline", prog: p, cfg: cfg, sweep: sweep})
 }
 
 // measureSweep enqueues a measurement of p through the instruction-cache
@@ -239,7 +248,11 @@ func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 	args := []any{"program", id}
 	switch j.kind {
 	case "pipeline":
-		args = append(args, "sink", "pipeline")
+		if j.sweep != nil {
+			args = append(args, "sink", "pipeline+icache-sweep")
+		} else {
+			args = append(args, "sink", "pipeline")
+		}
 	case "sweep":
 		args = append(args, "sink", "icache-sweep")
 	}
@@ -266,7 +279,7 @@ func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 		case "measure":
 			j.res, j.err = core.Measure(j.prog, opts...)
 		case "pipeline":
-			j.res, j.err = core.MeasureWithPipeline(j.prog, j.cfg, opts...)
+			j.res, j.err = core.MeasureWithPipelineAndSweep(j.prog, j.cfg, j.sweep, opts...)
 		case "sweep":
 			j.res, j.err = core.MeasureWithSweep(j.prog, j.sweep, opts...)
 		}

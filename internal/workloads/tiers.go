@@ -74,7 +74,11 @@ func tierBlocks(sys core.System, scale float64) int {
 
 // DESTiered returns the des workload for sys with the tier's knobs set.
 // Guest-visible behavior is identical across tiers (the interpreters'
-// differential tests pin this); only the cost signature moves.
+// differential tests pin this); only the cost signature moves.  The
+// baseline cells of the two fusing interpreters, MIPSI and Java, also
+// count consecutive-dispatch pairs (Stats.Pairs): the evidence their
+// superinstruction tables were selected from.  Counting is host-side
+// bookkeeping and emits no native instructions.
 func DESTiered(sys core.System, scale float64, t Tier) core.Program {
 	blocks := tierBlocks(sys, scale)
 	p := core.Program{
@@ -86,6 +90,7 @@ func DESTiered(sys core.System, scale float64, t Tier) core.Program {
 	switch sys {
 	case core.SysMIPSI:
 		p.Run = func(ctx *core.Ctx) error {
+			ctx.Probe.CountPairs(t == TierBaseline)
 			prog, err := minicc.CompileMIPS("des", minicc.WithStdlib(desMiniC(blocks)))
 			if err != nil {
 				return err
@@ -106,6 +111,7 @@ func DESTiered(sys core.System, scale float64, t Tier) core.Program {
 		}
 	case core.SysJava:
 		p.Run = func(ctx *core.Ctx) error {
+			ctx.Probe.CountPairs(t == TierBaseline)
 			mod, err := minicc.CompileJVM("des", minicc.WithStdlibJVM(desMiniC(blocks)))
 			if err != nil {
 				return err
@@ -164,21 +170,6 @@ func DESTiered(sys core.System, scale float64, t Tier) core.Program {
 		p.Run = func(*core.Ctx) error {
 			return fmt.Errorf("workloads: no tiered des for system %s", sys)
 		}
-	}
-	return p
-}
-
-// DESHotPairs returns the baseline des for sys with consecutive-dispatch
-// pair counting enabled — the profiling run whose pair table justifies
-// the superinstruction selections.  The distinct variant keeps its stats
-// (which carry the pair table) out of the plain runs' cache entries.
-func DESHotPairs(sys core.System, scale float64) core.Program {
-	p := DESTiered(sys, scale, TierBaseline)
-	inner := p.Run
-	p.Variant = "hot-pairs"
-	p.Run = func(ctx *core.Ctx) error {
-		ctx.Probe.CountPairs(true)
-		return inner(ctx)
 	}
 	return p
 }
