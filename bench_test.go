@@ -10,8 +10,11 @@ import (
 	"testing"
 
 	"interplab/internal/alphasim"
+	"interplab/internal/atom"
 	"interplab/internal/core"
 	"interplab/internal/harness"
+	"interplab/internal/trace"
+	"interplab/internal/vfs"
 	"interplab/internal/workloads"
 )
 
@@ -86,3 +89,76 @@ func BenchmarkICacheSweep(b *testing.B) {
 		}
 	}
 }
+
+// blockRecorder keeps a copy of every event block a guest emits.
+type blockRecorder struct{ blocks []*trace.Block }
+
+func (r *blockRecorder) Emit(e trace.Event) {
+	if n := len(r.blocks); n == 0 || r.blocks[n-1].Full() {
+		r.blocks = append(r.blocks, new(trace.Block))
+	}
+	r.blocks[len(r.blocks)-1].Append(e)
+}
+
+func (r *blockRecorder) EmitBlock(b *trace.Block) {
+	c := *b
+	c.Marks = nil
+	r.blocks = append(r.blocks, &c)
+}
+
+// recordBlocks runs p as core.Measure does, with only a recorder for a
+// sink, and returns its event stream as blocks.
+func recordBlocks(b *testing.B, p core.Program) []*trace.Block {
+	b.Helper()
+	rec := new(blockRecorder)
+	img := atom.NewImage()
+	probe := atom.NewProbe(img, rec)
+	osys := vfs.New()
+	if p.System != core.SysC {
+		osys.Instrument(img, probe)
+	}
+	if err := p.Run(&core.Ctx{Image: img, Probe: probe, Sink: rec, OS: osys}); err != nil {
+		b.Fatal(err)
+	}
+	probe.FlushEvents()
+	return rec.blocks
+}
+
+// desStreams is des on all five systems at the smallest block counts the
+// perfbench measure workload draws (4.3M events, 42 MB of blocks),
+// recorded on first use.
+var desStreams [][]*trace.Block
+
+// BenchmarkPipelineReplay reports the pipeline sink's own cost per event:
+// it replays recorded des blocks of all five systems through a fresh
+// Table 3 pipeline each, with no guest, probe or counter in the loop.
+func BenchmarkPipelineReplay(b *testing.B) {
+	if desStreams == nil {
+		for _, p := range []core.Program{
+			workloads.DESNative(16), workloads.DESMIPSI(2), workloads.DESJava(6),
+			workloads.DESPerl(2), workloads.DESTcl(1),
+		} {
+			desStreams = append(desStreams, recordBlocks(b, p))
+		}
+	}
+	var events int
+	for _, blocks := range desStreams {
+		for _, blk := range blocks {
+			events += blk.N
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, blocks := range desStreams {
+			p := alphasim.New(alphasim.DefaultConfig())
+			for _, blk := range blocks {
+				p.EmitBlock(blk)
+			}
+			replayStats = p.Stats()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}
+
+// replayStats keeps the replayed pipeline's result live.
+var replayStats alphasim.Stats

@@ -15,6 +15,16 @@
 // count, and counts each access at the stack depth where its line was
 // found, so an A-way cache misses on the accesses found at depth A or
 // deeper (stack-distance simulation, Mattson et al. 1970).
+//
+// The pipeline skips every cache and TLB lookup whose answer it already
+// knows.  It remembers the L1I line and iTLB page of the last fetch and
+// the L1D line and dTLB page of the last data access, and a fetch or data
+// access that repeats one is a hit without a lookup.  This is exact: each
+// of the four structures sees only its own stream, so a repeat would hit
+// the entry that structure touched last, and true LRU would leave that
+// entry most recently used, every age in the same order, and every later
+// victim the same.  L2 is looked up only on an L1 miss, and a skipped
+// lookup is a hit, so L2 and the miss notifications are unchanged too.
 package alphasim
 
 // CacheConfig describes one cache level.
@@ -44,6 +54,9 @@ type Cache struct {
 	age       []uint64
 	clock     uint64
 
+	// Accesses and Misses count lookups.  Inside a Pipeline that excludes
+	// repeats of the last line, which the pipeline knows hit; its Stats
+	// count every access.
 	Accesses uint64
 	Misses   uint64
 }
@@ -118,6 +131,8 @@ type TLB struct {
 	age       []uint64
 	clock     uint64
 
+	// Accesses and Misses count lookups, as Cache's do: inside a Pipeline,
+	// repeats of the last page are not looked up.
 	Accesses uint64
 	Misses   uint64
 }

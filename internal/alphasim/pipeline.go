@@ -1,6 +1,8 @@
 package alphasim
 
 import (
+	"fmt"
+
 	"interplab/internal/trace"
 )
 
@@ -94,6 +96,74 @@ func DefaultConfig() Config {
 		L2Miss:        24, // 6 + 24 = 30 cycles to memory, as in Table 3
 		BTCBubble:     1,
 	}
+}
+
+// Caps Validate puts on one Config, so that it cannot make New allocate
+// without bound or make every lookup scan a huge table.
+const (
+	maxCacheLines = 1 << 20 // lines per cache: 12 MB of tags and ages
+	maxEntries    = 4096    // Width, ways, TLB, BHT, return-stack and BTC entries
+)
+
+// Validate reports why cfg cannot be simulated as described, or nil.  The
+// caches and TLBs index by shifts and masks, so line sizes, the page size
+// and set counts must be powers of two; every table needs an entry, Width
+// must be at least 1, and penalties must not be negative.
+func (c Config) Validate() error {
+	for _, cc := range []struct {
+		name string
+		geom CacheConfig
+	}{{"ICache", c.ICache}, {"DCache", c.DCache}, {"L2", c.L2}} {
+		if err := cc.geom.validate(cc.name); err != nil {
+			return err
+		}
+	}
+	if c.PageSize == 0 || c.PageSize&(c.PageSize-1) != 0 {
+		return fmt.Errorf("PageSize %d is not a power of two", c.PageSize)
+	}
+	for _, t := range []struct {
+		name string
+		n    int
+	}{
+		{"Width", c.Width}, {"ITLBEntries", c.ITLBEntries}, {"DTLBEntries", c.DTLBEntries},
+		{"BHTEntries", c.BHTEntries}, {"ReturnStack", c.ReturnStack}, {"BTCEntries", c.BTCEntries},
+	} {
+		if t.n < 1 || t.n > maxEntries {
+			return fmt.Errorf("%s %d is outside [1, %d]", t.name, t.n, maxEntries)
+		}
+	}
+	for _, pen := range []struct {
+		name   string
+		cycles int
+	}{
+		{"LoadDelay", c.LoadDelay}, {"ShortIntDelay", c.ShortIntDelay}, {"LongOpDelay", c.LongOpDelay},
+		{"Mispredict", c.Mispredict}, {"TLBMiss", c.TLBMiss}, {"L1Miss", c.L1Miss},
+		{"L2Miss", c.L2Miss}, {"BTCBubble", c.BTCBubble},
+	} {
+		if pen.cycles < 0 {
+			return fmt.Errorf("%s %d is negative", pen.name, pen.cycles)
+		}
+	}
+	return nil
+}
+
+// validate checks one cache's geometry; name labels it in the error.
+func (c CacheConfig) validate(name string) error {
+	if c.LineSize < 1 || c.LineSize&(c.LineSize-1) != 0 {
+		return fmt.Errorf("%s.LineSize %d is not a power of two", name, c.LineSize)
+	}
+	if c.Assoc < 1 || c.Assoc > maxEntries {
+		return fmt.Errorf("%s.Assoc %d is outside [1, %d]", name, c.Assoc, maxEntries)
+	}
+	lines := c.Size / c.LineSize
+	if c.Size < 1 || lines > maxCacheLines {
+		return fmt.Errorf("%s.Size %d is outside [1 byte, %d lines]", name, c.Size, maxCacheLines)
+	}
+	if sets := lines / c.Assoc; c.Size%c.LineSize != 0 || lines%c.Assoc != 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("%s.Size %d is not a power-of-two number of %d-way sets of %d-byte lines",
+			name, c.Size, c.Assoc, c.LineSize)
+	}
+	return nil
 }
 
 // Stats is the outcome of a simulated run, in the paper's issue-slot terms.
@@ -192,19 +262,31 @@ type Pipeline struct {
 	dtlb   *TLB
 	pred   *Predictor
 
+	// The MRU memo: the L1I line and iTLB page of the last fetch, and the
+	// L1D line and dTLB page of the last data access (noAccess before the
+	// first).  A repeat would hit that structure's most-recently-used
+	// entry, so its lookup is skipped (see the package doc).
+	iLine, iPage uint64
+	dLine, dPage uint64
+
 	stats    Stats
 	prevKind trace.Kind
 	prevHit  bool // previous load hit L1
-	pending  uint64
 
 	missObs MissObserver
 }
+
+// noAccess marks an empty memo word.  Lines and pages are 32-bit values,
+// so no address can collide with it.
+const noAccess = 1 << 32
 
 // SetMissObserver registers o to receive cache-miss notifications; nil
 // disables them (the default).
 func (p *Pipeline) SetMissObserver(o MissObserver) { p.missObs = o }
 
-// New builds a pipeline for cfg.
+// New builds a pipeline for cfg, which must pass Validate: the caches and
+// TLBs round a line or page size up to a power of two and mask a set
+// count that is not one, and an empty cache or table divides by zero.
 func New(cfg Config) *Pipeline {
 	return &Pipeline{
 		cfg:    cfg,
@@ -214,6 +296,10 @@ func New(cfg Config) *Pipeline {
 		itlb:   NewTLB(cfg.ITLBEntries, cfg.PageSize),
 		dtlb:   NewTLB(cfg.DTLBEntries, cfg.PageSize),
 		pred:   NewPredictor(cfg.BHTEntries, cfg.ReturnStack, cfg.BTCEntries),
+		iLine:  noAccess,
+		iPage:  noAccess,
+		dLine:  noAccess,
+		dPage:  noAccess,
 	}
 }
 
@@ -222,62 +308,60 @@ func (p *Pipeline) Config() Config { return p.cfg }
 
 func (p *Pipeline) stall(c Cause, cycles int) {
 	p.stats.Stalls[c] += uint64(cycles)
-	p.stats.Cycles += uint64(cycles)
 }
 
 // Emit processes one native instruction.
-func (p *Pipeline) Emit(e trace.Event) { p.step(e) }
+func (p *Pipeline) Emit(e trace.Event) {
+	p.stats.Instructions++
+	p.step(e.PC, e.Addr, e.Kind, e.Flags)
+}
 
-// EmitBlock processes a whole event batch in one tight loop: the machine
-// model is inherently per-instruction (every event advances caches, TLBs
-// and the predictor), so the win over per-event Emit is purely the removed
-// interface dispatch — which, at interp-lab's event volumes, is most of
-// the instrumentation bill.
+// EmitBlock processes a whole event batch in one loop over the block's
+// columns; the machine model is per-instruction, but the instruction
+// count is per-block.
 func (p *Pipeline) EmitBlock(b *trace.Block) {
-	for i := 0; i < b.N; i++ {
-		p.step(trace.Event{PC: b.PC[i], Addr: b.Addr[i], Kind: b.Kind[i], Flags: b.Flags[i]})
+	n := b.N
+	p.stats.Instructions += uint64(n)
+	addrs, kinds, flags := b.Addr[:n], b.Kind[:n], b.Flags[:n]
+	for i, pc := range b.PC[:n] {
+		p.step(pc, addrs[i], kinds[i], flags[i])
 	}
 }
 
-// step simulates one native instruction.
-func (p *Pipeline) step(e trace.Event) {
+// step simulates one native instruction past its issue slot, which
+// Stats accounts from the instruction count.
+func (p *Pipeline) step(pc, addr uint32, kind trace.Kind, flags trace.Flags) {
 	st := &p.stats
-	st.Instructions++
-	// Base issue: `Width` instructions retire per cycle when nothing
-	// stalls.  The cycle is charged to the first instruction of each
-	// group so a trailing partial group still owns a cycle.
-	p.pending++
-	if p.pending == 1 {
-		st.Cycles++
-	}
-	if p.pending >= uint64(p.cfg.Width) {
-		p.pending = 0
-	}
 
-	// Instruction fetch: every instruction consults the iTLB and L1I; the
-	// line-grain locality is captured by the caches themselves.
-	st.IFetches++
-	if !p.itlb.Access(e.PC) {
-		st.ITLBMisses++
-		p.stall(CauseITLB, p.cfg.TLBMiss)
-	}
-	if !p.icache.Access(e.PC) {
-		st.IMisses1++
-		p.stall(CauseIMiss, p.cfg.L1Miss)
-		level := 1
-		if !p.l2.Access(e.PC) {
-			st.IMisses2++
-			p.stall(CauseIMiss, p.cfg.L2Miss)
-			level = 2
+	// Instruction fetch: every instruction consults the iTLB and L1I,
+	// except that a fetch from the memoised page or line is a known hit.
+	if page := uint64(pc >> p.itlb.pageShift); page != p.iPage {
+		p.iPage = page
+		if !p.itlb.Access(pc) {
+			st.ITLBMisses++
+			p.stall(CauseITLB, p.cfg.TLBMiss)
 		}
-		if p.missObs != nil {
-			p.missObs.IMiss(e, level)
+	}
+	if line := uint64(pc >> p.icache.lineShift); line != p.iLine {
+		p.iLine = line
+		if !p.icache.Access(pc) {
+			st.IMisses1++
+			p.stall(CauseIMiss, p.cfg.L1Miss)
+			level := 1
+			if !p.l2.Access(pc) {
+				st.IMisses2++
+				p.stall(CauseIMiss, p.cfg.L2Miss)
+				level = 2
+			}
+			if p.missObs != nil {
+				p.missObs.IMiss(trace.Event{PC: pc, Addr: addr, Kind: kind, Flags: flags}, level)
+			}
 		}
 	}
 
 	// Result-latency stalls: charged when this instruction consumes the
 	// previous instruction's result.
-	if e.Dep() {
+	if flags&trace.FlagDep != 0 {
 		switch p.prevKind {
 		case trace.Load:
 			if p.prevHit {
@@ -290,31 +374,38 @@ func (p *Pipeline) step(e trace.Event) {
 		}
 	}
 
-	switch e.Kind {
+	switch kind {
 	case trace.Load, trace.Store:
 		st.DAccesses++
-		if !p.dtlb.Access(e.Addr) {
-			st.DTLBMisses++
-			p.stall(CauseDTLB, p.cfg.TLBMiss)
+		if page := uint64(addr >> p.dtlb.pageShift); page != p.dPage {
+			p.dPage = page
+			if !p.dtlb.Access(addr) {
+				st.DTLBMisses++
+				p.stall(CauseDTLB, p.cfg.TLBMiss)
+			}
 		}
-		hit := p.dcache.Access(e.Addr)
+		hit := true
+		if line := uint64(addr >> p.dcache.lineShift); line != p.dLine {
+			p.dLine = line
+			hit = p.dcache.Access(addr)
+		}
 		p.prevHit = hit
 		if !hit {
 			st.DMisses1++
 			p.stall(CauseDMiss, p.cfg.L1Miss)
 			level := 1
-			if !p.l2.Access(e.Addr) {
+			if !p.l2.Access(addr) {
 				st.DMisses2++
 				p.stall(CauseDMiss, p.cfg.L2Miss)
 				level = 2
 			}
 			if p.missObs != nil {
-				p.missObs.DMiss(e, level)
+				p.missObs.DMiss(trace.Event{PC: pc, Addr: addr, Kind: kind, Flags: flags}, level)
 			}
 		}
 	case trace.Branch:
 		st.Branches++
-		mis, btcMiss := p.pred.Cond(e.PC, e.Addr, e.Taken())
+		mis, btcMiss := p.pred.Cond(pc, addr, flags&trace.FlagTaken != 0)
 		if mis {
 			st.Mispredicts++
 			p.stall(CauseMispredict, p.cfg.Mispredict)
@@ -322,21 +413,33 @@ func (p *Pipeline) step(e trace.Event) {
 			p.stall(CauseOther, p.cfg.BTCBubble)
 		}
 	case trace.Jump:
-		if e.Call() {
-			p.pred.Call(e.PC + 4)
+		if flags&trace.FlagCall != 0 {
+			p.pred.Call(pc + 4)
 		}
 		p.stall(CauseOther, p.cfg.BTCBubble)
 	case trace.Return:
-		if p.pred.Ret(e.Addr) {
+		if p.pred.Ret(addr) {
 			st.Mispredicts++
 			p.stall(CauseMispredict, p.cfg.Mispredict)
 		}
 	}
-	p.prevKind = e.Kind
+	p.prevKind = kind
 }
 
-// Stats returns the accumulated statistics.
-func (p *Pipeline) Stats() Stats { return p.stats }
+// Stats returns the accumulated statistics.  Every instruction is one
+// fetch, and Width instructions issue per cycle when nothing stalls (a
+// trailing partial group still owns a cycle), so Cycles is the base
+// issue cycles plus every stall cycle.
+func (p *Pipeline) Stats() Stats {
+	s := p.stats
+	s.IFetches = s.Instructions
+	w := uint64(max(p.cfg.Width, 1))
+	s.Cycles = (s.Instructions + w - 1) / w
+	for _, c := range s.Stalls {
+		s.Cycles += c
+	}
+	return s
+}
 
 // Run drains events from a replayable generator into a fresh pipeline and
 // returns its stats.

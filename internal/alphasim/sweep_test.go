@@ -128,35 +128,101 @@ func TestICacheSweepMatchesPerGeometryLRU(t *testing.T) {
 }
 
 // decodeSweepInput turns fuzz bytes into a grid, a fetch stream and block
-// cuts.  The first byte picks the grid.  Then each op byte either runs
-// (op&0x3f)+1 sequential fetches (op < 0x80) or jumps to the instruction
-// its next two bytes name in a 256 KB window; op&0x40 cuts the block after
-// the op.
+// cuts.  The first byte picks the grid; the rest is a decodeStream stream,
+// of which the sweep sees the fetches.
 func decodeSweepInput(data []byte) (sweepGrid, []uint32, map[int]bool) {
-	const base, maxEvents = 0x0040_0000, 1 << 16
 	if len(data) == 0 {
 		return sweepGrids[0], nil, nil
 	}
-	g := sweepGrids[int(data[0])%len(sweepGrids)]
-	var pcs []uint32
+	events, cuts := decodeStream(data[1:])
+	pcs := make([]uint32, len(events))
+	for i, e := range events {
+		pcs[i] = e.PC
+	}
+	return sweepGrids[int(data[0])%len(sweepGrids)], pcs, cuts
+}
+
+// Windows of decodeStream's two-byte operands: 64K words each.
+const streamCode, streamData = 0x0040_0000, 0x1000_0000
+
+// decodeStream turns fuzz bytes into an event stream and block cuts.  Each
+// op byte either runs (op&0x3f)+1 sequential Int fetches (op < 0x80) or
+// names, with its next two bytes, an instruction in a 256 KB code window
+// or a word in a 256 KB data window.  For the latter, k = op&0x3f picks
+// the event; k&7 is
+//
+//	0: jump to the instruction, with no event
+//	1: load from the word    2: store to it
+//	3: branch to the instruction, taken when k&8
+//	4: jump to it, a call when k&8
+//	5: return to it
+//	6: ShortInt (Int when k&8)
+//	7: Mul (Float when k&8)
+//
+// and k&0x20 marks the event FlagDep.  op&0x40 cuts the block after the op.
+func decodeStream(data []byte) ([]trace.Event, map[int]bool) {
+	const maxEvents = 1 << 16
+	var events []trace.Event
 	cuts := make(map[int]bool)
-	pc := uint32(base)
-	for i := 1; i < len(data) && len(pcs) < maxEvents; i++ {
+	pc := uint32(streamCode)
+	for i := 0; i < len(data) && len(events) < maxEvents; i++ {
 		op := data[i]
 		if op&0x80 == 0 {
-			for k := 0; k <= int(op&0x3f) && len(pcs) < maxEvents; k++ {
-				pcs = append(pcs, pc)
+			for k := 0; k <= int(op&0x3f) && len(events) < maxEvents; k++ {
+				events = append(events, trace.Event{PC: pc, Kind: trace.Int})
 				pc += 4
 			}
 		} else if i+2 < len(data) {
-			pc = base + (uint32(data[i+1])<<8|uint32(data[i+2]))<<2
+			k := op & 0x3f
+			word := (uint32(data[i+1])<<8 | uint32(data[i+2])) << 2
+			target := streamCode + word
 			i += 2
+			e, alt, next := trace.Event{PC: pc}, k&8 != 0, pc+4
+			switch k & 7 {
+			case 0:
+				next = target
+			case 1, 2:
+				e.Kind, e.Addr = trace.Load, streamData+word
+				if k&7 == 2 {
+					e.Kind = trace.Store
+				}
+			case 3:
+				e.Kind, e.Addr = trace.Branch, target
+				if alt {
+					e.Flags |= trace.FlagTaken
+					next = target
+				}
+			case 4:
+				e.Kind, e.Addr, next = trace.Jump, target, target
+				if alt {
+					e.Flags |= trace.FlagCall
+				}
+			case 5:
+				e.Kind, e.Addr, next = trace.Return, target, target
+			case 6:
+				e.Kind = trace.ShortInt
+				if alt {
+					e.Kind = trace.Int
+				}
+			case 7:
+				e.Kind = trace.Mul
+				if alt {
+					e.Kind = trace.Float
+				}
+			}
+			if k&7 != 0 {
+				if k&0x20 != 0 {
+					e.Flags |= trace.FlagDep
+				}
+				events = append(events, e)
+			}
+			pc = next
 		}
-		if op&0x40 != 0 && len(pcs) > 0 {
-			cuts[len(pcs)-1] = true
+		if op&0x40 != 0 && len(events) > 0 {
+			cuts[len(events)-1] = true
 		}
 	}
-	return g, pcs, cuts
+	return events, cuts
 }
 
 // FuzzICacheSweep checks the one-pass sweep against the per-geometry

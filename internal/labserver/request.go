@@ -35,7 +35,8 @@ type Request struct {
 	// variant registry slots into the same key.
 	Variant string `json:"variant,omitempty"`
 	// Config is the simulated-processor configuration for pipeline
-	// requests; nil means alphasim.DefaultConfig().
+	// requests; nil means alphasim.DefaultConfig().  A config that fails
+	// alphasim.Config.Validate is a 400.
 	Config *alphasim.Config `json:"config,omitempty"`
 	// Scale is the workload size multiplier (0 means 1).
 	Scale float64 `json:"scale,omitempty"`
@@ -126,6 +127,9 @@ func resolve(req Request) (*resolved, *httpError) {
 	case "pipeline":
 		rr.cfg = alphasim.DefaultConfig()
 		if req.Config != nil {
+			if err := req.Config.Validate(); err != nil {
+				return nil, errBadRequest("invalid config: %v", err)
+			}
 			rr.cfg = *req.Config
 		}
 	case "sweep":

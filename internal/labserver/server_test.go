@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"interplab/internal/alphasim"
 	"interplab/internal/harness"
 	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
@@ -361,6 +362,7 @@ func TestBadRequests(t *testing.T) {
 		{"config on measure", http.MethodPost, string(cfgJSON), http.StatusBadRequest},
 		{"scale too large", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","scale":100}`, http.StatusBadRequest},
 		{"negative scale", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","scale":-1}`, http.StatusBadRequest},
+		{"invalid config", http.MethodPost, `{"kind":"pipeline","program":"Perl/micro-if","config":{"Width":2}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -383,6 +385,54 @@ func TestBadRequests(t *testing.T) {
 			}
 			if tc.method == http.MethodGet && resp.Header.Get("Allow") != http.MethodPost {
 				t.Errorf("405 without Allow: POST header")
+			}
+		})
+	}
+}
+
+// TestResolveValidatesConfig: a pipeline config the simulator cannot
+// model as described is a 400 naming the reason, not a panic (zero
+// tables divide by zero), a result keyed as a machine it was not
+// simulated as (a 24-byte line is simulated as 32), wrapped penalties, or
+// an unbounded allocation.
+func TestResolveValidatesConfig(t *testing.T) {
+	full := func(edit func(*alphasim.Config)) *alphasim.Config {
+		cfg := alphasim.DefaultConfig()
+		edit(&cfg)
+		return &cfg
+	}
+	cases := []struct {
+		name   string
+		cfg    *alphasim.Config
+		reason string // "" means valid
+	}{
+		{"default", full(func(*alphasim.Config) {}), ""},
+		{"partial", &alphasim.Config{Width: 2}, "ICache.LineSize 0"},
+		{"zero BHT", full(func(c *alphasim.Config) { c.BHTEntries = 0 }), "BHTEntries 0"},
+		{"24-byte lines", full(func(c *alphasim.Config) { c.ICache.LineSize = 24 }), "ICache.LineSize 24 is not a power of two"},
+		{"768 sets", full(func(c *alphasim.Config) { c.DCache.Size = 24 << 10 }), "DCache.Size 24576 is not a power-of-two number"},
+		{"negative penalty", full(func(c *alphasim.Config) { c.L2Miss = -24 }), "L2Miss -24 is negative"},
+		{"huge cache", full(func(c *alphasim.Config) { c.L2.Size = 1 << 40 }), "L2.Size 1099511627776 is outside"},
+		{"zero width", full(func(c *alphasim.Config) { c.Width = 0 }), "Width 0 is outside"},
+		{"page size", full(func(c *alphasim.Config) { c.PageSize = 3000 }), "PageSize 3000"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rr, herr := resolve(Request{Kind: "pipeline", Program: testProgram, Config: tc.cfg})
+			if tc.reason == "" {
+				if herr != nil {
+					t.Fatalf("valid config rejected: %v", herr)
+				}
+				if rr.cfg != *tc.cfg {
+					t.Errorf("resolved config %+v, want %+v", rr.cfg, *tc.cfg)
+				}
+				return
+			}
+			if herr == nil || herr.status != http.StatusBadRequest {
+				t.Fatalf("got %v, want a 400", herr)
+			}
+			if !strings.Contains(herr.msg, "invalid config: "+tc.reason) {
+				t.Errorf("message %q does not give the reason %q", herr.msg, tc.reason)
 			}
 		})
 	}
