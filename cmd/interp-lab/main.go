@@ -6,7 +6,7 @@
 //
 //	interp-lab [-scale f] [-parallel n] [-cache dir] [-json manifest.json] [-trace trace.json] experiment...
 //	interp-lab profile [-scale f] [-pprof file] [-folded file] [-top n] [-value type] [-json file] experiment
-//	interp-lab serve [-addr host:port] [-cache dir] [-parallel n] [-queue n] [-batch-window d]
+//	interp-lab serve [-addr host:port] [-cache dir] [-parallel n] [-queue n] [-request-timeout d] [-drain-timeout d]
 //	interp-lab cache [-dir d] [-max-age dur] stats|gc|clear|fingerprint
 //	interp-lab list
 //	interp-lab report manifest.json
@@ -16,7 +16,7 @@
 // Experiments: table1 table2 table3 fig1 fig2 fig3 fig4 memmodel ablation
 // opt-matrix, or "all".  opt-matrix measures the optimization-tier matrix —
 // quickening and superinstructions per interpreter, each cell a distinct
-// manifest `variant` (see docs/EXPERIMENTS.md).  -parallel fans each experiment's measurements out over n
+// manifest `variant` (see EXPERIMENTS.md).  -parallel fans each experiment's measurements out over n
 // workers (default GOMAXPROCS; output is byte-identical to -parallel 1).
 // -cache memoizes every measurement in a content-addressed on-disk cache:
 // a re-run of unchanged experiments on the same build restores results
@@ -31,8 +31,8 @@
 // -json run records for each measurement batch (per-worker utilization,
 // serial fraction, predicted vs. measured speedup); see
 // docs/OBSERVABILITY.md.  The serve subcommand runs the lab as an HTTP
-// daemon — measurement requests with singleflight dedup, scheduler
-// batching, backpressure, and a cache shared with CLI runs (see
+// daemon — measurement requests with singleflight dedup, a fixed worker
+// pool, backpressure, and a cache shared with CLI runs (see
 // docs/SERVING.md); -version prints the build fingerprint that cache
 // keys on.
 package main
@@ -54,7 +54,7 @@ import (
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: interp-lab [-scale f] [-parallel n] [-cache dir [-cache-readonly]] [-json file] [-trace file] experiment...
        interp-lab profile [-scale f] [-pprof file] [-folded file] [-top n] [-value type] [-json file] experiment
-       interp-lab serve [-addr host:port] [-cache dir] [-parallel n] [-queue n] [-batch-window d]
+       interp-lab serve [-addr host:port] [-cache dir] [-parallel n] [-queue n] [-request-timeout d] [-drain-timeout d]
        interp-lab cache [-dir d] [-max-age dur] stats|gc|clear|fingerprint
        interp-lab list
        interp-lab report manifest.json

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"interplab/internal/harness"
 	"interplab/internal/rescache"
@@ -31,6 +32,39 @@ func TestValidateParallel(t *testing.T) {
 	for _, n := range []int{1, 2, 64} {
 		if err := validateParallel(n); err != nil {
 			t.Errorf("validateParallel(%d) = %v, want nil", n, err)
+		}
+	}
+}
+
+// TestValidateServeLimits pins the serve flags' contract: a zero or
+// negative -queue, -request-timeout or -drain-timeout is a usage error
+// naming the flag.
+func TestValidateServeLimits(t *testing.T) {
+	const q, rt, dt = 64, 2 * time.Minute, time.Minute
+	cases := []struct {
+		queue  int
+		rt, dt time.Duration
+		flag   string // "" means valid
+	}{
+		{q, rt, dt, ""},
+		{1, time.Millisecond, time.Millisecond, ""},
+		{0, rt, dt, "-queue"},
+		{-1, rt, dt, "-queue"},
+		{q, 0, dt, "-request-timeout"},
+		{q, -time.Second, dt, "-request-timeout"},
+		{q, rt, 0, "-drain-timeout"},
+		{q, rt, -time.Second, "-drain-timeout"},
+	}
+	for _, tc := range cases {
+		err := validateServeLimits(tc.queue, tc.rt, tc.dt)
+		if tc.flag == "" {
+			if err != nil {
+				t.Errorf("validateServeLimits(%d, %v, %v) = %v, want nil", tc.queue, tc.rt, tc.dt, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("validateServeLimits(%d, %v, %v) = %v, want an error naming %s", tc.queue, tc.rt, tc.dt, err, tc.flag)
 		}
 	}
 }

@@ -1,15 +1,14 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"interplab/internal/alphasim"
 	"interplab/internal/core"
 	"interplab/internal/labstats"
+	"interplab/internal/telemetry"
 )
 
 // stressEmits is the synthetic workload size: each program walks a 256-word
@@ -18,18 +17,11 @@ import (
 const stressEmits = 50 * 64
 
 // stressProgram builds a cheap deterministic workload that emits real
-// instruction events (so sweeps accumulate counts), optionally failing or
-// panicking instead.
-func stressProgram(name string, fail error, panics bool) core.Program {
+// instruction events, so sweeps accumulate counts.
+func stressProgram(name string) core.Program {
 	return core.Program{
 		System: "X", Name: name,
 		Run: func(ctx *core.Ctx) error {
-			if panics {
-				panic("synthetic panic in " + name)
-			}
-			if fail != nil {
-				return fail
-			}
 			r := ctx.Image.Routine("loop", 256)
 			for k := 0; k < 50; k++ {
 				ctx.Probe.Exec(r, 64)
@@ -45,124 +37,82 @@ func stressSweep() *alphasim.ICacheSweep {
 	return alphasim.NewICacheSweep([]int{8, 16}, []int{1, 2}, 32)
 }
 
-// TestBatchKeepGoingStress hammers the exported Batch's keep-going
-// contract at parallelism 8 with a mixed load: plain measurements, ones
-// that error, ones that panic, and sweep jobs (healthy, erroring, and
-// panicking).  Every job must run to completion, failures must stay
-// isolated to their own job, sweeps must accumulate exact deterministic
-// counts, and the batch ledger must balance with one row per sweep.  Run
-// under -race this is also the scheduler's data-race stress.
-func TestBatchKeepGoingStress(t *testing.T) {
-	const nMeasure = 40
-	b := NewBatch(Options{Parallelism: 8})
+// TestBatchStress hammers the exported Batch at parallelism 8 with a mix
+// of plain measurements and sweep jobs.  Every job must run and succeed,
+// sweeps must accumulate exact deterministic counts, the manifest must
+// record one measurement per job in submission order, and the batch
+// ledger must balance with one row per sweep.  Run under -race this is
+// also the scheduler's data-race stress.
+func TestBatchStress(t *testing.T) {
+	const nMeasure, nSweeps = 40, 4
+	rec := telemetry.NewManifest(1).StartRun("stress")
+	b := NewBatch(Options{Parallelism: 8, rec: rec})
 
-	errBoom := errors.New("synthetic failure")
-	var measures []*Job
-	wantErrs := 0
+	var jobs []*Job
 	for i := 0; i < nMeasure; i++ {
-		fail := error(nil)
-		panics := false
-		switch i % 10 {
-		case 3:
-			fail = errBoom
-			wantErrs++
-		case 7:
-			panics = true
-			wantErrs++
-		}
-		j, err := b.Submit(BatchJob{
-			Kind:    "measure",
-			Program: stressProgram(fmt.Sprintf("m%02d", i), fail, panics),
-		})
+		j, err := b.Submit(BatchJob{Kind: "measure", Program: stressProgram(fmt.Sprintf("m%02d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		measures = append(measures, j)
+		jobs = append(jobs, j)
 	}
-
-	// Two healthy sweeps over identical geometry (their points must agree
-	// bit for bit), one erroring, one panicking.
-	good1, err := b.Submit(BatchJob{Kind: "sweep", Program: stressProgram("s-good-a", nil, false), Sweep: stressSweep()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good2, err := b.Submit(BatchJob{Kind: "sweep", Program: stressProgram("s-good-b", nil, false), Sweep: stressSweep()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := b.Submit(BatchJob{Kind: "sweep", Program: stressProgram("s-bad", errBoom, false), Sweep: stressSweep()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	panicky, err := b.Submit(BatchJob{Kind: "sweep", Program: stressProgram("s-panic", nil, true), Sweep: stressSweep()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nSweeps = 4
-
-	// Keep-going: individual failures never fail the batch.
-	if err := b.Run(); err != nil {
-		t.Fatalf("keep-going batch returned %v", err)
-	}
-
-	// Isolation: every measurement ran; the planted failures surface on
-	// their own jobs and nowhere else.
-	for i, j := range measures {
-		if !j.Ran() {
-			t.Fatalf("measure %d never ran in keep-going mode", i)
+	// Sweeps over identical geometry: their points must agree bit for bit.
+	var sweeps []*alphasim.ICacheSweep
+	for i := 0; i < nSweeps; i++ {
+		sw := stressSweep()
+		j, err := b.Submit(BatchJob{Kind: "sweep", Program: stressProgram(fmt.Sprintf("s%d", i)), Sweep: sw})
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch i % 10 {
-		case 3:
-			if !errors.Is(j.Err(), errBoom) {
-				t.Errorf("measure %d error = %v, want the planted failure", i, j.Err())
-			}
-		case 7:
-			if j.Err() == nil || !strings.Contains(j.Err().Error(), "panicked") {
-				t.Errorf("measure %d error = %v, want a recovered panic", i, j.Err())
-			}
-		default:
-			if j.Err() != nil {
-				t.Errorf("healthy measure %d failed: %v", i, j.Err())
-			}
-			if j.Duration() <= 0 {
-				t.Errorf("healthy measure %d has no duration", i)
-			}
+		jobs = append(jobs, j)
+		sweeps = append(sweeps, sw)
+	}
+
+	if err := b.Run(); err != nil {
+		t.Fatalf("healthy batch returned %v", err)
+	}
+	for i, j := range jobs {
+		if j.Err() != nil {
+			t.Errorf("job %d failed: %v", i, j.Err())
 		}
 	}
 
 	// Sweeps: exact instruction counts per point, identical points across
-	// the two healthy sweeps, failures confined.
-	for _, g := range []*Job{good1, good2} {
-		if !g.Ran() || g.Err() != nil {
-			t.Fatalf("healthy sweep: ran=%v err=%v", g.Ran(), g.Err())
-		}
-		pts := g.Sweep().Points()
+	// identical sweeps.
+	for _, sw := range sweeps {
+		pts := sw.Points()
 		if len(pts) != 4 {
 			t.Fatalf("sweep has %d points, want 4", len(pts))
 		}
-		for _, pt := range pts {
+		for i, pt := range pts {
 			if pt.Instructions != stressEmits {
 				t.Errorf("point %s counted %d instructions, want %d", pt.Label(), pt.Instructions, stressEmits)
 			}
+			if other := sweeps[0].Points()[i]; pt != other {
+				t.Errorf("identical sweeps diverged at point %d: %+v vs %+v", i, pt, other)
+			}
 		}
 	}
-	for i, pt := range good1.Sweep().Points() {
-		if other := good2.Sweep().Points()[i]; pt != other {
-			t.Errorf("identical sweeps diverged at point %d: %+v vs %+v", i, pt, other)
+
+	// The manifest records every job once, in submission order.
+	if len(rec.Measurements) != nMeasure+nSweeps {
+		t.Fatalf("manifest recorded %d measurements, want %d", len(rec.Measurements), nMeasure+nSweeps)
+	}
+	for i, m := range rec.Measurements {
+		want := fmt.Sprintf("X/m%02d", i)
+		if i >= nMeasure {
+			want = fmt.Sprintf("X/s%d", i-nMeasure)
 		}
-	}
-	if !errors.Is(bad.Err(), errBoom) {
-		t.Errorf("erroring sweep error = %v, want the planted failure", bad.Err())
-	}
-	if panicky.Err() == nil || !strings.Contains(panicky.Err().Error(), "panicked") {
-		t.Errorf("panicking sweep error = %v, want a recovered panic", panicky.Err())
+		if m.Program != want || m.Events != stressEmits {
+			t.Errorf("measurement %d is %s with %d events, want %s with %d", i, m.Program, m.Events, want, stressEmits)
+		}
 	}
 
 	// The ledger balances, with each sweep one unit on the books.
-	s := b.Sched()
-	if s == nil {
-		t.Fatal("no sched stats after Run")
+	if len(rec.Sched) != 1 {
+		t.Fatalf("got %d sched blocks, want 1", len(rec.Sched))
 	}
+	s := rec.Sched[0]
 	if s.ClaimPolicy != labstats.PolicyLJF {
 		t.Errorf("claim policy = %q, want %q", s.ClaimPolicy, labstats.PolicyLJF)
 	}
@@ -170,24 +120,20 @@ func TestBatchKeepGoingStress(t *testing.T) {
 	if s.Jobs.Enqueued != wantUnits {
 		t.Errorf("ledger enqueued %d units, want %d (one per sweep)", s.Jobs.Enqueued, wantUnits)
 	}
-	if s.Jobs.Finished != wantUnits || s.Jobs.Abandoned != 0 || s.Jobs.Unclaimed != 0 {
-		t.Errorf("keep-going must finish every unit: %+v", s.Jobs)
+	if s.Jobs.Finished != wantUnits || s.Jobs.Errors != 0 || s.Jobs.Abandoned != 0 || s.Jobs.Unclaimed != 0 {
+		t.Errorf("a healthy batch must finish every unit cleanly: %+v", s.Jobs)
 	}
-	// Errors: the planted measure failures plus the two broken sweeps.
-	if wantLedgerErrs := wantErrs + 2; s.Jobs.Errors != wantLedgerErrs {
-		t.Errorf("ledger errors = %d, want %d", s.Jobs.Errors, wantLedgerErrs)
-	}
-	sweeps := 0
+	sweepRows := 0
 	for _, jr := range s.Ledger {
 		if jr.Kind == "sweep" {
-			sweeps++
+			sweepRows++
 		}
 		if jr.EstUS <= 0 || jr.EstSource == "" {
 			t.Errorf("unit %d (%s %s) has no cost estimate", jr.Index, jr.Kind, jr.Program)
 		}
 	}
-	if sweeps != nSweeps {
-		t.Errorf("ledger shows %d sweep rows, want %d", sweeps, nSweeps)
+	if sweepRows != nSweeps {
+		t.Errorf("ledger shows %d sweep rows, want %d", sweepRows, nSweeps)
 	}
 	if s.WorkersEffective != 8 {
 		t.Errorf("workers effective = %d, want 8", s.WorkersEffective)

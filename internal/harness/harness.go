@@ -175,24 +175,17 @@ func Run(id string, opt Options) error {
 // measureOpts threads the harness's telemetry and measurement cache into
 // core measurements.  reg is the registry the measurement should update —
 // the shared one on the serial path, a worker's private shard on the
-// parallel path (sched.go merges shards after the batch drains).  j can
-// override the batch-wide profiling and cache-scope settings: the
-// measurement server mixes requests with different scopes and profiling
-// modes in one batch, while experiments leave both fields zero.
-func (o Options) measureOpts(reg *telemetry.Registry, j *job) []core.MeasureOption {
+// parallel path (sched.go merges shards after the batch drains).
+func (o Options) measureOpts(reg *telemetry.Registry) []core.MeasureOption {
 	opts := []core.MeasureOption{core.WithTracer(o.Tracer), core.WithTelemetry(reg)}
-	if o.Profile != nil || j.profiling {
+	if o.Profile != nil {
 		opts = append(opts, core.WithProfiling())
 	}
 	if o.PerEvent {
 		opts = append(opts, core.WithPerEventEmission())
 	}
 	if o.Cache != nil {
-		scope := rescache.Scope{Experiment: o.experiment, Scale: o.scale()}
-		if j.scope != nil {
-			scope = *j.scope
-		}
-		opts = append(opts, core.WithCache(o.Cache, scope))
+		opts = append(opts, core.WithCache(o.Cache, rescache.Scope{Experiment: o.experiment, Scale: o.scale()}))
 	}
 	return opts
 }

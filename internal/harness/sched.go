@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"interplab/internal/alphasim"
 	"interplab/internal/core"
 	"interplab/internal/labstats"
-	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
 )
 
@@ -49,12 +47,6 @@ type job struct {
 	sweep *alphasim.ICacheSweep // sweep jobs, and pipeline jobs that also sweep
 	lidx  int                   // this job's index in the batch ledger
 
-	// scope and profiling override the batch-wide cache scope and
-	// profiling mode for this one job (exported-Batch callers only;
-	// experiment jobs leave them zero and inherit from Options).
-	scope     *rescache.Scope
-	profiling bool
-
 	res core.Result
 	err error
 	dur time.Duration
@@ -71,16 +63,6 @@ type batch struct {
 	// assignment, and bracketing runtime snapshots, folded into the
 	// manifest's sched block after the batch drains.
 	led *labstats.Ledger
-	// keepGoing switches the batch from the experiments'
-	// stop-at-first-error contract to the server's
-	// every-job-runs-to-completion contract: a failing job neither stops
-	// other workers nor fails the batch (callers read per-job errors), and
-	// a panicking job is converted to that job's error instead of taking
-	// the process down.
-	keepGoing bool
-	// lastSched retains the drained batch's speedup ledger for exported
-	// callers (Batch.Sched); recordSched fills it.
-	lastSched *labstats.SchedStats
 }
 
 // newBatch starts an empty batch carrying the experiment's options.
@@ -139,12 +121,6 @@ func (b *batch) run() error {
 	b.runJobs(workers)
 	b.led.End()
 	b.recordSched()
-	if b.keepGoing {
-		// Exported-batch callers read per-job results and errors
-		// themselves and keep no manifest, so nothing is recorded here and
-		// individual failures do not fail the batch.
-		return nil
-	}
 	for _, j := range b.jobs {
 		if j.err != nil {
 			return j.err
@@ -177,7 +153,7 @@ func (b *batch) runJobs(workers int) {
 		for _, j := range b.jobs {
 			b.led.Claim(j.lidx, 0)
 			b.exec(j, 0, b.opt.Telemetry)
-			if j.err != nil && !b.keepGoing {
+			if j.err != nil {
 				return
 			}
 		}
@@ -213,7 +189,7 @@ func (b *batch) runJobs(workers int) {
 					return
 				}
 				j := b.jobs[order[n]]
-				if !b.keepGoing && failed.Load() {
+				if failed.Load() {
 					b.led.Abandon(j.lidx, w)
 					return
 				}
@@ -227,7 +203,7 @@ func (b *batch) runJobs(workers int) {
 				}
 				b.exec(j, lane, shards[w])
 				lastFinish = time.Now()
-				if j.err != nil && !b.keepGoing {
+				if j.err != nil {
 					failed.Store(true)
 					return
 				}
@@ -258,32 +234,20 @@ func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 	}
 	span := o.Tracer.StartOn(lane, "measure "+id, args...)
 	defer span.End()
-	opts := o.measureOpts(reg, j)
+	opts := o.measureOpts(reg)
 	if lane > 0 {
 		opts = append(opts, core.WithTraceLane(lane))
 	}
 	start := time.Now()
 	b.led.Start(j.lidx)
-	func() {
-		if b.keepGoing {
-			// A panicking workload must not take the server down with it:
-			// isolate it to this job's error.  Experiment runs keep the
-			// crash — a panic there is a lab bug that should be loud.
-			defer func() {
-				if r := recover(); r != nil {
-					j.err = fmt.Errorf("%s: measurement panicked: %v", id, r)
-				}
-			}()
-		}
-		switch j.kind {
-		case "measure":
-			j.res, j.err = core.Measure(j.prog, opts...)
-		case "pipeline":
-			j.res, j.err = core.MeasureWithPipelineAndSweep(j.prog, j.cfg, j.sweep, opts...)
-		case "sweep":
-			j.res, j.err = core.MeasureWithSweep(j.prog, j.sweep, opts...)
-		}
-	}()
+	switch j.kind {
+	case "measure":
+		j.res, j.err = core.Measure(j.prog, opts...)
+	case "pipeline":
+		j.res, j.err = core.MeasureWithPipelineAndSweep(j.prog, j.cfg, j.sweep, opts...)
+	case "sweep":
+		j.res, j.err = core.MeasureWithSweep(j.prog, j.sweep, opts...)
+	}
 	b.led.Finish(j.lidx, j.err != nil)
 	j.dur = time.Since(start)
 	j.ran = true
@@ -303,7 +267,6 @@ func (b *batch) recordSched() {
 	if s == nil {
 		return
 	}
-	b.lastSched = s
 	b.opt.rec.AddSched(s)
 	reg := b.opt.Telemetry
 	if reg == nil {

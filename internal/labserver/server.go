@@ -1,8 +1,8 @@
 // Package labserver is the lab-as-a-service layer: a long-running HTTP
 // daemon (`interp-lab serve`) that accepts measurement and profile
 // requests, deduplicates identical in-flight requests with
-// singleflight-style admission, coalesces distinct requests into batches
-// run through the harness's parallel scheduler, shares one
+// singleflight-style admission, measures each admitted request on one of a
+// fixed pool of workers straight through core, shares one
 // content-addressed measurement cache across every session, and streams
 // manifest-identical results (plus folded stacks and pprof bytes for
 // profile requests) back to each waiter.
@@ -14,23 +14,23 @@
 //     (the rescache key) share one measurement — a stampede of N identical
 //     requests costs one execution, and every waiter gets byte-identical
 //     response bytes.
-//   - Batching: distinct requests admitted within a short window are
-//     coalesced into one scheduler batch, so the worker pool sees batches
-//     the way the experiments' own runs do, with the same speedup ledger.
+//   - Workers: Config.Parallelism workers take admitted requests in
+//     arrival order, one at a time, and each request is answered as soon
+//     as its own measurement ends — a cache hit is never held behind a
+//     long measurement on another worker.
 //   - Backpressure: the admission queue is bounded; when it is full the
 //     server answers 429 with Retry-After instead of queueing unboundedly.
 //   - Deadlines: each request waits at most min(its timeout_ms, the
 //     server's request timeout); on expiry the waiter gets 504 while the
 //     measurement completes server-side and populates the shared cache.
 //   - Graceful drain: shutdown stops admission (503), then drains queued
-//     and in-flight batches before the process exits.
+//     and in-flight requests before the process exits.
 //   - Panic isolation: a panicking measurement fails its own request with
 //     500; a panicking handler is caught at the top of the mux.
 //
 // Everything is observable: server.* metrics (in-flight, dedup hits,
-// queue depth, batch sizes, cache hits, latency), request spans in the
-// run tracer, and a /statusz endpoint carrying the last batches' speedup
-// ledgers.  See docs/SERVING.md.
+// queue depth, cache hits, latency), request and measurement spans in the
+// run tracer, and a /statusz endpoint.  See docs/SERVING.md.
 package labserver
 
 import (
@@ -45,8 +45,8 @@ import (
 	"sync"
 	"time"
 
+	"interplab/internal/core"
 	"interplab/internal/harness"
-	"interplab/internal/labstats"
 	"interplab/internal/profile"
 	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
@@ -58,36 +58,35 @@ type Config struct {
 	// Cache is the shared measurement cache; nil serves uncached (every
 	// non-deduplicated request measures).
 	Cache *rescache.Cache
-	// Parallelism is the scheduler worker count per batch (0 =
-	// GOMAXPROCS).
+	// Parallelism is the number of workers measuring admitted requests
+	// (0 = GOMAXPROCS).
 	Parallelism int
-	// QueueDepth bounds the admission queue; a request arriving with the
-	// queue full is rejected with 429 (default 64).
+	// QueueDepth bounds the admission queue of requests waiting for a
+	// worker; a request arriving with the queue full is rejected with 429
+	// (default 64).
 	QueueDepth int
-	// MaxBatch caps how many admitted requests one scheduler batch
-	// carries (default 16).
-	MaxBatch int
-	// BatchWindow is how long the batcher lingers after the first admitted
-	// request to coalesce more before submitting (default 2ms).
-	BatchWindow time.Duration
 	// RequestTimeout caps every request's wait, regardless of its own
 	// timeout_ms (default 2m).
 	RequestTimeout time.Duration
-	// StatusBatches is how many recent batch ledgers /statusz retains
-	// (default 8).
-	StatusBatches int
 
-	// Telemetry receives the server.* instruments plus everything the
-	// harness and core record; nil disables metrics (statusz then carries
-	// no snapshot).
+	// Telemetry receives the server.* instruments plus everything core
+	// records; nil disables metrics (statusz then carries no snapshot).
 	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, records request admission spans alongside the
-	// scheduler's worker lanes.
+	// workers' measurement lanes.
 	Tracer *telemetry.Tracer
 
-	// batchGate, when non-nil, makes runBatch wait for a receive before
-	// executing (test seam for backpressure and drain tests).
-	batchGate chan struct{}
+	// gate, when non-nil, makes a worker wait for a receive before
+	// measuring each call (test seam for dedup, backpressure and drain
+	// tests).
+	gate chan struct{}
+}
+
+func (c Config) parallelism() int {
+	if c.Parallelism > 0 {
+		return c.Parallelism
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 func (c Config) queueDepth() int {
@@ -97,20 +96,6 @@ func (c Config) queueDepth() int {
 	return 64
 }
 
-func (c Config) maxBatch() int {
-	if c.MaxBatch > 0 {
-		return c.MaxBatch
-	}
-	return 16
-}
-
-func (c Config) batchWindow() time.Duration {
-	if c.BatchWindow > 0 {
-		return c.BatchWindow
-	}
-	return 2 * time.Millisecond
-}
-
 func (c Config) requestTimeout() time.Duration {
 	if c.RequestTimeout > 0 {
 		return c.RequestTimeout
@@ -118,17 +103,10 @@ func (c Config) requestTimeout() time.Duration {
 	return 2 * time.Minute
 }
 
-func (c Config) statusBatches() int {
-	if c.StatusBatches > 0 {
-		return c.StatusBatches
-	}
-	return 8
-}
-
 // call is one admitted measurement and everybody waiting on it: the
-// creator plus every deduplicated joiner.  done is closed once status and
-// body are final; body bytes are rendered exactly once, so all waiters
-// answer byte-identically.
+// creator plus every deduplicated joiner.  done is closed once status,
+// body and cached are final; body bytes are rendered exactly once, so all
+// waiters answer byte-identically.
 type call struct {
 	key  string
 	rr   *resolved
@@ -136,6 +114,7 @@ type call struct {
 
 	status int
 	body   []byte
+	cached bool // answered from the cache: its joiners shared no measurement
 }
 
 // Server is the measurement server.  It implements http.Handler; create
@@ -151,28 +130,27 @@ type Server struct {
 	draining bool
 	queue    chan *call
 
-	pending     sync.WaitGroup // admitted calls not yet answered
-	batcherDone chan struct{}
-
-	schedMu sync.Mutex
-	sched   []*labstats.SchedStats // most recent batch ledgers, oldest first
+	workers sync.WaitGroup // running workers; each exits once Drain closes the queue and it is empty
 }
 
-// New starts a server (its batcher goroutine runs until Drain).
+// New starts a server (its workers run until Drain).
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:         cfg,
-		reg:         cfg.Telemetry,
-		start:       time.Now(),
-		inflight:    make(map[string]*call),
-		queue:       make(chan *call, cfg.queueDepth()),
-		batcherDone: make(chan struct{}),
+		cfg:      cfg,
+		reg:      cfg.Telemetry,
+		start:    time.Now(),
+		inflight: make(map[string]*call),
+		queue:    make(chan *call, cfg.queueDepth()),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/measure", s.handleMeasure)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/statusz", s.handleStatusz)
-	go s.batcher()
+	for w := 0; w < cfg.parallelism(); w++ {
+		s.workers.Add(1)
+		// Lane 1 carries the admission spans; workers get 2..n+1.
+		go s.worker(w + 2)
+	}
 	return s
 }
 
@@ -228,16 +206,16 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	c, deduped, herr := s.admit(key, rr)
 	if herr != nil {
 		if herr.status == http.StatusTooManyRequests {
-			// The queue drains one batch per window, so "one window from
-			// now" is the honest earliest retry.
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.batchWindow())))
+			// Workers take a queued call as soon as one finishes, so the
+			// earliest retry worth making is the smallest one the header
+			// can say.
+			w.Header().Set("Retry-After", "1")
 		}
 		writeJSON(w, herr.status, errorBody{Error: herr.msg, Key: key})
 		return
 	}
 	if deduped {
 		s.reg.Counter("server.dedup_hits").Inc()
-		w.Header().Set("X-Interp-Lab-Deduped", "1")
 	}
 	w.Header().Set("X-Interp-Lab-Key", key)
 
@@ -248,6 +226,14 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	select {
 	case <-c.done:
+		// A duplicate that arrives just after a measurement ended starts a
+		// call of its own, which the cache answers, and later duplicates
+		// may join that call.  Mark only requests that shared an executed
+		// measurement: with a cache, a key's marked answers are then all
+		// one measurement's bytes.
+		if deduped && !c.cached {
+			w.Header().Set("X-Interp-Lab-Deduped", "1")
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(c.status)
 		w.Write(c.body)
@@ -261,16 +247,6 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			Key:   key,
 		})
 	}
-}
-
-// retryAfterSeconds rounds a batch window up to whole seconds for the
-// Retry-After header (minimum 1).
-func retryAfterSeconds(window time.Duration) int {
-	secs := int((window + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // admit registers the request under singleflight admission: an identical
@@ -293,151 +269,45 @@ func (s *Server) admit(key string, rr *resolved) (c *call, deduped bool, herr *h
 		return nil, false, &httpError{status: http.StatusTooManyRequests, msg: "admission queue is full; retry shortly"}
 	}
 	s.inflight[key] = c
-	s.pending.Add(1)
 	s.reg.Gauge("server.queue_depth").Add(1)
 	return c, false, nil
 }
 
-// batcher drains the admission queue: it takes the first waiting call,
-// lingers up to BatchWindow to coalesce more (up to MaxBatch), and runs
-// the batch through the scheduler.  It exits when the queue is closed
-// (Drain) and fully drained.
-func (s *Server) batcher() {
-	defer close(s.batcherDone)
-	for {
-		c, ok := <-s.queue
-		if !ok {
-			return
+// worker answers admitted calls one at a time, in arrival order, with its
+// measurement spans on the given trace lane.  It exits once Drain has
+// closed the queue and the queue is empty.
+func (s *Server) worker(lane int) {
+	defer s.workers.Done()
+	for c := range s.queue {
+		s.reg.Gauge("server.queue_depth").Add(-1)
+		if s.cfg.gate != nil {
+			<-s.cfg.gate
 		}
-		calls := []*call{c}
-		timer := time.NewTimer(s.cfg.batchWindow())
-	fill:
-		for len(calls) < s.cfg.maxBatch() {
-			select {
-			case c2, ok := <-s.queue:
-				if !ok {
-					break fill
-				}
-				calls = append(calls, c2)
-			case <-timer.C:
-				break fill
-			}
-		}
-		timer.Stop()
-		s.runBatch(calls)
+		c.status, c.body = s.answer(c, lane)
+		s.mu.Lock()
+		delete(s.inflight, c.key)
+		s.mu.Unlock()
+		close(c.done)
 	}
 }
 
-// runBatch executes one coalesced batch through the harness scheduler and
-// answers every call.  A panic outside the per-job isolation (batch setup,
-// response rendering) fails the batch's unanswered calls instead of
-// killing the batcher.
-func (s *Server) runBatch(calls []*call) {
-	s.reg.Gauge("server.queue_depth").Add(-float64(len(calls)))
-	if s.cfg.batchGate != nil {
-		<-s.cfg.batchGate
-	}
-	answered := make([]bool, len(calls))
+// answer measures one call and renders its response: the
+// manifest-identical measurement record, plus profile artifacts on
+// profiling requests.  A failed measurement is a 500 naming the error; a
+// panic in the measurement or the rendering is a 500 naming the panic, and
+// fails this call alone.
+func (s *Server) answer(c *call, lane int) (status int, body []byte) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.reg.Counter("server.panics").Inc()
-			for i, c := range calls {
-				if !answered[i] {
-					s.finishError(c, fmt.Errorf("batch panicked: %v", rec))
-					answered[i] = true
-				}
-			}
+			status, body = s.failed(c, fmt.Errorf("%s: measurement panicked: %v", c.rr.prog.ID(), rec))
 		}
 	}()
-
-	opt := harness.Options{
-		Out:         io.Discard,
-		Parallelism: s.cfg.Parallelism,
-		Telemetry:   s.reg,
-		Tracer:      s.cfg.Tracer,
-		Cache:       s.cfg.Cache,
+	res, dur, err := s.measure(c.rr, lane)
+	if err != nil {
+		return s.failed(c, err)
 	}
-	b := harness.NewBatch(opt)
-	jobs := make([]*harness.Job, len(calls))
-	for i, c := range calls {
-		scope := c.rr.scope
-		j, err := b.Submit(harness.BatchJob{
-			Kind:      c.rr.req.Kind,
-			Program:   c.rr.prog,
-			Config:    c.rr.cfg,
-			Sweep:     c.rr.sweep,
-			Scope:     &scope,
-			Profiling: c.rr.req.Profiling,
-		})
-		if err != nil {
-			// resolve() already vetted the kind, so this is unreachable;
-			// answer the call rather than wedge its waiters.
-			s.finishError(c, err)
-			answered[i] = true
-			continue
-		}
-		jobs[i] = j
-	}
-	start := time.Now()
-	err := b.Run()
-	s.reg.Counter("server.batches").Inc()
-	s.reg.Histogram("server.batch_jobs").Observe(uint64(len(calls)))
-	s.reg.Histogram("server.batch_us").Observe(uint64(time.Since(start) / time.Microsecond))
-	if st := b.Sched(); st != nil {
-		s.pushSched(st)
-	}
-	for i, c := range calls {
-		if answered[i] {
-			continue
-		}
-		switch {
-		case err != nil:
-			s.finishError(c, err)
-		case jobs[i].Err() != nil:
-			s.finishError(c, jobs[i].Err())
-		case !jobs[i].Ran():
-			s.finishError(c, fmt.Errorf("measurement was never executed"))
-		default:
-			s.finishOK(c, jobs[i])
-		}
-		answered[i] = true
-	}
-}
-
-// pushSched retains one batch's speedup ledger for /statusz, dropping the
-// oldest beyond the retention limit.
-func (s *Server) pushSched(st *labstats.SchedStats) {
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
-	s.sched = append(s.sched, st)
-	if over := len(s.sched) - s.cfg.statusBatches(); over > 0 {
-		s.sched = append(s.sched[:0], s.sched[over:]...)
-	}
-}
-
-// recentSched snapshots the retained batch ledgers, oldest first.
-func (s *Server) recentSched() []*labstats.SchedStats {
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
-	out := make([]*labstats.SchedStats, len(s.sched))
-	copy(out, s.sched)
-	return out
-}
-
-// finishError answers a failed call with 500.
-func (s *Server) finishError(c *call, err error) {
-	s.reg.Counter("server.errors").Inc()
-	body, _ := json.Marshal(errorBody{Error: err.Error(), Key: c.key})
-	c.status = http.StatusInternalServerError
-	c.body = append(body, '\n')
-	s.complete(c)
-}
-
-// finishOK renders a successful measurement into the call's response
-// bytes: the manifest-identical measurement record, plus profile
-// artifacts on profiling requests.
-func (s *Server) finishOK(c *call, j *harness.Job) {
-	res := j.Result()
+	c.cached = res.FromCache
 	if res.FromCache {
 		s.reg.Counter("server.cache_hits").Inc()
 	} else {
@@ -445,7 +315,7 @@ func (s *Server) finishOK(c *call, j *harness.Job) {
 	}
 	resp := Response{
 		Key:         c.key,
-		Measurement: harness.NewMeasurement(c.rr.req.Kind, res, j.Duration(), j.Sweep()),
+		Measurement: harness.NewMeasurement(c.rr.req.Kind, res, dur, c.rr.sweep),
 	}
 	if res.Profile != nil {
 		pa := harness.ProfileRecord(res.Profile)
@@ -459,29 +329,55 @@ func (s *Server) finishOK(c *call, j *harness.Job) {
 			resp.Pprof = pprofBuf.Bytes()
 		}
 	}
-	body, err := json.Marshal(resp)
+	b, err := json.Marshal(resp)
 	if err != nil {
-		s.finishError(c, fmt.Errorf("encode response: %v", err))
-		return
+		return s.failed(c, fmt.Errorf("encode response: %v", err))
 	}
-	c.status = http.StatusOK
-	c.body = append(body, '\n')
-	s.complete(c)
+	return http.StatusOK, append(b, '\n')
 }
 
-// complete publishes the call's final status/body and releases its
-// waiters and singleflight slot.
-func (s *Server) complete(c *call) {
-	s.mu.Lock()
-	delete(s.inflight, c.key)
-	s.mu.Unlock()
-	close(c.done)
-	s.pending.Done()
+// measure runs one resolved request through core on the given trace lane,
+// under the request's cache scope and profiling mode.
+func (s *Server) measure(rr *resolved, lane int) (core.Result, time.Duration, error) {
+	id := rr.prog.ID()
+	span := s.cfg.Tracer.StartOn(lane, "measure "+id, "program", id, "kind", rr.req.Kind)
+	defer span.End()
+	opts := []core.MeasureOption{
+		core.WithTracer(s.cfg.Tracer),
+		core.WithTraceLane(lane),
+		core.WithTelemetry(s.reg),
+		core.WithCache(s.cfg.Cache, rr.scope),
+	}
+	if rr.req.Profiling {
+		opts = append(opts, core.WithProfiling())
+	}
+	start := time.Now()
+	var res core.Result
+	var err error
+	switch rr.req.Kind {
+	case "measure":
+		res, err = core.Measure(rr.prog, opts...)
+	case "pipeline":
+		res, err = core.MeasureWithPipeline(rr.prog, rr.cfg, opts...)
+	case "sweep":
+		res, err = core.MeasureWithSweep(rr.prog, rr.sweep, opts...)
+	default:
+		// resolve() already vetted the kind.
+		err = fmt.Errorf("unknown kind %q", rr.req.Kind)
+	}
+	return res, time.Since(start), err
+}
+
+// failed renders a failed call's 500 body.
+func (s *Server) failed(c *call, err error) (int, []byte) {
+	s.reg.Counter("server.errors").Inc()
+	body, _ := json.Marshal(errorBody{Error: err.Error(), Key: c.key})
+	return http.StatusInternalServerError, append(body, '\n')
 }
 
 // Drain gracefully shuts the server down: new requests are rejected with
-// 503, then the admission queue and every in-flight batch drain.  It
-// returns ctx's error if the drain does not finish in time (queued work
+// 503, then the workers answer every queued and in-flight call and exit.
+// It returns ctx's error if the drain does not finish in time (queued work
 // keeps draining in the background regardless).
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
@@ -492,8 +388,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
-		s.pending.Wait()
-		<-s.batcherDone
+		s.workers.Wait()
 		close(done)
 	}()
 	select {
@@ -511,7 +406,7 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// queueLen returns the current admission-queue depth.
+// queueLen returns the number of admitted calls waiting for a worker.
 func (s *Server) queueLen() int { return len(s.queue) }
 
 // goroutines reports the process goroutine count for /statusz.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"interplab/internal/alphasim"
+	"interplab/internal/core"
 	"interplab/internal/harness"
 	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
@@ -97,7 +98,7 @@ func TestHappyPathMeasure(t *testing.T) {
 // TestServedBytesMatchHarness pins the serving contract to the CLI path:
 // the served measurement must be byte-identical (modulo wall time and
 // cache provenance, which legitimately differ run to run) to the record
-// the harness itself builds for the same request, and the two must share
+// the harness builds for the same measurement, and the two must share
 // cache entries — a measurement the server performed is a cache hit for a
 // CLI run with the same key, with identical measured bytes.
 func TestServedBytesMatchHarness(t *testing.T) {
@@ -114,26 +115,19 @@ func TestServedBytesMatchHarness(t *testing.T) {
 	}
 	served := decodeResponse(t, body).Measurement
 
-	// Re-run the identical request through the harness batch API with the
-	// same shared cache, as a CLI run would: it must hit the entry the
-	// server stored.
-	b := harness.NewBatch(harness.Options{Out: io.Discard, Cache: cache})
-	j, err := b.Submit(harness.BatchJob{
-		Kind:    "pipeline",
-		Program: mustResolve(t, Request{Kind: "pipeline", Program: testProgram}).prog,
-		Config:  mustResolve(t, Request{Kind: "pipeline", Program: testProgram}).cfg,
-		Scope:   &rescache.Scope{Experiment: "serve", Scale: 1},
-	})
+	// Re-run the identical measurement through core with the same shared
+	// cache and scope, as a CLI run would: it must hit the entry the server
+	// stored.
+	rr := mustResolve(t, Request{Kind: "pipeline", Program: testProgram})
+	res, err := core.MeasureWithPipeline(rr.prog, rr.cfg,
+		core.WithCache(cache, rescache.Scope{Experiment: "serve", Scale: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Run(); err != nil {
-		t.Fatal(err)
+	if !res.FromCache {
+		t.Fatal("re-run missed the cache: server and CLI do not share entries")
 	}
-	if !j.Result().FromCache {
-		t.Fatal("harness re-run missed the cache: server and CLI do not share entries")
-	}
-	direct := harness.NewMeasurement("pipeline", j.Result(), j.Duration(), nil)
+	direct := harness.NewMeasurement("pipeline", res, 0, nil)
 
 	// Normalize the two legitimately-variable fields, then demand byte
 	// identity of the records.
@@ -163,7 +157,7 @@ func TestSingleflightDedup(t *testing.T) {
 	const burst = 8
 	gate := make(chan struct{})
 	reg := telemetry.NewRegistry()
-	srv, ts := newTestServer(t, Config{Telemetry: reg, MaxBatch: 1, batchGate: gate})
+	srv, ts := newTestServer(t, Config{Telemetry: reg, gate: gate})
 	defer drainNow(t, srv)
 
 	var wg sync.WaitGroup
@@ -182,9 +176,9 @@ func TestSingleflightDedup(t *testing.T) {
 		}(i)
 	}
 
-	// Hold the batch until every joiner is registered, so the test pins
-	// "N concurrent identical requests, one measurement" rather than
-	// racing the batch to completion.
+	// Hold the measurement until every joiner is registered, so the test
+	// pins "N concurrent identical requests, one measurement" rather than
+	// racing the measurement to completion.
 	waitFor(t, "all joiners deduped", func() bool {
 		return reg.Counter("server.dedup_hits").Value() == burst-1
 	})
@@ -211,6 +205,57 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// TestOnlySharedMeasurementsMarkedDeduped: a request that joins a call
+// whose measurement runs is marked deduped; one that joins a call the
+// cache answers shared no measurement and is not marked, so every marked
+// answer for a key carries the same bytes.
+func TestOnlySharedMeasurementsMarkedDeduped(t *testing.T) {
+	cache, err := rescache.Open(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	reg := telemetry.NewRegistry()
+	srv, ts := newTestServer(t, Config{Telemetry: reg, Cache: cache, gate: gate})
+	defer drainNow(t, srv)
+
+	// pair sends two identical requests, holds their call until the second
+	// has joined it, and counts the answers marked deduped.
+	pair := func(joins uint64) int {
+		var wg sync.WaitGroup
+		marked := make([]bool, 2)
+		for i := range marked {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, body := postMeasure(t, ts.URL, Request{Kind: "measure", Program: testProgram})
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d: %s", resp.StatusCode, body)
+				}
+				marked[i] = resp.Header.Get("X-Interp-Lab-Deduped") == "1"
+			}(i)
+		}
+		waitFor(t, "the second request joined", func() bool {
+			return reg.Counter("server.dedup_hits").Value() == joins
+		})
+		gate <- struct{}{}
+		wg.Wait()
+		n := 0
+		for _, m := range marked {
+			if m {
+				n++
+			}
+		}
+		return n
+	}
+	if got := pair(1); got != 1 {
+		t.Errorf("a joined measurement marked %d answers deduped, want 1", got)
+	}
+	if got := pair(2); got != 0 {
+		t.Errorf("a joined cache hit marked %d answers deduped, want 0", got)
+	}
+}
+
 // TestDeadlineExceeded verifies the 504 path: a waiter with a tiny
 // timeout gets cut loose while the measurement completes server-side and
 // populates the shared cache for the retry.
@@ -221,7 +266,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	reg := telemetry.NewRegistry()
-	srv, ts := newTestServer(t, Config{Telemetry: reg, Cache: cache, MaxBatch: 1, batchGate: gate})
+	srv, ts := newTestServer(t, Config{Telemetry: reg, Cache: cache, gate: gate})
 	defer drainNow(t, srv)
 
 	resp, body := postMeasure(t, ts.URL, Request{Kind: "measure", Program: testProgram, TimeoutMS: 1})
@@ -247,16 +292,17 @@ func TestDeadlineExceeded(t *testing.T) {
 func TestQueueFullRejects(t *testing.T) {
 	gate := make(chan struct{})
 	reg := telemetry.NewRegistry()
-	srv, ts := newTestServer(t, Config{Telemetry: reg, QueueDepth: 1, MaxBatch: 1, batchGate: gate})
+	srv, ts := newTestServer(t, Config{Telemetry: reg, Parallelism: 1, QueueDepth: 1, gate: gate})
 	defer drainNow(t, srv)
 
-	// First request: admitted, handed to the batcher, blocked at the gate.
+	// First request: admitted, taken by the one worker, blocked at the
+	// gate.
 	done1 := make(chan int, 1)
 	go func() {
 		resp, _ := postMeasure(t, ts.URL, Request{Kind: "measure", Program: testProgram})
 		done1 <- resp.StatusCode
 	}()
-	waitFor(t, "batcher picked up the first request", func() bool { return srv.queueLen() == 0 })
+	waitFor(t, "the worker picked up the first request", func() bool { return srv.queueLen() == 0 })
 
 	// Second request (distinct key): admitted, fills the depth-1 queue.
 	done2 := make(chan int, 1)
@@ -298,7 +344,7 @@ func TestQueueFullRejects(t *testing.T) {
 // request still completes before Drain returns.
 func TestGracefulDrain(t *testing.T) {
 	gate := make(chan struct{})
-	srv, ts := newTestServer(t, Config{MaxBatch: 1, batchGate: gate})
+	srv, ts := newTestServer(t, Config{gate: gate})
 
 	inflight := make(chan int, 1)
 	go func() {
@@ -339,6 +385,98 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if err := <-drained; err != nil {
 		t.Errorf("drain: %v", err)
+	}
+}
+
+// TestCallNotHeldBehindAnother pins the worker pool against head-of-line
+// blocking: with two workers, a request admitted while another call's
+// measurement is still running is answered without waiting for it.
+func TestCallNotHeldBehindAnother(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Parallelism: 2})
+	defer drainNow(t, srv)
+
+	// Call A: its guest signals that it started, then blocks until
+	// released.
+	started, release := make(chan struct{}), make(chan struct{})
+	rr := mustResolve(t, Request{Kind: "measure", Program: testProgram})
+	run := rr.prog.Run
+	rr.prog.Run = func(ctx *core.Ctx) error {
+		close(started)
+		<-release
+		return run(ctx)
+	}
+	a, _, herr := srv.admit(rr.key.Hash(), rr)
+	if herr != nil {
+		t.Fatalf("admit A: %v", herr)
+	}
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("call A never started measuring")
+	}
+
+	// Request B, an ordinary distinct request, must be answered while A
+	// still holds its worker.  Its deadline turns a B held behind A into
+	// a 504 instead of a hang.
+	resp, body := postMeasure(t, ts.URL, Request{Kind: "measure", Program: "Tcl/micro-if", TimeoutMS: 5000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request B: status %d while A was running, want 200: %s", resp.StatusCode, body)
+	}
+	select {
+	case <-a.done:
+		t.Fatal("call A was answered before its measurement was released")
+	default:
+	}
+
+	close(release)
+	select {
+	case <-a.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("call A was never answered after its release")
+	}
+	if a.status != http.StatusOK {
+		t.Errorf("call A finished %d, want 200: %s", a.status, a.body)
+	}
+}
+
+// TestPanicIsolatedToItsCall: a measurement that panics fails its own call
+// with a 500 naming the panic, and the server keeps serving.
+func TestPanicIsolatedToItsCall(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv, ts := newTestServer(t, Config{Telemetry: reg})
+	defer drainNow(t, srv)
+
+	rr := mustResolve(t, Request{Kind: "measure", Program: testProgram})
+	rr.prog.Run = func(*core.Ctx) error { panic("synthetic guest panic") }
+	c, _, herr := srv.admit(rr.key.Hash(), rr)
+	if herr != nil {
+		t.Fatalf("admit: %v", herr)
+	}
+	select {
+	case <-c.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the panicking call was never answered")
+	}
+	if c.status != http.StatusInternalServerError {
+		t.Errorf("panicking call finished %d, want 500", c.status)
+	}
+	if !strings.Contains(string(c.body), "synthetic guest panic") {
+		t.Errorf("500 body does not name the panic: %s", c.body)
+	}
+	if got := reg.Counter("server.panics").Value(); got != 1 {
+		t.Errorf("server.panics = %d, want 1", got)
+	}
+
+	resp, body := postMeasure(t, ts.URL, Request{Kind: "measure", Program: testProgram})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, want 200: %s", resp.StatusCode, body)
 	}
 }
 
@@ -496,14 +634,6 @@ func TestStatusz(t *testing.T) {
 	if st.Build.Fingerprint != Info().Fingerprint {
 		t.Errorf("statusz fingerprint %q, want %q", st.Build.Fingerprint, Info().Fingerprint)
 	}
-	if len(st.Batches) == 0 {
-		t.Error("statusz retained no batch ledgers")
-	}
-	for _, b := range st.Batches {
-		if b.Jobs.Finished == 0 {
-			t.Errorf("batch ledger finished no jobs: %+v", b.Jobs)
-		}
-	}
 	if st.CacheHitRatio != 0.5 {
 		t.Errorf("cache hit ratio %g after one miss + one hit, want 0.5", st.CacheHitRatio)
 	}
@@ -520,7 +650,7 @@ func TestStatusz(t *testing.T) {
 	}
 	text, _ := io.ReadAll(tresp.Body)
 	tresp.Body.Close()
-	for _, want := range []string{"interp-lab serve", "cache hit ratio", "recent batches", "server.requests"} {
+	for _, want := range []string{"interp-lab serve", "cache hit ratio", "server.requests"} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("text statusz missing %q:\n%s", want, text)
 		}
@@ -552,23 +682,6 @@ func TestHealthz(t *testing.T) {
 	}
 	if h.Build.CacheSchema != rescache.SchemaVersion {
 		t.Errorf("healthz cache schema %d, want %d", h.Build.CacheSchema, rescache.SchemaVersion)
-	}
-}
-
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		window time.Duration
-		want   int
-	}{
-		{2 * time.Millisecond, 1},
-		{time.Second, 1},
-		{1500 * time.Millisecond, 2},
-		{0, 1},
-	}
-	for _, tc := range cases {
-		if got := retryAfterSeconds(tc.window); got != tc.want {
-			t.Errorf("retryAfterSeconds(%v) = %d, want %d", tc.window, got, tc.want)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"interplab/internal/labstats"
 	"interplab/internal/telemetry"
 )
 
@@ -47,9 +46,8 @@ type CacheStatus struct {
 	Corrupt  uint64 `json:"corrupt,omitempty"`
 }
 
-// Status is the /statusz body: admission state, the server.* (and
-// harness/core) metric snapshot, the shared cache's counters, and the
-// most recent measurement batches' speedup ledgers.
+// Status is the /statusz body: admission state, the server.* (and core)
+// metric snapshot, and the shared cache's counters.
 type Status struct {
 	Build      BuildInfo `json:"build"`
 	UptimeS    float64   `json:"uptime_s"`
@@ -61,11 +59,6 @@ type Status struct {
 	// when nothing has been served yet).
 	CacheHitRatio float64      `json:"cache_hit_ratio"`
 	Cache         *CacheStatus `json:"cache,omitempty"`
-
-	// Batches holds the most recent measurement batches' speedup ledgers
-	// (oldest first) — the same sched blocks a CLI -json run records per
-	// experiment, here one per coalesced request batch.
-	Batches []*labstats.SchedStats `json:"batches,omitempty"`
 
 	Metrics []telemetry.Metric `json:"metrics,omitempty"`
 }
@@ -89,7 +82,6 @@ func (s *Server) status() Status {
 		Draining:   s.Draining(),
 		QueueDepth: s.queueLen(),
 		Goroutines: goroutines(),
-		Batches:    s.recentSched(),
 		Metrics:    s.reg.Snapshot(),
 	}
 	hits := float64(s.reg.Counter("server.cache_hits").Value())
@@ -111,8 +103,8 @@ func (s *Server) status() Status {
 	return st
 }
 
-// writeStatusText renders the human view: a header, one Brief line plus
-// the full speedup ledger per retained batch, and the metric snapshot.
+// writeStatusText renders the human view: a header, the cache summary, and
+// the metric snapshot.
 func (s *Server) writeStatusText(w http.ResponseWriter, st Status) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "interp-lab serve — %s (cache schema %d, %s)\n",
@@ -123,11 +115,6 @@ func (s *Server) writeStatusText(w http.ResponseWriter, st Status) {
 	if c := st.Cache; c != nil {
 		fmt.Fprintf(w, "cache %s: %d hits, %d misses, %d puts, %d corrupt\n",
 			c.Dir, c.Hits, c.Misses, c.Puts, c.Corrupt)
-	}
-	fmt.Fprintf(w, "\nrecent batches (%d retained):\n", len(st.Batches))
-	for i, b := range st.Batches {
-		fmt.Fprintf(w, "\nbatch %d: %s\n", i, b.Brief())
-		b.WriteReport(w, fmt.Sprintf("batch %d", i))
 	}
 	fmt.Fprintf(w, "\nmetrics:\n")
 	for _, m := range st.Metrics {

@@ -56,8 +56,8 @@ func NewCostModel() *CostModel {
 }
 
 // globalCostModel is the process-wide model shared by every batch, so
-// later batches in one process (bench arms, server batches) claim in an
-// order informed by earlier ones.
+// later batches in one process (the experiments of one run, bench arms)
+// claim in an order informed by earlier ones.
 var globalCostModel = NewCostModel()
 
 // GlobalCostModel returns the process-wide shared model.

@@ -235,27 +235,3 @@ func TestWriteReportShape(t *testing.T) {
 		t.Errorf("report too short (%d lines):\n%s", lines, out)
 	}
 }
-
-// TestBrief: the one-line headline used by server logs and /statusz text
-// names the batch's jobs, workers, and speedup, and a nil receiver is a
-// safe placeholder line.
-func TestBrief(t *testing.T) {
-	jobs := []JobRecord{
-		{Index: 0, Kind: "measure", Program: "A/a", Worker: 0, StartUS: 0, FinishUS: 100_000, DurUS: 100_000, Outcome: OutcomeOK},
-		{Index: 1, Kind: "measure", Program: "B/b", Worker: 1, StartUS: 0, FinishUS: 50_000, DurUS: 50_000, Outcome: OutcomeOK},
-	}
-	s := Compute(jobs, 4, 2, 0, 100_000)
-	line := s.Brief()
-	if strings.Contains(line, "\n") {
-		t.Errorf("Brief is not one line: %q", line)
-	}
-	for _, want := range []string{"2 jobs", "2 workers", "speedup", "imbalance"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("Brief missing %q: %q", want, line)
-		}
-	}
-	var nilStats *SchedStats
-	if got := nilStats.Brief(); got != "no scheduler ledger recorded" {
-		t.Errorf("nil Brief = %q", got)
-	}
-}

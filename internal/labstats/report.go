@@ -17,22 +17,6 @@ func fmtUS(us float64) string {
 	}
 }
 
-// Brief renders the ledger's headline as a single line — for server logs
-// and the /statusz text view, where one batch gets one line and WriteReport
-// has the full story.
-func (s *SchedStats) Brief() string {
-	if s == nil {
-		return "no scheduler ledger recorded"
-	}
-	line := fmt.Sprintf("%d jobs on %d workers, wall %s, speedup %.2fx measured / %.2fx predicted, imbalance %.1f%%",
-		s.Jobs.Enqueued, s.WorkersEffective, fmtUS(s.WallUS),
-		s.MeasuredSpeedupX, s.PredictedSpeedupX, s.ImbalancePct)
-	if s.ClaimPolicy != "" {
-		line += ", " + s.ClaimPolicy + " claims"
-	}
-	return line
-}
-
 // WriteReport renders one batch's speedup ledger as text: the headline
 // speedup decomposition, the per-worker utilization table, the runtime's
 // GC/allocation account, and the job balance.
