@@ -102,7 +102,6 @@ func (r *blockRecorder) Emit(e trace.Event) {
 
 func (r *blockRecorder) EmitBlock(b *trace.Block) {
 	c := *b
-	c.Marks = nil
 	r.blocks = append(r.blocks, &c)
 }
 

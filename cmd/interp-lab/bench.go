@@ -7,15 +7,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"time"
 
+	"interplab/internal/alphasim"
 	"interplab/internal/core"
 	"interplab/internal/harness"
 	"interplab/internal/labstats"
 	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
-	"interplab/internal/trace"
 	"interplab/internal/workloads"
 )
 
@@ -24,6 +25,9 @@ type benchResult struct {
 	Events       uint64  `json:"events"`
 	BestSeconds  float64 `json:"best_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
+	// NsPerEvent is the arm's absolute cost: host nanoseconds per native
+	// event of its best run.  Set on the overhead arms only.
+	NsPerEvent float64 `json:"ns_per_event,omitempty"`
 	// WinningRound is the 1-based interleaved round that produced
 	// BestSeconds — a diagnostic for host noise: arms that keep winning in
 	// late rounds are being warmed, arms that win round 1 and never again
@@ -31,37 +35,30 @@ type benchResult struct {
 	WinningRound int `json:"winning_round,omitempty"`
 }
 
-// perEventArm is the same telemetry-overhead measurement taken with the
-// batched event pipeline disabled (core.WithPerEventEmission) — the
-// "before" of the batching change, kept in the report so the win stays
-// visible run over run.
-type perEventArm struct {
-	Off                benchResult `json:"telemetry_off"`
-	On                 benchResult `json:"telemetry_on"`
-	Profiling          benchResult `json:"profiling_on"`
-	OverheadPct        float64     `json:"overhead_pct"`
-	ProfileOverheadPct float64     `json:"profile_overhead_pct"`
+// benchHost identifies the host and build a report was measured on, so
+// absolute costs are read against the machine that produced them.
+type benchHost struct {
+	CPUs        int    `json:"cpus"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	GoVersion   string `json:"go_version"`
+	Fingerprint string `json:"fingerprint"`
 }
 
 // benchReport is the BENCH_telemetry.json document: the event throughput
-// of a harness measurement with telemetry off vs. on, and with the
-// attribution-profile sink attached, seeding the repo's performance
-// trajectory.  The top-level arms measure the batched (default) pipeline;
-// PerEvent measures the same arms with batching disabled.
+// and per-event cost of a measurement with telemetry off vs. on, and with
+// the attribution profiler attached, seeding the repo's performance
+// trajectory.  None of the three arms builds an event block: the producers
+// count at emit, and the observer and the profiler read their tallies.
 type benchReport struct {
 	Benchmark          string      `json:"benchmark"`
 	Workload           string      `json:"workload"`
+	Host               benchHost   `json:"host"`
 	Runs               int         `json:"runs"`
 	Off                benchResult `json:"telemetry_off"`
 	On                 benchResult `json:"telemetry_on"`
 	Profiling          benchResult `json:"profiling_on"`
 	OverheadPct        float64     `json:"overhead_pct"`
 	ProfileOverheadPct float64     `json:"profile_overhead_pct"`
-
-	// PerEvent is the pre-batching emission path; Batch is the batched
-	// arm's block accounting (from the telemetry-off run).
-	PerEvent perEventArm      `json:"per_event"`
-	Batch    trace.BatchStats `json:"batch"`
 
 	// Scheduler arm: the same harness experiment measured serially and on
 	// the parallel scheduler — the output is byte-identical, so this is
@@ -117,7 +114,7 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 		out = fs.Arg(0)
 	}
 	if *schedPar < 1 {
-		usageFatalf("-sched-parallelism must be >= 1 (got %d)", *schedPar)
+		usageFatalf(fs.Usage, "-sched-parallelism must be >= 1 (got %d)", *schedPar)
 	}
 	if err := validateScale(scale); err != nil {
 		fatalf("%v", err)
@@ -127,50 +124,53 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 		blocks = 2
 	}
 	mk := func() core.Program { return workloads.DESMIPSI(blocks) }
-	const runs = 5
+	// The overhead arms run for tens of milliseconds each, so they take
+	// the best of more runs than the second-long scheduler arms.
+	const overheadRuns, runs = 15, 5
 
-	// All six overhead arms run in interleaved rounds (off, on, profiling,
-	// then their per-event twins, repeated), so a host noise episode is
-	// spread across every arm instead of sinking whichever one it lands on.
-	pe := core.WithPerEventEmission()
-	arms, results := benchArms(runs, mk, [][]core.MeasureOption{
+	// The three overhead arms run in interleaved rounds (off, on,
+	// profiling, repeated), so a host noise episode is spread across every
+	// arm instead of sinking whichever one it lands on.
+	arms, results := benchArms(overheadRuns, mk, [][]core.MeasureOption{
 		{},
 		{core.WithTelemetry(telemetry.NewRegistry())},
 		{core.WithProfiling()},
-		{pe},
-		{pe, core.WithTelemetry(telemetry.NewRegistry())},
-		{pe, core.WithProfiling()},
 	})
 	off, on, prof := arms[0], arms[1], arms[2]
-	offRes, peRes := results[0], results[3]
 
 	rep := benchReport{
 		Benchmark: "telemetry-overhead",
 		Workload:  mk().ID(),
-		Runs:      runs,
+		Host: benchHost{
+			CPUs:        runtime.NumCPU(),
+			GOMAXPROCS:  runtime.GOMAXPROCS(0),
+			GoVersion:   runtime.Version(),
+			Fingerprint: rescache.Fingerprint(),
+		},
+		Runs:      overheadRuns,
 		Off:       off,
 		On:        on,
 		Profiling: prof,
-		Batch:     offRes.Batch,
 	}
 	if off.EventsPerSec > 0 {
 		rep.OverheadPct = 100 * (off.EventsPerSec - on.EventsPerSec) / off.EventsPerSec
 		rep.ProfileOverheadPct = 100 * (off.EventsPerSec - prof.EventsPerSec) / off.EventsPerSec
 	}
 
-	// The per-event arms are the pre-batching path, kept as the baseline
-	// the batching win is measured against.  The batched and per-event
-	// runs must agree on every measured number — a mismatch means batching
-	// changed the stream, which is fatal here exactly as it is in the
-	// harness differential test.
-	if offRes.Counter != peRes.Counter || offRes.Stats.Instructions != peRes.Stats.Instructions {
-		fatalf("bench: batched and per-event runs measured different streams")
+	// The arms above only count; a pipeline run of the same program
+	// streams every event through blocks.  Both must measure the same
+	// stream: the pipeline simulates exactly the events the tally
+	// counted, and the probe's books agree — a mismatch means the tally
+	// and the stream diverged, which is fatal here exactly as it is in the
+	// core stream-identity test.
+	streamed, err := core.MeasureWithPipeline(mk(), alphasim.DefaultConfig())
+	if err != nil {
+		fatalf("bench workload: %v", err)
 	}
-	rep.PerEvent = perEventArm{Off: arms[3], On: arms[4], Profiling: arms[5]}
-	if rep.PerEvent.Off.EventsPerSec > 0 {
-		peOff := rep.PerEvent.Off.EventsPerSec
-		rep.PerEvent.OverheadPct = 100 * (peOff - rep.PerEvent.On.EventsPerSec) / peOff
-		rep.PerEvent.ProfileOverheadPct = 100 * (peOff - rep.PerEvent.Profiling.EventsPerSec) / peOff
+	tallied := results[0]
+	if streamed.Pipe.Instructions != tallied.Counter.Total || streamed.Counter != tallied.Counter ||
+		!reflect.DeepEqual(streamed.Stats, tallied.Stats) {
+		fatalf("bench: the tally-only and the streamed run measured different streams")
 	}
 
 	rep.SchedExperiment = "table1"
@@ -223,10 +223,10 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 	if err := f.Close(); err != nil {
 		fatalf("close %s: %v", out, err)
 	}
-	fmt.Printf("telemetry off: %.0f events/s, on: %.0f events/s (overhead %.2f%%), profiling: %.0f events/s (overhead %.2f%%) -> %s\n",
-		off.EventsPerSec, on.EventsPerSec, rep.OverheadPct, prof.EventsPerSec, rep.ProfileOverheadPct, out)
-	fmt.Printf("per-event baseline: telemetry overhead %.2f%%, profiling overhead %.2f%% (%d blocks, %.0f events/block)\n",
-		rep.PerEvent.OverheadPct, rep.PerEvent.ProfileOverheadPct, rep.Batch.Blocks, rep.Batch.EventsPerBlock())
+	fmt.Printf("telemetry off: %.2f ns/event, on: %.2f ns/event (overhead %.2f%%), profiling: %.2f ns/event (overhead %.2f%%) -> %s\n",
+		off.NsPerEvent, on.NsPerEvent, rep.OverheadPct, prof.NsPerEvent, rep.ProfileOverheadPct, out)
+	fmt.Printf("host: %d cpus, GOMAXPROCS %d, %s, %s\n",
+		rep.Host.CPUs, rep.Host.GOMAXPROCS, rep.Host.GoVersion, rep.Host.Fingerprint)
 	fmt.Printf("scheduler %s: serial %.2fs (round %d), parallel(%d) %.2fs (round %d) -> %.2fx\n",
 		rep.SchedExperiment, rep.SchedSerial.BestSeconds, rep.SchedSerial.WinningRound,
 		rep.Parallelism, rep.SchedParallel.BestSeconds, rep.SchedParallel.WinningRound,
@@ -417,6 +417,9 @@ func benchArms(n int, mk func() core.Program, arms [][]core.MeasureOption) ([]be
 		out[a] = benchResult{Events: last[a].Counter.Total, BestSeconds: best[a].Seconds(), WinningRound: rounds[a]}
 		if best[a] > 0 {
 			out[a].EventsPerSec = float64(out[a].Events) / best[a].Seconds()
+		}
+		if out[a].Events > 0 {
+			out[a].NsPerEvent = float64(best[a].Nanoseconds()) / float64(out[a].Events)
 		}
 	}
 	return out, last

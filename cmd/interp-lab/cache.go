@@ -41,10 +41,10 @@ func cmdCache(args []string) {
 		return
 	case "stats", "gc", "clear":
 	default:
-		usageFatalf("unknown cache verb %q (want stats, gc, clear or fingerprint)", verb)
+		usageFatalf(fs.Usage, "unknown cache verb %q (want stats, gc, clear or fingerprint)", verb)
 	}
 	if *dir == "" {
-		usageFatalf("cache %s requires -dir", verb)
+		usageFatalf(fs.Usage, "cache %s requires -dir", verb)
 	}
 	c, err := rescache.Open(*dir, false)
 	if err != nil {

@@ -120,12 +120,12 @@ func main() {
 		return
 	}
 	if err := validateScale(*scale); err != nil {
-		usageFatalf("%v", err)
+		usageFatalf(usage, "%v", err)
 	}
 	if err := validateParallel(*parallel); err != nil {
-		usageFatalf("%v", err)
+		usageFatalf(usage, "%v", err)
 	}
-	cmdRun(args, *scale, *parallel, *jsonOut, *traceOut, openCacheFlags(*cacheDir, *cacheRO))
+	cmdRun(args, *scale, *parallel, *jsonOut, *traceOut, openCacheFlags(*cacheDir, *cacheRO, usage))
 }
 
 // validateScale rejects workload scales the experiments cannot honor:
@@ -163,20 +163,22 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// usageFatalf reports a bad invocation: the error, then the usage block,
-// exiting 2 as flag-parse errors do.
-func usageFatalf(format string, args ...any) {
+// usageFatalf reports a bad invocation: the error, then the usage block of
+// the command that was invoked (usage for the top level, the subcommand's
+// FlagSet.Usage for a subcommand), exiting 2 as flag-parse errors do.
+func usageFatalf(usage func(), format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "interp-lab: "+format+"\n\n", args...)
 	usage()
 	os.Exit(2)
 }
 
 // openCacheFlags resolves the -cache/-cache-readonly pair into an open
-// cache, or nil when -cache was not given.
-func openCacheFlags(dir string, readonly bool) *rescache.Cache {
+// cache, or nil when -cache was not given; a bad pair is a usage error of
+// the command whose usage is given.
+func openCacheFlags(dir string, readonly bool, usage func()) *rescache.Cache {
 	if dir == "" {
 		if readonly {
-			usageFatalf("-cache-readonly requires -cache dir")
+			usageFatalf(usage, "-cache-readonly requires -cache dir")
 		}
 		return nil
 	}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -171,5 +173,64 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if rendered.String() != direct.String() {
 		t.Errorf("report output differs from direct run:\n%q\nvs\n%q", rendered.String(), direct.String())
+	}
+}
+
+// mainHelperEnv switches TestMainHelperProcess from a skip into the body of
+// a re-exec'd interp-lab.
+const mainHelperEnv = "INTERP_LAB_MAIN_HELPER"
+
+// TestMainHelperProcess is not a test: it is the body of the re-exec'd CLI
+// in TestSubcommandUsageErrors.  It runs main with the arguments after
+// "--" and exits 0 if main returns.
+func TestMainHelperProcess(t *testing.T) {
+	if os.Getenv(mainHelperEnv) != "1" {
+		t.Skip("helper process body; driven by TestSubcommandUsageErrors")
+	}
+	args := os.Args
+	for i, a := range args {
+		if a == "--" {
+			args = args[i+1:]
+			break
+		}
+	}
+	os.Args = append([]string{"interp-lab"}, args...)
+	main()
+	os.Exit(0)
+}
+
+// TestSubcommandUsageErrors re-execs the test binary as interp-lab with a
+// bad flag value for one subcommand at a time: each must exit 2 and print
+// that subcommand's usage, not the top-level usage with its experiment
+// list.
+func TestSubcommandUsageErrors(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skipf("cannot re-exec test binary: %v", err)
+	}
+	for _, args := range [][]string{
+		{"serve", "-queue", "0"},
+		{"serve", "-parallel", "0"},
+		{"profile", "-parallel", "0", "fig1"},
+		{"bench-telemetry", "-sched-parallelism", "0"},
+		{"cache", "-dir", t.TempDir(), "bogus"},
+		{"sched-report"},
+	} {
+		cmd := exec.Command(exe, append([]string{"-test.run=^TestMainHelperProcess$", "--"}, args...)...)
+		cmd.Env = append(os.Environ(), mainHelperEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("interp-lab %s: exit %v, want status 2\n%s", strings.Join(args, " "), err, stderr.String())
+			continue
+		}
+		if want := "usage: interp-lab " + args[0]; !strings.Contains(stderr.String(), want) {
+			t.Errorf("interp-lab %s: stderr lacks %q:\n%s", strings.Join(args, " "), want, stderr.String())
+		}
+		if strings.Contains(stderr.String(), "experiments:") {
+			t.Errorf("interp-lab %s: stderr carries the top-level usage:\n%s", strings.Join(args, " "), stderr.String())
+		}
 	}
 }

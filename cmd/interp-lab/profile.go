@@ -38,10 +38,10 @@ func cmdProfile(args []string, defaultScale float64, defaultCache string, defaul
 		os.Exit(2)
 	}
 	if err := validateScale(*scale); err != nil {
-		usageFatalf("%v", err)
+		usageFatalf(fs.Usage, "%v", err)
 	}
 	if err := validateParallel(*parallel); err != nil {
-		usageFatalf("%v", err)
+		usageFatalf(fs.Usage, "%v", err)
 	}
 	vi, ok := profile.SampleTypeIndex(*value)
 	if !ok {
@@ -49,7 +49,7 @@ func cmdProfile(args []string, defaultScale float64, defaultCache string, defaul
 	}
 
 	set := profile.NewSet()
-	cache := openCacheFlags(*cacheDir, *cacheRO)
+	cache := openCacheFlags(*cacheDir, *cacheRO, fs.Usage)
 	opt := harness.Options{Scale: *scale, Out: io.Discard, Profile: set, Parallelism: *parallel, Cache: cache}
 	var man *telemetry.Manifest
 	if *jsonOut != "" {

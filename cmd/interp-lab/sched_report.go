@@ -26,7 +26,7 @@ func cmdSchedReport(args []string) {
 	}
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		usageFatalf("sched-report takes exactly one manifest file")
+		usageFatalf(fs.Usage, "sched-report takes exactly one manifest file")
 	}
 	if err := schedReport(fs.Arg(0), *asJSON, os.Stdout); err != nil {
 		fatalf("%v", err)

@@ -42,10 +42,10 @@ func cmdServe(args []string, defaultCache string, defaultCacheRO bool) {
 		os.Exit(2)
 	}
 	if err := validateParallel(*parallel); err != nil {
-		usageFatalf("%v", err)
+		usageFatalf(fs.Usage, "%v", err)
 	}
 	if err := validateServeLimits(*queue, *reqTimeout, *drainTimeout); err != nil {
-		usageFatalf("%v", err)
+		usageFatalf(fs.Usage, "%v", err)
 	}
 	// A measurement is CPU-bound, and Go preempts it only every 10ms.  With
 	// a worker on every P, a request waits that long to be admitted, and
@@ -56,7 +56,7 @@ func cmdServe(args []string, defaultCache string, defaultCacheRO bool) {
 	}
 
 	cfg := labserver.Config{
-		Cache:          openCacheFlags(*cacheDir, *cacheRO),
+		Cache:          openCacheFlags(*cacheDir, *cacheRO, fs.Usage),
 		Parallelism:    *parallel,
 		QueueDepth:     *queue,
 		RequestTimeout: *reqTimeout,

@@ -66,6 +66,7 @@ func (im *Image) Routine(name string, size int, opts ...RoutineOpt) *Routine {
 		size = 1
 	}
 	r := &Routine{
+		index:       len(im.routines),
 		Name:        name,
 		Base:        im.nextCode,
 		Size:        size,
@@ -139,6 +140,7 @@ type Routine struct {
 
 	branchEvery int
 	shortEvery  int
+	index       int
 
 	// Walk state (owned by the probe executing against the image).
 	cursor  int
@@ -146,6 +148,11 @@ type Routine struct {
 	sinceSh int
 	rng     uint32
 }
+
+// Index returns the routine's registration position in its image: routines
+// of one image are numbered densely from 0, so attribution consumers can
+// index tables by routine instead of hashing it.
+func (r *Routine) Index() int { return r.index }
 
 // End returns the first address past the routine.
 func (r *Routine) End() uint32 { return r.Base + uint32(r.Size)*4 }

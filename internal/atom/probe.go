@@ -49,20 +49,23 @@ type RegionID int
 // it, and it emits the native-instruction stream while keeping per-command
 // and per-region accounts.
 type Probe struct {
-	img  *Image
-	sink trace.Sink
+	img *Image
 
-	// batch buffers emitted events into struct-of-arrays blocks and hands
-	// whole blocks to sink; batching turns the per-event path back on
-	// (SetBatching), attrSync forces a flush before every attribution
-	// change so blocks are attribution-uniform for miss-joining sinks
-	// (RequireAttrSync), and attrTag — the lighter alternative — records a
-	// tagged segment boundary in the buffered block instead
-	// (MarkAttrBoundaries).
+	// tally counts every emitted event as it is emitted; its Total, Load
+	// and Store counts double as Stats' Instructions, Loads and Stores.
+	tally trace.Tally
+
+	// stream is set when the probe has a sink that consumes the events
+	// themselves (a simulator): only then are events built into blocks,
+	// buffered in batch and delivered whole.  attrSync forces a flush
+	// before every attribution change so blocks are attribution-uniform
+	// for miss-joining sinks (RequireAttrSync); onAttr runs at every
+	// attribution change while the outgoing state is still current
+	// (OnAttrChange).
 	batch    *trace.Batcher
-	batching bool
+	stream   bool
 	attrSync bool
-	attrTag  func() any
+	onAttr   func()
 
 	cur      *Routine
 	frames   []frame
@@ -101,10 +104,7 @@ type Probe struct {
 	regionNames map[string]RegionID
 	regionStack []RegionID
 
-	total   uint64
 	byPhase [numPhases]uint64
-	loads   uint64
-	stores  uint64
 	// opTotals accumulate only while a command is open.
 	unattributed uint64
 }
@@ -139,17 +139,17 @@ type regionStat struct {
 	accesses uint64
 }
 
-// NewProbe returns a probe over img writing events to sink.  Use
-// trace.Discard to count without simulating.
+// NewProbe returns a probe over img writing events to sink.  With
+// trace.Discard (or nil) the probe only counts: its Tally and Stats fill
+// as usual, and no event is ever built.
 func NewProbe(img *Image, sink trace.Sink) *Probe {
 	if sink == nil {
 		sink = trace.Discard
 	}
 	p := &Probe{
 		img:         img,
-		sink:        sink,
 		batch:       trace.NewBatcher(sink),
-		batching:    true,
+		stream:      sink != trace.Discard,
 		curOp:       -1,
 		lastOp:      -1,
 		opNames:     make(map[string]OpID),
@@ -164,7 +164,12 @@ func NewProbe(img *Image, sink trace.Sink) *Probe {
 // Image returns the image the probe executes against.
 func (p *Probe) Image() *Image { return p.img }
 
-// --- batched emission --------------------------------------------------------
+// --- counting and batched emission ------------------------------------------
+
+// Tally returns the probe's count of its emitted stream, kept at emit
+// time.  A caller may attach a sampling hook to it (Tally.SampleEvery);
+// the probe checks it once per Exec, ExecMul, Load and Store call.
+func (p *Probe) Tally() *trace.Tally { return &p.tally }
 
 // RequireAttrSync makes the probe flush its event buffer before every
 // attribution change (command begin/end, phase switch, call/return, routine
@@ -172,53 +177,36 @@ func (p *Probe) Image() *Image { return p.img }
 // Only consumers that join out-of-band per-event callbacks to the stream
 // need it — the pipeline's cache-miss observer attributes a miss to the
 // profiling collector's current node, which is coherent only when the
-// whole in-flight block shares one state.  Plain attribution consumers use
-// MarkAttrBoundaries instead and keep full blocks.  It takes precedence
-// over a registered boundary callback.
+// whole in-flight block shares one state.
 func (p *Probe) RequireAttrSync() { p.attrSync = true }
 
-// MarkAttrBoundaries registers a callback invoked at every attribution
-// change while the outgoing state — the one every buffered event was
-// emitted under — is still live; its return value is recorded as a tagged
-// segment boundary (trace.SegMark) in the buffered block.  A profiling
-// sink resolves each segment of a full block from its tag, which keeps
-// blocks at capacity instead of flushing a few-event block per virtual
-// command the way RequireAttrSync does.  Boundaries with no events since
-// the previous one are skipped without calling tag.
-func (p *Probe) MarkAttrBoundaries(tag func() any) { p.attrTag = tag }
-
-// SetBatching switches between batched block delivery (the default) and the
-// per-event path that calls sink.Emit once per instruction.  Turning
-// batching off flushes anything buffered first, so no events are lost or
-// reordered across the switch.  The two modes produce identical sink
-// state; per-event exists as the differential-testing and overhead-bench
-// baseline.
-func (p *Probe) SetBatching(on bool) {
-	if !on {
-		p.batch.Flush(trace.FlushFinal)
-	}
-	p.batching = on
-}
+// OnAttrChange registers fn to run at every attribution change (command
+// begin/end, phase switch, call/return, routine switch), just before the
+// change, while the outgoing state is still the probe's current one — and,
+// under RequireAttrSync, after the events emitted under it were delivered.
+// The profiling collector charges the events counted since the previous
+// change there.  A later registration replaces an earlier one.
+func (p *Probe) OnAttrChange(fn func()) { p.onAttr = fn }
 
 // FlushEvents delivers any buffered events to the sink.  Call it before
-// reading sink-side state (counters, recorders, simulators, profiles);
-// measurements do this once at collect time.
+// reading sink-side state (recorders, simulators); measurements do this
+// once at collect time.  A probe without a sink buffers nothing.
 func (p *Probe) FlushEvents() { p.batch.Flush(trace.FlushFinal) }
 
 // BatchStats returns the probe's batching account: events and blocks
-// delivered, split by flush trigger.  All zero when batching is off.
+// delivered, split by flush trigger.  All zero for a probe without a sink.
 func (p *Probe) BatchStats() trace.BatchStats { return p.batch.Stats() }
 
 // bumpAttr records an attribution change: while the outgoing state, under
 // which every buffered event was emitted, is still live, the buffer is
-// either flushed (attr-sync consumers) or segment-marked (boundary-marking
-// consumers); then the version moves.  Callers must invoke it BEFORE
-// mutating attribution state.
+// flushed (attr-sync consumers) and the change hook runs; then the version
+// moves.  Callers must invoke it BEFORE mutating attribution state.
 func (p *Probe) bumpAttr() {
 	if p.attrSync {
 		p.batch.Flush(trace.FlushAttr)
-	} else if p.attrTag != nil && p.batch.NeedMark() {
-		p.batch.Mark(p.attrTag())
+	}
+	if p.onAttr != nil {
+		p.onAttr()
 	}
 	p.attrVersion++
 }
@@ -297,7 +285,7 @@ func (p *Probe) SetStartup(on bool) {
 func (p *Probe) Commands() uint64 { return p.commands }
 
 // Total returns the number of native instructions emitted so far.
-func (p *Probe) Total() uint64 { return p.total }
+func (p *Probe) Total() uint64 { return p.tally.Total }
 
 // --- attribution state (for profiling sinks) --------------------------------
 
@@ -407,8 +395,10 @@ func (p *Probe) CountAccess(id RegionID) { p.regions[id].accesses++ }
 
 // --- instruction emission ---------------------------------------------------
 
+// account books n instructions to the tally's Total and to the current
+// phase, command and regions; the caller tallies their kinds.
 func (p *Probe) account(n uint64) {
-	p.total += n
+	p.tally.Total += n
 	p.byPhase[p.phase] += n
 	if p.curOp >= 0 {
 		switch p.phase {
@@ -425,7 +415,8 @@ func (p *Probe) account(n uint64) {
 	}
 }
 
-// emit sends one event, handling dependence flags.
+// emit appends one event to the stream, setting its dependence flag.
+// Only a streaming probe calls it.
 func (p *Probe) emit(e trace.Event) {
 	if p.lastDep {
 		// Roughly half of the instructions that follow a load or a
@@ -441,11 +432,7 @@ func (p *Probe) emit(e trace.Event) {
 		}
 	}
 	p.lastDep = e.Kind == trace.Load || e.Kind == trace.ShortInt || e.Kind == trace.Mul
-	if p.batching {
-		p.batch.Append(e)
-		return
-	}
-	p.sink.Emit(e)
+	p.batch.Append(e)
 }
 
 // Exec reports n executed instructions inside routine r.  The probe walks
@@ -453,61 +440,84 @@ func (p *Probe) emit(e trace.Event) {
 // seasoned with the routine's short-integer and conditional-branch mix, and
 // loops back to the top when it falls off the end — modelling the inner
 // loops that make a routine's dynamic instruction count exceed its static
-// size.
+// size.  The walk tallies the kinds in locals; it builds events only when
+// the probe streams.
 func (p *Probe) Exec(r *Routine, n int) {
 	if n <= 0 {
 		return
 	}
 	p.setCur(r)
 	p.account(uint64(n))
+	stream := p.stream
+	base, size, brEvery, shEvery := r.Base, r.Size, r.branchEvery, r.shortEvery
+	cursor, sinceBr, sinceSh := r.cursor, r.sinceBr, r.sinceSh
+	var short, br, taken uint64
 	for i := 0; i < n; i++ {
-		pc := r.pc()
-		r.cursor++
-		r.sinceBr++
-		r.sinceSh++
-		if r.cursor >= r.Size {
+		pc := base + uint32(cursor)*4
+		cursor++
+		sinceBr++
+		sinceSh++
+		if cursor >= size {
 			// Loop back to the routine top: a taken backward branch.
-			r.cursor = 0
-			r.sinceBr = 0
-			p.emit(trace.Event{PC: pc, Addr: r.Base, Kind: trace.Branch, Flags: trace.FlagTaken})
+			cursor = 0
+			sinceBr = 0
+			br++
+			taken++
+			if stream {
+				p.emit(trace.Event{PC: pc, Addr: base, Kind: trace.Branch, Flags: trace.FlagTaken})
+			}
 			continue
 		}
-		if r.sinceBr >= r.branchEvery {
-			r.sinceBr = 0
+		if sinceBr >= brEvery {
+			sinceBr = 0
+			br++
 			// Branch direction: most sites are strongly biased (loops and
 			// error checks repeat their direction, which a 1-bit predictor
 			// learns); a minority of data-dependent sites flip randomly.
 			site := (pc>>2)*2654435761 ^ pc>>13
-			var taken bool
+			var isTaken bool
 			if site%8 == 0 {
-				taken = r.next32()&1 != 0 // data-dependent site
+				isTaken = r.next32()&1 != 0 // data-dependent site
 			} else {
-				taken = site&8 != 0 // stable per-site direction
+				isTaken = site&8 != 0 // stable per-site direction
 			}
-			fl := trace.Flags(0)
-			var target uint32
-			if taken {
-				fl = trace.FlagTaken
-				// Short backward branch: stay inside the routine.
-				back := (site/16)%uint32(r.branchEvery) + 1
-				if int(back) > r.cursor {
-					back = uint32(r.cursor)
+			if !isTaken {
+				if stream {
+					p.emit(trace.Event{PC: pc, Addr: pc + 16, Kind: trace.Branch})
 				}
-				r.cursor -= int(back)
-				target = r.Base + uint32(r.cursor)*4
-			} else {
-				target = pc + 16
+				continue
 			}
-			p.emit(trace.Event{PC: pc, Addr: target, Kind: trace.Branch, Flags: fl})
+			taken++
+			// Short backward branch: stay inside the routine.
+			back := int((site/16)%uint32(brEvery) + 1)
+			if back > cursor {
+				back = cursor
+			}
+			cursor -= back
+			if stream {
+				p.emit(trace.Event{PC: pc, Addr: base + uint32(cursor)*4, Kind: trace.Branch, Flags: trace.FlagTaken})
+			}
 			continue
 		}
-		if r.sinceSh >= r.shortEvery {
-			r.sinceSh = 0
-			p.emit(trace.Event{PC: pc, Kind: trace.ShortInt})
+		if sinceSh >= shEvery {
+			sinceSh = 0
+			short++
+			if stream {
+				p.emit(trace.Event{PC: pc, Kind: trace.ShortInt})
+			}
 			continue
 		}
-		p.emit(trace.Event{PC: pc, Kind: trace.Int})
+		if stream {
+			p.emit(trace.Event{PC: pc, Kind: trace.Int})
+		}
 	}
+	r.cursor, r.sinceBr, r.sinceSh = cursor, sinceBr, sinceSh
+	k := &p.tally.ByKind
+	k[trace.Int] += uint64(n) - short - br
+	k[trace.ShortInt] += short
+	k[trace.Branch] += br
+	p.tally.TakenBr += taken
+	p.tally.Check()
 }
 
 // setCur switches the executing routine, bumping the attribution version
@@ -523,11 +533,15 @@ func (p *Probe) setCur(r *Routine) {
 func (p *Probe) ExecMul(r *Routine, n int) {
 	p.setCur(r)
 	p.account(uint64(n))
+	p.tally.ByKind[trace.Mul] += uint64(n)
 	for i := 0; i < n; i++ {
 		pc := r.pc()
 		r.cursor = (r.cursor + 1) % r.Size
-		p.emit(trace.Event{PC: pc, Kind: trace.Mul})
+		if p.stream {
+			p.emit(trace.Event{PC: pc, Kind: trace.Mul})
+		}
 	}
+	p.tally.Check()
 }
 
 // step advances the current routine's cursor and returns the instruction
@@ -543,17 +557,20 @@ func (p *Probe) step() uint32 {
 }
 
 // Load reports one load at addr issued from the current routine.
-func (p *Probe) Load(addr uint32) {
-	p.account(1)
-	p.loads++
-	p.emit(trace.Event{PC: p.step(), Addr: addr, Kind: trace.Load})
-}
+func (p *Probe) Load(addr uint32) { p.access(addr, trace.Load) }
 
 // Store reports one store at addr issued from the current routine.
-func (p *Probe) Store(addr uint32) {
+func (p *Probe) Store(addr uint32) { p.access(addr, trace.Store) }
+
+// access reports one data access of kind k at addr.
+func (p *Probe) access(addr uint32, k trace.Kind) {
 	p.account(1)
-	p.stores++
-	p.emit(trace.Event{PC: p.step(), Addr: addr, Kind: trace.Store})
+	p.tally.ByKind[k]++
+	pc := p.step()
+	if p.stream {
+		p.emit(trace.Event{PC: pc, Addr: addr, Kind: k})
+	}
+	p.tally.Check()
 }
 
 // LoadRange reports n word loads walking forward from addr — an array or
@@ -579,9 +596,12 @@ func (p *Probe) Call(r *Routine) {
 		retpc = p.cur.pc()
 	}
 	p.account(1)
+	p.tally.ByKind[trace.Jump]++
 	// The jump belongs to the caller: it is emitted — and, under attr-sync
 	// batching, flushed — before the frame push changes the call stack.
-	p.emit(trace.Event{PC: retpc, Addr: r.Base, Kind: trace.Jump, Flags: trace.FlagCall})
+	if p.stream {
+		p.emit(trace.Event{PC: retpc, Addr: r.Base, Kind: trace.Jump, Flags: trace.FlagCall})
+	}
 	p.bumpAttr()
 	p.frames = append(p.frames, frame{r: p.cur, cursor: cursorOf(p.cur)})
 	p.pushFrameID(p.cur)
@@ -610,10 +630,13 @@ func (p *Probe) Ret() {
 		ret = f.r.pc()
 	}
 	p.account(1)
+	p.tally.ByKind[trace.Return]++
 	// The return belongs to the callee: it is emitted — and, under
 	// attr-sync batching, flushed — before the frame pop changes the call
 	// stack.
-	p.emit(trace.Event{PC: pc, Addr: ret, Kind: trace.Return})
+	if p.stream {
+		p.emit(trace.Event{PC: pc, Addr: ret, Kind: trace.Return})
+	}
 	p.bumpAttr()
 	p.frames = p.frames[:len(p.frames)-1]
 	p.popFrameID()

@@ -1,6 +1,10 @@
 package atom
 
-import "sort"
+import (
+	"sort"
+
+	"interplab/internal/trace"
+)
 
 // OpStats reports the accounting for one virtual command.  The JSON tags
 // are the manifest schema (docs/OBSERVABILITY.md); keep them stable.
@@ -76,12 +80,12 @@ func (s Stats) InstructionsPerCommand() (fetchDecode, execute float64) {
 func (p *Probe) Stats() Stats {
 	s := Stats{
 		Commands:     p.commands,
-		Instructions: p.total,
+		Instructions: p.tally.Total,
 		Startup:      p.byPhase[PhaseStartup],
 		FetchDecode:  p.byPhase[PhaseFetchDecode],
 		Execute:      p.byPhase[PhaseExecute],
-		Loads:        p.loads,
-		Stores:       p.stores,
+		Loads:        p.tally.ByKind[trace.Load],
+		Stores:       p.tally.ByKind[trace.Store],
 	}
 	for _, o := range p.ops {
 		if o.count == 0 && o.fd == 0 && o.ex == 0 {

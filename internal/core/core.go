@@ -46,10 +46,10 @@ type Ctx struct {
 	Sink  trace.Sink
 	OS    *vfs.OS
 
-	display  *gfx.Display
-	size     int
-	batch    trace.BatchStats
-	perEvent bool
+	display *gfx.Display
+	size    int
+	batch   trace.BatchStats
+	native  trace.Tally
 }
 
 // Display lazily creates the run's framebuffer (native graphics library).
@@ -70,10 +70,18 @@ func (c *Ctx) SetProgramSize(n int) { c.size = n }
 // stream.
 func (c *Ctx) RecordBatch(bs trace.BatchStats) { c.batch.Add(bs) }
 
-// PerEventEmission reports whether the run was requested with batching
-// disabled (WithPerEventEmission); workload-side producers with their own
-// batching honor it.
-func (c *Ctx) PerEventEmission() bool { return c.perEvent }
+// NativeTally returns the tally that a workload-side producer emitting
+// beside the probe — the compiled-C path's mipsi.Native — counts into, so
+// that the run's Result.Counter, observer and profiler see its events.
+func (c *Ctx) NativeTally() *trace.Tally { return &c.native }
+
+// Counter returns the run's stream tally so far: the probe's plus the
+// native producer's.
+func (c *Ctx) Counter() trace.Counter {
+	n := c.Probe.Tally().Counter
+	n.Add(c.native.Counter)
+	return n
+}
 
 // Program is one benchmark under one system.
 type Program struct {
@@ -104,7 +112,8 @@ type Result struct {
 	// and Stats is zero except where noted.
 	Stats atom.Stats
 
-	// Counter tallies the emitted native-instruction stream.
+	// Counter tallies the emitted native-instruction stream, as its
+	// producers counted it at emit time.
 	Counter trace.Counter
 
 	// SizeBytes is the interpreted program's input size.
@@ -135,9 +144,10 @@ type Result struct {
 	FromCache bool
 
 	// Batch accounts the batched event pipeline: events and blocks
-	// delivered to the sinks, split by flush trigger, summed over every
-	// producer in the run (the probe, plus the compiled-C path's internal
-	// batcher).  All zero under WithPerEventEmission.
+	// delivered to the simulating sinks, split by flush trigger, summed
+	// over every producer in the run (the probe, plus the compiled-C
+	// path's internal batcher).  All zero for a run without a pipeline or
+	// sweep, which builds no blocks.
 	Batch trace.BatchStats
 }
 
@@ -177,7 +187,6 @@ type measureConfig struct {
 	reg         *telemetry.Registry
 	sampleEvery uint64
 	profiling   bool
-	perEvent    bool
 	lane        int
 
 	cache      *rescache.Cache
@@ -202,13 +211,16 @@ func WithTracer(tr *telemetry.Tracer) MeasureOption {
 	return func(c *measureConfig) { c.tracer = tr }
 }
 
-// WithTelemetry wires the run's native-instruction stream through a
-// sampling observer feeding reg, and counts runs/events there.  A nil
-// registry is allowed and disables metrics (the event path is then
-// byte-for-byte the uninstrumented one).
+// WithTelemetry samples the run's stream tally into reg with an observer,
+// and counts runs/events there.  The observer reads the producers' tallies
+// and never the events, so it adds no event blocks.  A nil registry is
+// allowed and disables metrics (the run then sets no sampling hook).
 func WithTelemetry(reg *telemetry.Registry) MeasureOption {
 	return func(c *measureConfig) { c.reg = reg }
 }
+
+// defaultSampleEvery is the observer's sampling period in events.
+const defaultSampleEvery = 65536
 
 // WithSampleInterval sets the observer's sampling period in events
 // (default 65536).  Only meaningful together with WithTelemetry.
@@ -238,20 +250,12 @@ func WithCache(c *rescache.Cache, scope rescache.Scope) MeasureOption {
 // WithProfiling attaches an attribution-profile collector to the run: the
 // native-instruction stream is folded into call-stack samples keyed by
 // interpreter routine, virtual opcode, and phase, returned as
-// Result.Profile.  On pipeline runs the collector also receives cache-miss
-// notifications, so misses are attributed to the routine/opcode that
-// issued them.
+// Result.Profile.  The collector charges the producers' tallies at each
+// attribution change, so it adds no event blocks.  On pipeline runs it
+// also receives cache-miss notifications, so misses are attributed to the
+// routine/opcode that issued them.
 func WithProfiling() MeasureOption {
 	return func(c *measureConfig) { c.profiling = true }
-}
-
-// WithPerEventEmission disables the batched event pipeline for the run:
-// every producer emits events to the sinks one at a time, the way the lab
-// worked before batching.  The measured numbers are byte-identical either
-// way (the differential tests pin this); this switch exists to measure the
-// batching win itself and to bisect any suspected batching discrepancy.
-func WithPerEventEmission() MeasureOption {
-	return func(c *measureConfig) { c.perEvent = true }
 }
 
 // cacheKey builds the content address for one measurement of p under the
@@ -268,7 +272,6 @@ func (mc *measureConfig) cacheKey(p Program, kind, config, sweep string) rescach
 		Config:      config,
 		Sweep:       sweep,
 		Profiling:   mc.profiling,
-		PerEvent:    mc.perEvent,
 	}
 }
 
@@ -333,19 +336,18 @@ func (mc *measureConfig) store(key rescache.Key, res Result, sweepPts []alphasim
 	}
 }
 
-// run executes p against a fresh environment, fanning its one event stream
-// out to the counter, the profiler when profiling, and the given sinks.
+// run executes p against a fresh environment.  The producers count the
+// stream as they emit it; events are built and fanned out only to the
+// given simulating sinks, so a run without one builds no blocks.  The
+// profiler and the observer read the tallies.
 func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 	res := Result{Program: p}
-	var counter trace.Counter
 	var col *profile.Collector
 	missJoin := false
-	fan := []trace.Sink{&counter}
 	if mc.profiling {
 		col = profile.NewCollector()
 		// Each simulating sink that reports cache misses (the pipeline)
-		// reports them to the collector.  The check runs on the sinks
-		// themselves: a fan built around them would hide the method.
+		// reports them to the collector.
 		for _, s := range sinks {
 			if mo, ok := s.(interface {
 				SetMissObserver(alphasim.MissObserver)
@@ -354,39 +356,38 @@ func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 				missJoin = true
 			}
 		}
-		// The collector must precede the simulating sinks in the fan so
-		// its cached attribution node is current when the pipeline reports
-		// an event's cache misses back to it; Combine preserves argument
-		// order.
-		fan = append(fan, col)
 	}
-	fanned := trace.Combine(append(fan, sinks...)...)
-	// With telemetry enabled the stream is observed on its way to the
-	// counting/simulation sinks; disabled, Wrap returns the fan unchanged.
-	observed := telemetry.Wrap(fanned, mc.reg, mc.sampleEvery)
+	fanned := trace.Combine(sinks...)
 	img := atom.NewImage()
-	probe := atom.NewProbe(img, observed)
-	if mc.perEvent {
-		probe.SetBatching(false)
-	}
-	if col != nil {
-		col.Bind(probe)
-		if missJoin {
-			// Miss attribution rides the pipeline's synchronous callbacks,
-			// which land on the collector's cached node — coherent only when
-			// every delivered block is uniform under one attribution state.
-			// Plain profiling runs skip this and keep full, segment-marked
-			// blocks instead.
-			probe.RequireAttrSync()
-		}
-	}
+	probe := atom.NewProbe(img, fanned)
 	osys := vfs.New()
 	// Compiled-C runs emit their own synthetic kernel path (mipsi.Native);
 	// instrumenting the vfs as well would double-charge system time.
 	if p.System != SysC {
 		osys.Instrument(img, probe)
 	}
-	ctx := &Ctx{Image: img, Probe: probe, Sink: observed, OS: osys, perEvent: mc.perEvent}
+	ctx := &Ctx{Image: img, Probe: probe, Sink: fanned, OS: osys}
+	if col != nil {
+		col.Bind(probe, ctx.NativeTally())
+		if missJoin {
+			// Miss attribution rides the pipeline's synchronous callbacks,
+			// which land on the collector's current node — coherent only
+			// when every delivered block is uniform under one attribution
+			// state.
+			probe.RequireAttrSync()
+		}
+	}
+	var obs *telemetry.Observer
+	if mc.reg != nil {
+		obs = telemetry.NewObserver(mc.reg)
+		every := mc.sampleEvery
+		if every == 0 {
+			every = defaultSampleEvery
+		}
+		sample := func() { obs.Sample(ctx.Counter()) }
+		probe.Tally().SampleEvery(every, sample)
+		ctx.NativeTally().SampleEvery(every, sample)
+	}
 	span := mc.tracer.StartOn(mc.lane, "workload "+p.ID(), "program", p.ID())
 	err := p.Run(ctx)
 	span.End()
@@ -395,21 +396,19 @@ func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 		return res, fmt.Errorf("%s: %w", p.ID(), err)
 	}
 	collect := mc.tracer.StartOn(mc.lane, "collect "+p.ID())
-	// Drain the probe's buffered tail before reading any sink-side state:
-	// the counter, observer, and profile totals are complete only after the
-	// final flush.
+	// Drain the probe's buffered tail before reading any simulator state.
 	probe.FlushEvents()
 	res.Batch = probe.BatchStats()
 	res.Batch.Add(ctx.batch)
 	res.Stats = probe.Stats()
-	res.Counter = counter
+	res.Counter = ctx.Counter()
 	res.SizeBytes = ctx.size
 	res.Stdout = osys.Stdout.String()
 	if ctx.display != nil {
 		res.FrameChecksum = ctx.display.Checksum()
 	}
-	if obs, ok := observed.(*telemetry.Observer); ok {
-		obs.Flush()
+	if obs != nil {
+		obs.Flush(res.Counter)
 		res.Samples = obs.Samples()
 	}
 	if col != nil {
@@ -417,8 +416,8 @@ func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 	}
 	collect.End()
 	mc.reg.Counter("core.measures").Inc()
-	mc.reg.Counter("core.events").Add(counter.Total)
-	mc.reg.Histogram("core.events_per_run").Observe(counter.Total)
+	mc.reg.Counter("core.events").Add(res.Counter.Total)
+	mc.reg.Histogram("core.events_per_run").Observe(res.Counter.Total)
 	mc.reg.Histogram("core.commands_per_run").Observe(res.Commands())
 	if b := res.Batch; b.Blocks > 0 {
 		mc.reg.Counter("trace.batch.events").Add(b.Events)

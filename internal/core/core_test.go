@@ -10,6 +10,7 @@ import (
 	"interplab/internal/profile"
 	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
+	"interplab/internal/trace"
 )
 
 // toyProgram emits a deterministic instruction stream through the probe.
@@ -382,10 +383,10 @@ func TestMeasureTelemetryFidelity(t *testing.T) {
 }
 
 // TestProfilingBatchModeSelection pins how run() picks the profiling
-// batching mode: plain profiled measurements keep full, segment-marked
-// blocks (no attribution flushes), while pipeline runs — whose cache-miss
-// callbacks join on the collector's cached node — force a flush per
-// attribution transition.  A pipeline run that also feeds a sweep must
+// batching mode: a plain profiled measurement delivers no block at all —
+// the collector charges the probe's tally — while pipeline runs, whose
+// cache-miss callbacks join on the collector's current node, force a flush
+// per attribution transition.  A pipeline run that also feeds a sweep must
 // keep the pipeline's miss attribution: its imiss and dmiss totals equal
 // the pipeline-only run's.
 func TestProfilingBatchModeSelection(t *testing.T) {
@@ -396,8 +397,8 @@ func TestProfilingBatchModeSelection(t *testing.T) {
 	if plain.Profile == nil {
 		t.Fatal("profile missing")
 	}
-	if plain.Batch.FlushAttr != 0 {
-		t.Errorf("plain profiled run flushed on attribution %d times, want 0 (segment marks)", plain.Batch.FlushAttr)
+	if plain.Batch != (trace.BatchStats{}) {
+		t.Errorf("plain profiled run delivered blocks: %+v, want none", plain.Batch)
 	}
 	piped, err := MeasureWithPipeline(toyProgram(SysPerl), alphasim.DefaultConfig(), WithProfiling())
 	if err != nil {

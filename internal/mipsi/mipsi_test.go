@@ -450,8 +450,12 @@ func TestNativeEventStream(t *testing.T) {
 	if taken != 9 || ntaken != 1 {
 		t.Errorf("branch outcomes taken=%d ntaken=%d, want 9/1", taken, ntaken)
 	}
-	if nat.Counter.Total != uint64(len(rec.Events)) {
-		t.Error("counter must mirror the sink")
+	var recount trace.Counter
+	for _, e := range rec.Events {
+		recount.Emit(e)
+	}
+	if nat.Tally.Counter != recount {
+		t.Errorf("tally %+v must equal the sink's stream recounted %+v", nat.Tally.Counter, recount)
 	}
 }
 

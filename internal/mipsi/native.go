@@ -22,18 +22,21 @@ const (
 // address.  This is the compiled-C execution mode — the baseline of
 // Table 1, the C des row of Table 2, and the native SPEC runs of Figure 3.
 type Native struct {
-	M    *Machine
-	sink trace.Sink
+	M *Machine
 
-	// Counter tallies the emitted stream (Table 2's C row equates
-	// virtual commands with native instructions).
-	Counter trace.Counter
+	// Tally counts the emitted stream at emit time (Table 2's C row
+	// equates virtual commands with native instructions).  NewNative
+	// points it at a tally of the Native's own; a caller may point it at
+	// a shared one before Run, and the sampling hook it carries is
+	// checked once per step.
+	Tally *trace.Tally
 
-	// batch buffers the emitted stream into blocks delivered to both the
-	// counter and the sink once per fill; the compiled-C path has no
-	// attribution state, so blocks only flush on fill and at end of Run.
-	batch    *trace.Batcher
-	batching bool
+	// batch buffers the emitted stream into blocks for the sink; only a
+	// Native with a sink (stream) builds events at all.  The compiled-C
+	// path has no attribution state, so blocks only flush on fill and at
+	// the end of Run.
+	batch  *trace.Batcher
+	stream bool
 
 	prevDest int // register written by the previous instruction (0 = none)
 	kpc      uint32
@@ -48,46 +51,24 @@ func NewNative(prog *mips.Program, os *vfs.OS, sink trace.Sink) (*Native, error)
 	if sink == nil {
 		sink = trace.Discard
 	}
-	n := &Native{M: m, sink: sink, batching: true}
-	n.batch = trace.NewBatcher(fanSink{n})
-	return n, nil
+	return &Native{
+		M:      m,
+		Tally:  new(trace.Tally),
+		batch:  trace.NewBatcher(sink),
+		stream: sink != trace.Discard,
+	}, nil
 }
 
-// fanSink delivers flushed blocks to the Native's counter and sink in the
-// per-event order (counter first).
-type fanSink struct{ n *Native }
-
-func (f fanSink) Emit(e trace.Event) {
-	f.n.Counter.Emit(e)
-	f.n.sink.Emit(e)
-}
-
-func (f fanSink) EmitBlock(b *trace.Block) {
-	f.n.Counter.EmitBlock(b)
-	trace.EmitBlockTo(f.n.sink, b)
-}
-
+// emit counts e and, when the Native has a sink, buffers it.
 func (n *Native) emit(e trace.Event) {
-	if n.batching {
+	n.Tally.Emit(e)
+	if n.stream {
 		n.batch.Append(e)
-		return
 	}
-	n.Counter.Emit(e)
-	n.sink.Emit(e)
-}
-
-// SetBatching switches between batched block delivery (the default) and
-// the per-event path; turning batching off flushes buffered events first.
-func (n *Native) SetBatching(on bool) {
-	if !on {
-		n.batch.Flush(trace.FlushFinal)
-	}
-	n.batching = on
 }
 
 // Flush delivers any buffered events.  Run flushes on every exit path;
-// callers stepping the machine by hand flush before reading the Counter or
-// sink state.
+// callers stepping the machine by hand flush before reading sink state.
 func (n *Native) Flush() { n.batch.Flush(trace.FlushFinal) }
 
 // BatchStats returns the native path's batching account.
@@ -185,6 +166,7 @@ func (n *Native) Step() error {
 	if in.Op.Class() == mips.ClassSyscall {
 		n.kernel(info)
 	}
+	n.Tally.Check()
 	return nil
 }
 

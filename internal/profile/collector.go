@@ -42,22 +42,33 @@ func (n *node) child(frame string) *node {
 	return c
 }
 
-// Collector folds a native-instruction stream into attribution samples.  It
-// implements trace.Sink (put it on the probe's fan-out *before* any
-// simulating sink) and alphasim.MissObserver (register it on the pipeline
-// to join cache misses back to the issuing routine and opcode).
+// Collector folds a measured run's instruction stream into attribution
+// samples.  It never sees the events themselves: the probe counts them as
+// it emits them (atom.Probe.Tally), and at every attribution change
+// (command begin/end, phase switch, call/return, routine switch) the
+// collector charges the counts accumulated since the previous change —
+// instructions, loads, stores and branches — to the sample node of the
+// state they were emitted under, which is still current when the probe
+// reports the change.  Profile makes the last charge.  The collector also
+// implements alphasim.MissObserver: register it on the pipeline to join
+// cache misses back to the issuing routine and opcode.
 //
-// Per-event cost is one version check plus a handful of increments; the
-// stack is re-resolved only when the probe reports an attribution change
-// (command begin/end, phase switch, call/return, routine switch), and even
-// then a memo on the probe's compact attribution state usually turns the
-// resolve into an array load — interpreters cycle through the same few
-// (op, phase, routine) states millions of times, so the common bump is an
-// index into the dense op×phase node table cached for the current
-// (frames, routine) context.
+// A charge resolves the sample node only when events arrived since the
+// previous one, and even then a memo on the probe's compact attribution
+// state usually turns the resolve into two slice indexes: interpreters
+// cycle through the same few (op, phase, routine) states millions of
+// times, so the common charge is an index into the dense op×phase node
+// table of the current (frames, routine) context.
 type Collector struct {
 	probe *atom.Probe
 	root  node
+
+	// srcs are the tallies whose sum is the attributed stream (the
+	// probe's, plus any producer emitting beside it); charged is that
+	// sum's instruction, load, store and branch counts at the previous
+	// charge.
+	srcs    []*trace.Tally
+	charged [4]uint64
 
 	lastVersion uint64
 	lastNode    *node
@@ -65,50 +76,66 @@ type Collector struct {
 	addrs       map[string]uint64
 
 	// Resolved-node memo, two-level: the (frames, routine) context changes
-	// only on call/return/routine switch, so cur caches its dense
+	// only on call/return/routine switch, so ctxTab caches its dense
 	// (op+1)×phase node table and the far more frequent op/phase bumps
-	// reduce to an array index.
-	ctxFrames uint64
-	ctxCur    *atom.Routine
-	ctxTab    []*node
-	ctxs      map[ctxKey][]*node
-}
-
-// ctxKey is the slow-changing half of the probe's attribution state: the
-// identity of the pushed frames plus the executing routine.  Together with
-// the open command and phase it fully determines the sample stack resolve
-// builds.
-type ctxKey struct {
-	frames uint64
-	cur    *atom.Routine
+	// reduce to an array index.  tabs holds every context's table,
+	// indexed by the probe's FramesID and then by the routine's Index+1
+	// (0 before any routine runs).
+	ctxFrames  uint64
+	ctxRoutine int
+	ctxTab     []*node
+	tabs       [][][]*node
 }
 
 // NewCollector returns a collector; Bind attaches it to the probe whose
 // stream it will observe.
 func NewCollector() *Collector {
-	return &Collector{
-		addrs: make(map[string]uint64),
-		ctxs:  make(map[ctxKey][]*node),
-	}
+	return &Collector{addrs: make(map[string]uint64)}
 }
 
-// Bind attaches the probe whose attribution state keys the samples.  Must
-// be called before the first event arrives.  Binding registers the
-// collector's boundary callback: at every attribution change the probe
-// records the outgoing state's sample node as a segment mark in its
-// buffered block, so blocks stay full and EmitBlock resolves each segment
-// from its tag.  Runs that join cache misses back to the collector must
-// additionally call Probe.RequireAttrSync, which overrides marking with a
-// flush per transition (see EmitBlock).
-func (c *Collector) Bind(p *atom.Probe) {
+// Bind attaches the probe whose attribution state keys the samples, and
+// registers the collector's charge on the probe's attribution changes.
+// The attributed stream is the probe's tally plus any extra tallies — a
+// producer that emits beside the probe, such as the compiled-C path's
+// mipsi.Native, whose events the probe's current state is charged with.
+// Must be called before the first event.  Runs that join cache misses back
+// to the collector must also call Probe.RequireAttrSync, so that every
+// block the pipeline sees was emitted under the probe's current state.
+func (c *Collector) Bind(p *atom.Probe, extra ...*trace.Tally) {
 	c.probe = p
 	c.lastNode = nil
-	p.MarkAttrBoundaries(c.boundaryTag)
+	c.srcs = append([]*trace.Tally{p.Tally()}, extra...)
+	c.charged = c.counts()
+	p.OnAttrChange(c.charge)
 }
 
-// boundaryTag is the probe's attribution-boundary callback: the sample
-// node for the outgoing state, recorded as the closing segment's tag.
-func (c *Collector) boundaryTag() any { return c.cur() }
+// counts sums the attributed stream's instruction, load, store and branch
+// counts.
+func (c *Collector) counts() (n [4]uint64) {
+	for _, t := range c.srcs {
+		n[0] += t.Total
+		n[1] += t.ByKind[trace.Load]
+		n[2] += t.ByKind[trace.Store]
+		n[3] += t.ByKind[trace.Branch]
+	}
+	return n
+}
+
+// charge attributes the events counted since the previous charge to the
+// probe's current state.  States under which nothing was emitted are never
+// resolved, so they create no nodes and no frame addresses.
+func (c *Collector) charge() {
+	now := c.counts()
+	if now[0] == c.charged[0] {
+		return
+	}
+	n := c.cur()
+	n.values[SampleInstructions] += int64(now[0] - c.charged[0])
+	n.values[SampleLoads] += int64(now[1] - c.charged[1])
+	n.values[SampleStores] += int64(now[2] - c.charged[2])
+	n.values[SampleBranches] += int64(now[3] - c.charged[3])
+	c.charged = now
+}
 
 // resolve walks the trie to the node for the probe's current attribution
 // state.
@@ -141,25 +168,24 @@ func (c *Collector) cur() *node {
 	}
 	if v := c.probe.AttrVersion(); c.lastNode == nil || v != c.lastVersion {
 		c.lastVersion = v
-		frames, curR := c.probe.FramesID(), c.probe.CurrentRoutine()
-		if frames != c.ctxFrames || curR != c.ctxCur || c.ctxTab == nil {
-			k := ctxKey{frames: frames, cur: curR}
-			c.ctxFrames, c.ctxCur, c.ctxTab = frames, curR, c.ctxs[k]
+		frames, ri := c.probe.FramesID(), 0
+		if r := c.probe.CurrentRoutine(); r != nil {
+			ri = r.Index() + 1
+		}
+		if c.ctxTab == nil || frames != c.ctxFrames || ri != c.ctxRoutine {
+			c.ctxFrames, c.ctxRoutine, c.ctxTab = frames, ri, c.table(frames, ri)
 		}
 		// CurrentOpID is -1 between commands, hence the +1 bias.
 		idx := (int(c.probe.CurrentOpID())+1)*atom.NumPhases + int(c.probe.CurrentPhase())
-		var n *node
-		if idx < len(c.ctxTab) {
-			n = c.ctxTab[idx]
+		if idx >= len(c.ctxTab) {
+			tab := make([]*node, idx+1)
+			copy(tab, c.ctxTab)
+			c.ctxTab = tab
+			c.tabs[frames][ri] = tab
 		}
+		n := c.ctxTab[idx]
 		if n == nil {
 			n = c.resolve()
-			if idx >= len(c.ctxTab) {
-				tab := make([]*node, idx+1)
-				copy(tab, c.ctxTab)
-				c.ctxTab = tab
-				c.ctxs[ctxKey{frames: frames, cur: curR}] = tab
-			}
 			c.ctxTab[idx] = n
 		}
 		c.lastNode = n
@@ -167,61 +193,24 @@ func (c *Collector) cur() *node {
 	return c.lastNode
 }
 
-// Emit attributes one native instruction.
-func (c *Collector) Emit(e trace.Event) {
-	n := c.cur()
-	n.values[SampleInstructions]++
-	switch e.Kind {
-	case trace.Load:
-		n.values[SampleLoads]++
-	case trace.Store:
-		n.values[SampleStores]++
-	case trace.Branch:
-		n.values[SampleBranches]++
+// table returns the op×phase node table of one (frames, routine) context,
+// growing the dense index to reach it.
+func (c *Collector) table(frames uint64, ri int) []*node {
+	if frames >= uint64(len(c.tabs)) {
+		c.tabs = append(c.tabs, make([][][]*node, frames+1-uint64(len(c.tabs)))...)
 	}
-}
-
-// EmitBlock attributes a whole batch.  In the marking mode Bind sets up,
-// the block carries one tagged boundary per attribution change and each
-// tag IS the segment's resolved sample node, so attribution costs one
-// pointer read per segment plus a Kind-column scan.  In attr-sync mode
-// (miss-joining runs, Probe.RequireAttrSync) blocks carry no marks and the
-// whole block belongs to the probe's still-current state; the tail
-// accounting below covers it.
-func (c *Collector) EmitBlock(b *trace.Block) {
-	lo := 0
-	for _, m := range b.Marks {
-		n, ok := m.Tag.(*node)
-		if !ok {
-			n = c.cur()
-		}
-		c.accountSeg(n, b, lo, m.End)
-		lo = m.End
+	row := c.tabs[frames]
+	if ri >= len(row) {
+		row = append(row, make([][]*node, ri+1-len(row))...)
+		c.tabs[frames] = row
 	}
-	c.accountSeg(c.cur(), b, lo, b.N)
-}
-
-// accountSeg charges one attribution-uniform event range of b to n.  The
-// kind tally goes through a dense count table rather than a per-event
-// switch: Kind values are small, and the table walk is branch-free.
-func (c *Collector) accountSeg(n *node, b *trace.Block, lo, hi int) {
-	if hi <= lo {
-		return
-	}
-	n.values[SampleInstructions] += int64(hi - lo)
-	var cnt [trace.NumKinds]int64
-	for _, k := range b.Kind[lo:hi] {
-		cnt[k]++
-	}
-	n.values[SampleLoads] += cnt[trace.Load]
-	n.values[SampleStores] += cnt[trace.Store]
-	n.values[SampleBranches] += cnt[trace.Branch]
+	return row[ri]
 }
 
 // IMiss attributes one instruction-cache miss (alphasim.MissObserver).  The
-// pipeline calls it synchronously while processing the event the collector
-// just attributed, so the cached node is the right account — provided the
-// run flushes per attribution transition (Probe.RequireAttrSync, which
+// pipeline calls it synchronously while processing an event of the block
+// in flight, which was emitted under the probe's current state — provided
+// the run flushes per attribution transition (Probe.RequireAttrSync, which
 // core.run engages whenever it registers this observer).
 func (c *Collector) IMiss(e trace.Event, level int) {
 	c.cur().values[SampleIMiss]++
@@ -232,9 +221,16 @@ func (c *Collector) DMiss(e trace.Event, level int) {
 	c.cur().values[SampleDMiss]++
 }
 
-// Profile snapshots the collected samples into a finished profile labeled
+// Profile charges the events counted since the last attribution change,
+// then snapshots the collected samples into a finished profile labeled
 // with the program id.  The collector can keep accumulating afterwards.
 func (c *Collector) Profile(program string) *Profile {
+	c.charge()
+	return c.snapshot(program)
+}
+
+// snapshot renders the trie's samples as a profile.
+func (c *Collector) snapshot(program string) *Profile {
 	p := &Profile{Program: program, addrs: make(map[string]uint64, len(c.addrs))}
 	for f, a := range c.addrs {
 		p.addrs[f] = a

@@ -150,7 +150,7 @@ func TestCollectorStacks(t *testing.T) {
 	helper := img.Routine("interp.helper", 8)
 
 	col := profile.NewCollector()
-	probe := atom.NewProbe(img, col)
+	probe := atom.NewProbe(img, trace.Discard)
 	col.Bind(probe)
 
 	set := probe.OpName("add")
@@ -260,8 +260,6 @@ func TestSetMerged(t *testing.T) {
 	if got := m.FrameTotal("Tcl/des", profile.SampleInstructions); got == 0 {
 		t.Error("merged profile lost the Tcl/des root frame")
 	}
-	// var unused to ensure collector respects trace API
-	var _ trace.Sink = profile.NewCollector()
 	var _ alphasim.MissObserver = profile.NewCollector()
 }
 
@@ -312,35 +310,58 @@ func driveScenario(probe *atom.Probe, img *atom.Image) {
 	probe.FlushEvents()
 }
 
-// TestCollectorSegmentedMatchesPerEvent pins the segment-marked batching
-// path to the per-event path: the same scripted stream must fold into
-// byte-identical profiles either way.
+// foldAll renders every stream-derived sample type of prof as folded
+// stacks, followed by its pprof encoding.
+func foldAll(t *testing.T, prof *profile.Profile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, typ := range []int{
+		profile.SampleInstructions, profile.SampleLoads,
+		profile.SampleStores, profile.SampleBranches,
+	} {
+		if err := prof.WriteFolded(&buf, typ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prof.WritePprof(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCollectorSegmentedMatchesPerEvent pins the collector's segment
+// charging to per-event attribution: the same scripted stream, charged
+// from the probe's tally at each attribution change by a collector on a
+// probe that builds no events, must fold into byte-identical profiles as
+// the per-event oracle rebuilds from a streaming probe.
 func TestCollectorSegmentedMatchesPerEvent(t *testing.T) {
-	fold := func(perEvent bool) string {
-		img := atom.NewImage()
-		col := profile.NewCollector()
-		probe := atom.NewProbe(img, col)
-		if perEvent {
-			probe.SetBatching(false)
-		}
-		col.Bind(probe)
-		driveScenario(probe, img)
-		var buf bytes.Buffer
-		for _, typ := range []int{
-			profile.SampleInstructions, profile.SampleLoads,
-			profile.SampleStores, profile.SampleBranches,
-		} {
-			if err := col.Profile("test/seg").WriteFolded(&buf, typ); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.String()
+	img := atom.NewImage()
+	col := profile.NewCollector()
+	probe := atom.NewProbe(img, trace.Discard)
+	col.Bind(probe)
+	driveScenario(probe, img)
+	charged := col.Profile("test/seg")
+
+	refImg := atom.NewImage()
+	var ref *profile.RefCollector
+	refProbe := atom.NewProbe(refImg, trace.SinkFunc(func(e trace.Event) { ref.Emit(e) }))
+	ref = profile.NewRefCollector(refProbe)
+	refProbe.RequireAttrSync()
+	driveScenario(refProbe, refImg)
+	refProbe.FlushEvents()
+	rebuilt := ref.Profile("test/seg")
+
+	if got, want := foldAll(t, charged), foldAll(t, rebuilt); !bytes.Equal(got, want) {
+		t.Errorf("charged profile differs from per-event profile:\n-- charged --\n%s\n-- per-event --\n%s", got, want)
 	}
-	batched, perEvent := fold(false), fold(true)
-	if batched != perEvent {
-		t.Errorf("segment-marked profile differs from per-event profile:\n-- batched --\n%s\n-- per-event --\n%s", batched, perEvent)
+	if b := probe.BatchStats(); b.Blocks != 0 {
+		t.Errorf("the charged run delivered %d blocks, want none", b.Blocks)
 	}
-	if !strings.Contains(batched, "interp.helper") || !strings.Contains(batched, "op:load") {
-		t.Fatalf("scenario profile missing expected frames:\n%s", batched)
+	var folded bytes.Buffer
+	if err := charged.WriteFolded(&folded, profile.SampleInstructions); err != nil {
+		t.Fatal(err)
+	}
+	if s := folded.String(); !strings.Contains(s, "interp.helper") || !strings.Contains(s, "op:load") {
+		t.Fatalf("scenario profile missing expected frames:\n%s", s)
 	}
 }

@@ -35,8 +35,9 @@ import (
 // SchemaVersion is the entry-format version; it participates in every key,
 // so a format change orphans old entries instead of misreading them.
 // v2: entries carry batch-pipeline stats and keys distinguish per-event
-// emission from batched emission.
-const SchemaVersion = 2
+// emission from batched emission.  v3: the per-event emission mode and
+// its key field are gone.
+const SchemaVersion = 3
 
 // Scope is the harness-level part of a cache key: which experiment is
 // measuring, at what workload scale.  The measurement-level fields are
@@ -59,11 +60,6 @@ type Key struct {
 	Config      string  `json:"config,omitempty"`
 	Sweep       string  `json:"sweep,omitempty"`
 	Profiling   bool    `json:"profiling,omitempty"`
-	// PerEvent marks a measurement taken with batching disabled
-	// (core.WithPerEventEmission).  The measured numbers are identical, but
-	// the entry's Batch stats differ (absent vs. populated), so the two
-	// modes must not share entries.
-	PerEvent bool `json:"per_event,omitempty"`
 }
 
 // Hash returns the key's content address: the hex sha256 of its canonical

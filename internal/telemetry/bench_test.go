@@ -6,61 +6,53 @@ import (
 	"interplab/internal/trace"
 )
 
-// The disabled-telemetry contract is structural: Wrap(sink, nil, n)
-// returns sink itself (TestWrapDisabledIsIdentity), so the disabled event
-// path executes the same instructions as the no-telemetry baseline.  The
-// benchmarks below demonstrate it empirically: BenchmarkTelemetryBaseline
-// and BenchmarkTelemetryDisabled run identical code and must be within
-// noise (<2%) of each other, while BenchmarkTelemetryEnabled prices the
-// observer.
+// The observer reads the producers' tallies instead of the event stream,
+// so telemetry's cost on the emit path is the tally's sampling check.
+// BenchmarkTelemetryBaseline counts a block-sized stream into a bare
+// counter; BenchmarkTelemetryDisabled adds the once-per-call Check of a
+// tally without a hook, which must be within noise of the baseline; and
+// BenchmarkTelemetryEnabled prices the observer's sampling at the default
+// interval.
 
 var benchEvents = stream(4096)
 
-func emitAll(sink trace.Sink) {
-	for _, e := range benchEvents {
-		sink.Emit(e)
-	}
-}
-
-// opaque launders a sink through a non-inlinable call so both benchmark
-// arms dispatch through an interface the compiler cannot devirtualize —
-// exactly how the probe holds its sink in a real run.  Without it the
-// baseline arm inlines Counter.Emit and the comparison measures compiler
-// heroics, not the telemetry layer.
-//
-//go:noinline
-func opaque(s trace.Sink) trace.Sink { return s }
-
-// BenchmarkTelemetryBaseline is the uninstrumented event path: events
-// straight into the counting sink.
+// BenchmarkTelemetryBaseline is the uninstrumented count: events straight
+// into a counter.
 func BenchmarkTelemetryBaseline(b *testing.B) {
 	var c trace.Counter
-	sink := opaque(&c)
 	b.SetBytes(int64(len(benchEvents)))
 	for i := 0; i < b.N; i++ {
-		emitAll(sink)
+		for _, e := range benchEvents {
+			c.Emit(e)
+		}
 	}
 }
 
-// BenchmarkTelemetryDisabled is the same path reached through the
-// telemetry layer with a nil registry: Wrap returns the sink itself, so
-// this must be within noise (<2%) of BenchmarkTelemetryBaseline.
+// BenchmarkTelemetryDisabled is the same count through a tally that no
+// observer samples, checked once per event as the native producer does.
 func BenchmarkTelemetryDisabled(b *testing.B) {
-	var c trace.Counter
-	sink := opaque(Wrap(&c, nil, 0))
+	var t trace.Tally
 	b.SetBytes(int64(len(benchEvents)))
 	for i := 0; i < b.N; i++ {
-		emitAll(sink)
+		for _, e := range benchEvents {
+			t.Emit(e)
+			t.Check()
+		}
 	}
 }
 
-// BenchmarkTelemetryEnabled prices the sampling observer.
+// BenchmarkTelemetryEnabled prices the sampling observer at the default
+// interval.
 func BenchmarkTelemetryEnabled(b *testing.B) {
-	var c trace.Counter
-	sink := opaque(Wrap(&c, NewRegistry(), 65536))
+	obs := NewObserver(NewRegistry())
+	var t trace.Tally
+	t.SampleEvery(65536, func() { obs.Sample(t.Counter) })
 	b.SetBytes(int64(len(benchEvents)))
 	for i := 0; i < b.N; i++ {
-		emitAll(sink)
+		for _, e := range benchEvents {
+			t.Emit(e)
+			t.Check()
+		}
 	}
 }
 

@@ -133,8 +133,9 @@ type Measurement struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 
 	// Batch accounts the batched event pipeline for this measurement:
-	// events and blocks delivered to the sinks, split by flush trigger
-	// (schema v1 additive field; nil when the run emitted per-event).
+	// events and blocks delivered to the simulating sinks, split by flush
+	// trigger (schema v1 additive field; nil for a run without a pipeline
+	// or sweep, which builds no blocks).
 	Batch *trace.BatchStats `json:"batch,omitempty"`
 
 	Stats *atom.Stats           `json:"stats,omitempty"`

@@ -6,23 +6,18 @@ import (
 	"interplab/internal/trace"
 )
 
-// Observer is a sampling trace.Sink wrapper: it forwards every event to
-// the wrapped sink unchanged (pass-through fidelity — the measured stream
-// is not perturbed, reordered, or filtered), and every interval events it
-// snapshots the cumulative instruction mix, the loads/stores ratio, and
-// the observed event throughput into the registry and its sample log.
-//
-// Construct via Wrap, which collapses to the bare sink when telemetry is
-// disabled so the hot emit path pays nothing.
+// Observer samples a measured run's stream tally: each sample snapshots the
+// cumulative instruction mix, the loads/stores ratio, and the event
+// throughput since the previous sample into the registry and the sample
+// log.  It never sees the events themselves — the producers count them as
+// they emit them (trace.Tally) — so observing a run cannot perturb its
+// stream, and a run observed without a simulator still builds no event
+// blocks.  core wires it to the producers' sampling hooks
+// (trace.Tally.SampleEvery), which fire as the total crosses each interval.
 type Observer struct {
-	sink     trace.Sink
-	reg      *Registry
-	interval uint64
-	now      func() time.Time // test seam
+	reg *Registry
+	now func() time.Time // test seam
 
-	total      uint64
-	byKind     [trace.NumKinds]uint64
-	start      time.Time
 	lastSample time.Time
 	lastTotal  uint64
 	samples    []Sample
@@ -43,77 +38,36 @@ type Sample struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 }
 
-// Wrap returns a sink that feeds sink and samples into reg every interval
-// events.  When reg is nil (telemetry disabled) it returns sink unchanged,
-// so the disabled path is exactly the baseline path.  An interval of 0
-// defaults to 65536.
-func Wrap(sink trace.Sink, reg *Registry, interval uint64) trace.Sink {
-	if reg == nil {
-		return sink
-	}
-	return NewObserver(sink, reg, interval)
-}
-
-// NewObserver builds the sampling wrapper unconditionally (reg may be nil,
-// in which case snapshots only accumulate in the sample log).
-func NewObserver(sink trace.Sink, reg *Registry, interval uint64) *Observer {
-	if interval == 0 {
-		interval = 65536
-	}
-	o := &Observer{sink: sink, reg: reg, interval: interval, now: time.Now}
-	o.start = o.now()
-	o.lastSample = o.start
+// NewObserver returns an observer feeding reg; the throughput of the first
+// sample is measured from now.  A nil registry keeps the samples in the
+// log only.
+func NewObserver(reg *Registry) *Observer {
+	o := &Observer{reg: reg, now: time.Now}
+	o.lastSample = o.now()
 	return o
 }
 
-// Emit forwards e and, on sampling boundaries, snapshots.
-func (o *Observer) Emit(e trace.Event) {
-	o.sink.Emit(e)
-	o.total++
-	o.byKind[e.Kind]++
-	if o.total%o.interval == 0 {
-		o.snapshot()
-	}
-}
-
-// EmitBlock forwards a whole batch (natively when the wrapped sink
-// understands blocks) and updates the observer's tallies once per flush
-// instead of once per event.  Snapshots fire when the batch carries the
-// stream across one or more sampling boundaries; the sample then lands on
-// the block edge rather than the exact interval multiple, which only
-// shifts where along the stream the cumulative mix is read.
-func (o *Observer) EmitBlock(b *trace.Block) {
-	trace.EmitBlockTo(o.sink, b)
-	before := o.total
-	o.total += uint64(b.N)
-	// The wrapped fan's counter has usually populated the block's shared
-	// kind table already, so this is nine adds, not an event loop.
-	for k, n := range b.KindCounts() {
-		o.byKind[k] += uint64(n)
-	}
-	if o.total/o.interval > before/o.interval {
-		o.snapshot()
-	}
-}
-
-func (o *Observer) snapshot() {
+// Sample snapshots the cumulative tally c.
+func (o *Observer) Sample(c trace.Counter) {
 	now := o.now()
-	s := Sample{Events: o.total}
-	for k, n := range o.byKind {
-		s.Mix[k] = float64(n) / float64(o.total)
+	s := Sample{Events: c.Total}
+	if c.Total > 0 {
+		for k, n := range c.ByKind {
+			s.Mix[k] = float64(n) / float64(c.Total)
+		}
 	}
-	if stores := o.byKind[trace.Store]; stores > 0 {
-		s.LoadsPerStore = float64(o.byKind[trace.Load]) / float64(stores)
+	if stores := c.ByKind[trace.Store]; stores > 0 {
+		s.LoadsPerStore = float64(c.ByKind[trace.Load]) / float64(stores)
 	}
 	if dt := now.Sub(o.lastSample).Seconds(); dt > 0 {
-		s.EventsPerSec = float64(o.total-o.lastTotal) / dt
+		s.EventsPerSec = float64(c.Total-o.lastTotal) / dt
 	}
 	o.lastSample = now
-	o.lastTotal = o.total
+	o.lastTotal = c.Total
 	o.samples = append(o.samples, s)
 
 	o.reg.Counter("observer.samples").Inc()
-	o.reg.Gauge("observer.events").Set(float64(o.total))
+	o.reg.Gauge("observer.events").Set(float64(c.Total))
 	o.reg.Gauge("observer.loads_per_store").Set(s.LoadsPerStore)
 	o.reg.Gauge("observer.events_per_sec").Set(s.EventsPerSec)
 	for k := 0; k < trace.NumKinds; k++ {
@@ -121,16 +75,13 @@ func (o *Observer) snapshot() {
 	}
 }
 
-// Flush takes a final snapshot if events arrived since the last boundary,
-// so short streams still produce at least one sample.
-func (o *Observer) Flush() {
-	if o.total > o.lastTotal || (o.total > 0 && len(o.samples) == 0) {
-		o.snapshot()
+// Flush takes the final sample of the run's tally c if events arrived since
+// the last sample, so short streams still produce at least one.
+func (o *Observer) Flush(c trace.Counter) {
+	if c.Total > o.lastTotal || (c.Total > 0 && len(o.samples) == 0) {
+		o.Sample(c)
 	}
 }
 
 // Samples returns the snapshots taken so far.
 func (o *Observer) Samples() []Sample { return o.samples }
-
-// Total returns the number of events observed.
-func (o *Observer) Total() uint64 { return o.total }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"interplab/internal/atom"
 	"interplab/internal/trace"
 )
 
@@ -35,43 +36,68 @@ func stream(n int) []trace.Event {
 	return evs
 }
 
-// TestObserverPassThroughFidelity pins the tentpole contract: the wrapped
-// sink sees the identical event stream — same events, same order, same
-// count — whether or not the observer sits in front of it.
+// observe feeds evs into a tally one emitting call at a time, sampling the
+// tally into obs every interval events.
+func observe(obs *Observer, evs []trace.Event, interval uint64) *trace.Tally {
+	var t trace.Tally
+	t.SampleEvery(interval, func() { obs.Sample(t.Counter) })
+	for _, e := range evs {
+		t.Emit(e)
+		t.Check()
+	}
+	return &t
+}
+
+// TestObserverPassThroughFidelity pins that observing a run cannot perturb
+// its stream: a probe whose tally an observer samples emits the identical
+// event sequence — same events, same order, same count — as an unobserved
+// one, while the observer still takes its samples.
 func TestObserverPassThroughFidelity(t *testing.T) {
-	evs := stream(1000)
-	var direct trace.Recorder
-	for _, e := range evs {
-		direct.Emit(e)
-	}
-	var observed trace.Recorder
-	obs := NewObserver(&observed, NewRegistry(), 64)
-	for _, e := range evs {
-		obs.Emit(e)
-	}
-	if len(observed.Events) != len(direct.Events) {
-		t.Fatalf("observed %d events, direct %d", len(observed.Events), len(direct.Events))
-	}
-	for i := range direct.Events {
-		if observed.Events[i] != direct.Events[i] {
-			t.Fatalf("event %d perturbed: %+v != %+v", i, observed.Events[i], direct.Events[i])
+	drive := func(obs *Observer) []trace.Event {
+		var rec trace.Recorder
+		img := atom.NewImage()
+		loop := img.Routine("loop", 40)
+		probe := atom.NewProbe(img, &rec)
+		if obs != nil {
+			probe.Tally().SampleEvery(64, func() { obs.Sample(probe.Tally().Counter) })
 		}
+		for i := 0; i < 50; i++ {
+			probe.Exec(loop, 17)
+			probe.Load(0x1000_0000 + uint32(i)*4)
+			probe.Store(0x1000_0100 + uint32(i)*4)
+		}
+		probe.FlushEvents()
+		return rec.Events
+	}
+	direct := drive(nil)
+	obs := NewObserver(NewRegistry())
+	observed := drive(obs)
+	if len(observed) != len(direct) {
+		t.Fatalf("observed %d events, direct %d", len(observed), len(direct))
+	}
+	for i := range direct {
+		if observed[i] != direct[i] {
+			t.Fatalf("event %d perturbed: %+v != %+v", i, observed[i], direct[i])
+		}
+	}
+	if got, want := len(obs.Samples()), len(direct)/64; got != want {
+		t.Errorf("observer took %d samples of %d events, want %d (one per 64)", got, len(direct), want)
 	}
 }
 
 func TestObserverSampling(t *testing.T) {
 	reg := NewRegistry()
-	obs := NewObserver(trace.Discard, reg, 100)
+	obs := NewObserver(reg)
 	obs.now = fakeClock(time.Millisecond)
-	obs.start = obs.now()
-	obs.lastSample = obs.start
-	for _, e := range stream(250) {
-		obs.Emit(e)
-	}
+	obs.lastSample = obs.now()
+	tally := observe(obs, stream(250), 100)
 	if got := len(obs.Samples()); got != 2 {
 		t.Fatalf("got %d samples, want 2 (every 100 of 250)", got)
 	}
-	obs.Flush()
+	if got := obs.Samples()[1].Events; got != 200 {
+		t.Errorf("second sample at %d events, want 200 (one event per emitting call)", got)
+	}
+	obs.Flush(tally.Counter)
 	samples := obs.Samples()
 	if got := len(samples); got != 3 {
 		t.Fatalf("after flush got %d samples, want 3", got)
@@ -101,24 +127,16 @@ func TestObserverSampling(t *testing.T) {
 	if got := reg.Counter("observer.samples").Value(); got != 3 {
 		t.Errorf("observer.samples counter = %d, want 3", got)
 	}
-}
-
-// TestWrapDisabledIsIdentity pins the near-zero-cost disabled path: with a
-// nil registry, Wrap returns the wrapped sink itself, so the event path is
-// byte-for-byte the uninstrumented one.
-func TestWrapDisabledIsIdentity(t *testing.T) {
-	var c trace.Counter
-	if got := Wrap(&c, nil, 0); got != trace.Sink(&c) {
-		t.Fatalf("Wrap with nil registry must return the sink unchanged, got %T", got)
-	}
-	if got := Wrap(&c, NewRegistry(), 0); got == trace.Sink(&c) {
-		t.Fatal("Wrap with a registry must interpose an observer")
+	// A flush with nothing new since the last sample adds none.
+	obs.Flush(tally.Counter)
+	if got := len(obs.Samples()); got != 3 {
+		t.Errorf("idle flush took a sample: %d samples", got)
 	}
 }
 
 func TestObserverFlushIdempotentOnEmpty(t *testing.T) {
-	obs := NewObserver(trace.Discard, NewRegistry(), 10)
-	obs.Flush()
+	obs := NewObserver(NewRegistry())
+	obs.Flush(trace.Counter{})
 	if len(obs.Samples()) != 0 {
 		t.Error("flush of an empty stream must not synthesize samples")
 	}

@@ -1,18 +1,19 @@
 // Package telemetry instruments the laboratory itself: structured metrics
 // (counters, gauges, log-bucketed histograms), span-based tracing of the
 // experiment pipeline exported as Chrome trace-event JSON, a sampling
-// observer that watches a native-instruction stream without perturbing it,
-// and versioned machine-readable run manifests.
+// observer that snapshots a run's stream tally without touching the
+// stream, and versioned machine-readable run manifests.
 //
 // The paper is a measurement study; this package is the measurement of the
 // measurers.  Everything is designed around a near-zero-cost disabled path:
-// a nil *Registry hands out nil instruments whose methods no-op, and
-// Wrap(sink, nil, n) returns the wrapped sink unchanged, so code can be
-// instrumented unconditionally and pay nothing when telemetry is off.
+// a nil *Registry hands out nil instruments whose methods no-op, so code
+// can be instrumented unconditionally and pay nothing when telemetry is
+// off.
 package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -272,22 +273,36 @@ func (r *Registry) Shard() *Registry {
 
 // Merge folds a shard's instruments into r: counters add, histograms add
 // bucket-wise, and gauges overwrite (callers merge shards in a fixed order
-// so the surviving gauge value is deterministic).  Merging nil, or into
-// nil, no-ops.
+// so the surviving gauge value is deterministic).  The fold happens under
+// r's lock, so a concurrent Snapshot sees all of a shard or none of it.
+// Merging nil, or into nil, no-ops.
 func (r *Registry) Merge(s *Registry) {
-	if r == nil || s == nil {
+	if r == nil || s == nil || r == s {
 		return
 	}
+	// Copy the shard's instrument table first, so the two registries'
+	// locks are never held together.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, c := range s.counters {
-		r.Counter(name).Add(c.Value())
-	}
-	for name, g := range s.gauges {
-		r.Gauge(name).Set(g.Value())
-	}
-	for name, h := range s.hists {
-		r.Histogram(name).merge(h)
+	counters, gauges, hists := maps.Clone(s.counters), maps.Clone(s.gauges), maps.Clone(s.hists)
+	s.mu.Unlock()
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	foldInto(r.counters, counters, func(dst, c *Counter) { dst.Add(c.Value()) })
+	foldInto(r.gauges, gauges, func(dst, g *Gauge) { dst.Set(g.Value()) })
+	foldInto(r.hists, hists, func(dst, h *Histogram) { dst.merge(h) })
+}
+
+// foldInto folds each instrument of src into the same-named one of dst,
+// creating it first when dst lacks it.  The caller holds dst's lock.
+func foldInto[T any](dst, src map[string]*T, fold func(dst, src *T)) {
+	for name, x := range src {
+		d, ok := dst[name]
+		if !ok {
+			d = new(T)
+			dst[name] = d
+		}
+		fold(d, x)
 	}
 }
 

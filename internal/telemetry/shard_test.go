@@ -1,6 +1,10 @@
 package telemetry
 
-import "testing"
+import (
+	"fmt"
+	"sync"
+	"testing"
+)
 
 // TestShardMerge pins the worker-shard contract the parallel scheduler
 // relies on: counters add, histograms add bucket-wise, gauges take the last
@@ -51,5 +55,54 @@ func TestShardMergeNil(t *testing.T) {
 	r.Merge(nil)
 	if got := r.Counter("c").Value(); got != 1 {
 		t.Errorf("merging nil changed a counter: %d", got)
+	}
+}
+
+// TestMergeIsAtomicUnderSnapshot pins that a shard lands in the registry
+// whole: goroutines merge shards whose gauges all carry the shard's id
+// while another goroutine snapshots, and every snapshot must show exactly
+// one id across the gauges — one stream's observer.* gauges never mixed
+// with another's.
+func TestMergeIsAtomicUnderSnapshot(t *testing.T) {
+	const gauges, mergers, merges = 12, 4, 300
+	r := NewRegistry()
+	shard := func(id int) *Registry {
+		s := r.Shard()
+		for g := 0; g < gauges; g++ {
+			s.Gauge(fmt.Sprintf("observer.g%02d", g)).Set(float64(id))
+		}
+		return s
+	}
+	r.Merge(shard(0))
+
+	var wg sync.WaitGroup
+	for w := 1; w <= mergers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < merges; i++ {
+				r.Merge(shard(w*merges + i))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for snaps := 0; ; snaps++ {
+		ids := make(map[float64]bool)
+		n := 0
+		for _, m := range r.Snapshot() {
+			if m.Type == "gauge" {
+				ids[m.Value] = true
+				n++
+			}
+		}
+		if n != gauges || len(ids) != 1 {
+			t.Fatalf("snapshot %d holds %d gauges with ids %v, want %d gauges of one id", snaps, n, ids, gauges)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }

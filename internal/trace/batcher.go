@@ -41,32 +41,6 @@ func (t *Batcher) Append(e Event) {
 // Pending reports whether buffered events await a flush.
 func (t *Batcher) Pending() bool { return t.blk != nil && t.blk.N > 0 }
 
-// NeedMark reports whether buffered events sit after the last recorded
-// segment boundary — i.e. whether Mark would record anything.  Producers
-// check it before computing a tag, so back-to-back attribution changes
-// with no events between them cost nothing.
-func (t *Batcher) NeedMark() bool {
-	b := t.blk
-	if b == nil || b.N == 0 {
-		return false
-	}
-	m := b.Marks
-	return len(m) == 0 || m[len(m)-1].End != b.N
-}
-
-// Mark records an attribution segment boundary at the current buffer
-// position: the events since the previous boundary (or block start) are
-// tagged with tag.  Boundaries that would close an empty segment are
-// dropped — the first tag already covers the events, and zero events need
-// no account.
-func (t *Batcher) Mark(tag any) {
-	if !t.NeedMark() {
-		return
-	}
-	b := t.blk
-	b.Marks = append(b.Marks, SegMark{End: b.N, Tag: tag})
-}
-
 // Flush delivers the buffered events (if any) tagged with reason, then
 // advances to the next ring slot.
 func (t *Batcher) Flush(reason FlushReason) {

@@ -1,17 +1,19 @@
 package trace
 
-// This file is the batched event pipeline.  A full interp-lab run pushes
-// on the order of 10^9 Events through trace.Sink.Emit; at one interface
-// call per event the instrumentation dominates the lab's wall time (the
-// BENCH_telemetry.json overhead arms).  Blocks amortize that cost: the
-// probe accumulates events into a struct-of-arrays Block and hands whole
-// blocks to sinks, so the per-event work collapses to array writes and the
-// per-sink interface dispatch happens once per a few thousand events.
+// This file is the batched event pipeline.  A full interp-lab run emits
+// on the order of 10^9 Events.  Producers count them as they emit them
+// (Tally), so only the simulating sinks — the pipeline and the cache
+// sweep — need the events themselves, and a run without one builds no
+// block at all.  For the runs that have one, blocks amortize the cost of
+// delivery: the producer accumulates events into a struct-of-arrays Block
+// and hands whole blocks to the sinks, so the per-event work collapses to
+// array writes and the per-sink interface dispatch happens once per a few
+// thousand events.
 //
 // The struct-of-arrays layout (parallel PC/Addr/Kind/Flags arrays rather
 // than an []Event) keeps each consumer's inner loop touching only the
-// columns it needs: a cache sweep streams the PC column, a counter the
-// Kind column, without dragging the rest through the data cache.
+// columns it needs: a cache sweep streams the PC column without dragging
+// the rest through the data cache.
 
 // BlockCap is the event capacity of one Block.  4096 events keep a block
 // around 40KB — comfortably inside L2 — while making the per-block
@@ -27,8 +29,9 @@ const (
 	// FlushFill means the block reached BlockCap.
 	FlushFill FlushReason = iota
 	// FlushAttr means the producer's attribution state (phase, routine,
-	// open command) was about to change and an attribution-sensitive sink
-	// (profiling) requires blocks to be uniform under one state.
+	// open command) was about to change and a sink that joins its own
+	// callbacks to the attribution state (the pipeline's miss attribution)
+	// requires blocks to be uniform under one state.
 	FlushAttr
 	// FlushFinal means the stream ended (end of run, or an explicit
 	// flush before reading accumulated sink state).
@@ -47,18 +50,6 @@ func (r FlushReason) String() string {
 	return "invalid"
 }
 
-// SegMark ends an attribution segment inside a block: the events in
-// [previous mark's End, End) were emitted under the attribution state Tag
-// stands for.  Tags are opaque to the trace layer — the producer records
-// whatever the attribution-sensitive consumer handed it (the profiling
-// collector uses its resolved sample node), and consumers that don't
-// understand a block's tags simply ignore Marks.  Events after the last
-// mark belong to the state still current when the block is delivered.
-type SegMark struct {
-	End int
-	Tag any
-}
-
 // Block is a struct-of-arrays batch of events: element i of each array is
 // one event, N counts the valid prefix.  Blocks are reused — a sink must
 // finish with the block before EmitBlock returns and must not retain it.
@@ -72,13 +63,6 @@ type Block struct {
 	N int
 	// Reason records why the producer flushed this block.
 	Reason FlushReason
-	// Marks lists attribution segment boundaries in ascending End order
-	// (empty unless the producer runs in boundary-marking mode).
-	Marks []SegMark
-
-	// kindCnt caches KindCounts' tally; it is valid while kindN == N.
-	kindCnt [numKinds]uint32
-	kindN   int
 }
 
 // Append adds e; the caller must ensure the block is not full.
@@ -94,29 +78,7 @@ func (b *Block) Append(e Event) {
 func (b *Block) Full() bool { return b.N == BlockCap }
 
 // Reset empties the block for reuse.
-func (b *Block) Reset() {
-	b.N = 0
-	b.Marks = b.Marks[:0]
-	b.kindN = -1
-}
-
-// KindCounts returns the per-kind tally of the block's N events.  The
-// first caller after the block is sealed pays one branch-free pass over
-// the Kind column; every further consumer (the counter, the observer)
-// reuses the cached table, so a fan of counting sinks scans the column
-// once per block instead of once per sink.  The returned array is valid
-// until the block is appended to or reset.
-func (b *Block) KindCounts() *[numKinds]uint32 {
-	if b.kindN != b.N {
-		var cnt [numKinds]uint32
-		for _, k := range b.Kind[:b.N] {
-			cnt[k]++
-		}
-		b.kindCnt = cnt
-		b.kindN = b.N
-	}
-	return &b.kindCnt
-}
+func (b *Block) Reset() { b.N = 0 }
 
 // Event reconstructs element i as an Event value.
 func (b *Block) Event(i int) Event {

@@ -75,8 +75,9 @@ func TestEmitBlockToUnrollsForPlainSinks(t *testing.T) {
 }
 
 // TestBlockSinksMatchPerEvent is the block-path equivalence property: for
-// any event sequence, delivering it as blocks leaves the Counter and
-// Recorder in exactly the state per-event delivery would.
+// any event sequence, delivering it as blocks — natively to the Recorder,
+// unrolled by EmitBlockTo for the Counter — leaves both in exactly the
+// state per-event delivery would.
 func TestBlockSinksMatchPerEvent(t *testing.T) {
 	f := func(seed []byte) bool {
 		evs := mkEvents(seed)
@@ -88,14 +89,14 @@ func TestBlockSinksMatchPerEvent(t *testing.T) {
 			recPer.Emit(e)
 			b.Append(e)
 			if b.Full() {
-				blocked.EmitBlock(&b)
-				recBlk.EmitBlock(&b)
+				EmitBlockTo(&blocked, &b)
+				EmitBlockTo(&recBlk, &b)
 				b.Reset()
 			}
 		}
 		if b.N > 0 {
-			blocked.EmitBlock(&b)
-			recBlk.EmitBlock(&b)
+			EmitBlockTo(&blocked, &b)
+			EmitBlockTo(&recBlk, &b)
 		}
 		if perEvent != blocked {
 			return false
@@ -201,78 +202,5 @@ func TestCombineCollapses(t *testing.T) {
 	}
 	if m[0] != Sink(&c) || m[1] != Sink(&rec) {
 		t.Error("Combine must preserve fan order")
-	}
-}
-
-// markRecorder captures each delivered block's marks (copied — blocks are
-// reused) alongside its event count.
-type markRecorder struct {
-	ns    []int
-	marks [][]SegMark
-}
-
-func (r *markRecorder) Emit(Event) { panic("block producer must not unroll") }
-
-func (r *markRecorder) EmitBlock(b *Block) {
-	r.ns = append(r.ns, b.N)
-	r.marks = append(r.marks, append([]SegMark(nil), b.Marks...))
-}
-
-func TestBatcherMarksSegments(t *testing.T) {
-	var rec markRecorder
-	ba := NewBatcher(&rec)
-
-	if ba.NeedMark() {
-		t.Error("empty batcher must not need a mark")
-	}
-	ba.Mark("dropped") // no events buffered: must record nothing
-
-	evs := mkEvents([]byte{1, 2, 3, 4, 5, 6, 7})
-	for _, e := range evs[:3] {
-		ba.Append(e)
-	}
-	if !ba.NeedMark() {
-		t.Error("3 unmarked events buffered: NeedMark must be true")
-	}
-	ba.Mark("a")
-	if ba.NeedMark() {
-		t.Error("mark just recorded: NeedMark must be false")
-	}
-	ba.Mark("empty-segment") // same position: must be dropped
-	for _, e := range evs[3:5] {
-		ba.Append(e)
-	}
-	ba.Mark("b")
-	for _, e := range evs[5:] {
-		ba.Append(e)
-	}
-	ba.Flush(FlushFinal)
-
-	if len(rec.marks) != 1 {
-		t.Fatalf("blocks delivered = %d, want 1", len(rec.marks))
-	}
-	want := []SegMark{{End: 3, Tag: "a"}, {End: 5, Tag: "b"}}
-	got := rec.marks[0]
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("marks = %+v, want %+v", got, want)
-	}
-	if rec.ns[0] != len(evs) {
-		t.Errorf("block N = %d, want %d", rec.ns[0], len(evs))
-	}
-
-	// Ring reuse must not leak stale marks: push enough marked blocks to
-	// cycle the ring back to the first slot, then check a mark-free block.
-	for blk := 0; blk < batchRing; blk++ {
-		for i := 0; i < 2; i++ {
-			ba.Append(evs[i])
-		}
-		if blk < batchRing-1 {
-			ba.Mark("stale")
-		}
-		ba.Flush(FlushFinal)
-	}
-	last := rec.marks[len(rec.marks)-1]
-	if len(last) != 0 {
-		t.Errorf("reused block carried stale marks: %+v", last)
 	}
 }

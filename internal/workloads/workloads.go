@@ -55,9 +55,7 @@ func runNative(ctx *core.Ctx, name, src string) error {
 	if err != nil {
 		return err
 	}
-	if ctx.PerEventEmission() {
-		nat.SetBatching(false)
-	}
+	nat.Tally = ctx.NativeTally()
 	if err := nat.Run(0); err != nil {
 		return err
 	}
