@@ -28,6 +28,10 @@ type benchResult struct {
 	// NsPerEvent is the arm's absolute cost: host nanoseconds per native
 	// event of its best run.  Set on the overhead arms only.
 	NsPerEvent float64 `json:"ns_per_event,omitempty"`
+	// CPUSeconds is the process CPU time, user plus system, of the run
+	// that produced BestSeconds.  Set on the scheduler arms only, so the
+	// wall-clock speedup can be read against the CPU each arm spent.
+	CPUSeconds float64 `json:"cpu_seconds,omitempty"`
 	// WinningRound is the 1-based interleaved round that produced
 	// BestSeconds — a diagnostic for host noise: arms that keep winning in
 	// late rounds are being warmed, arms that win round 1 and never again
@@ -227,9 +231,9 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 		off.NsPerEvent, on.NsPerEvent, rep.OverheadPct, prof.NsPerEvent, rep.ProfileOverheadPct, out)
 	fmt.Printf("host: %d cpus, GOMAXPROCS %d, %s, %s\n",
 		rep.Host.CPUs, rep.Host.GOMAXPROCS, rep.Host.GoVersion, rep.Host.Fingerprint)
-	fmt.Printf("scheduler %s: serial %.2fs (round %d), parallel(%d) %.2fs (round %d) -> %.2fx\n",
-		rep.SchedExperiment, rep.SchedSerial.BestSeconds, rep.SchedSerial.WinningRound,
-		rep.Parallelism, rep.SchedParallel.BestSeconds, rep.SchedParallel.WinningRound,
+	fmt.Printf("scheduler %s: serial %.2fs, %.2f cpu-s (round %d), parallel(%d) %.2fs, %.2f cpu-s (round %d) -> %.2fx\n",
+		rep.SchedExperiment, rep.SchedSerial.BestSeconds, rep.SchedSerial.CPUSeconds, rep.SchedSerial.WinningRound,
+		rep.Parallelism, rep.SchedParallel.BestSeconds, rep.SchedParallel.CPUSeconds, rep.SchedParallel.WinningRound,
 		rep.SchedSpeedupX)
 	if l := rep.SchedLedger; l != nil {
 		fmt.Printf("scheduler ledger (%d workers, %s, %d cpus): serial fraction %.3f, imbalance %.1f%%, dilation %.2fx, batch speedup %.2fx vs Amdahl %.2fx\n",
@@ -352,9 +356,11 @@ func summarizeLedger(s *labstats.SchedStats) *schedLedgerSummary {
 // per round).  Events is the total native-instruction stream length across
 // the experiment's measurements, taken from each run's registry; the
 // returned SchedStats are each arm's best-timed run's speedup ledger, and
-// each result records which round won.
+// each result records which round won and the process CPU time of that
+// run.
 func schedArms(n int, id string, scale float64, parallelisms []int) ([]benchResult, []*labstats.SchedStats) {
 	best := make([]time.Duration, len(parallelisms))
+	cpu := make([]time.Duration, len(parallelisms))
 	rounds := make([]int, len(parallelisms))
 	events := make([]uint64, len(parallelisms))
 	scheds := make([]*labstats.SchedStats, len(parallelisms))
@@ -363,14 +369,15 @@ func schedArms(n int, id string, scale float64, parallelisms []int) ([]benchResu
 			reg := telemetry.NewRegistry()
 			man := telemetry.NewManifest(scale)
 			opt := harness.Options{Scale: scale, Out: io.Discard, Parallelism: p, Telemetry: reg, Manifest: man}
-			start := time.Now()
+			runtime.GC() // collect the previous run's garbage outside the timing
+			start, startCPU := time.Now(), processCPU()
 			if err := harness.Run(id, opt); err != nil {
 				fatalf("bench %s: %v", id, err)
 			}
-			el := time.Since(start)
+			el, elCPU := time.Since(start), processCPU()-startCPU
 			events[a] = reg.Counter("core.events").Value()
 			if best[a] == 0 || el < best[a] {
-				best[a] = el
+				best[a], cpu[a] = el, elCPU
 				rounds[a] = i + 1
 				if len(man.Runs) > 0 && len(man.Runs[0].Sched) > 0 {
 					scheds[a] = man.Runs[0].Sched[0]
@@ -380,7 +387,7 @@ func schedArms(n int, id string, scale float64, parallelisms []int) ([]benchResu
 	}
 	out := make([]benchResult, len(parallelisms))
 	for a := range parallelisms {
-		out[a] = benchResult{Events: events[a], BestSeconds: best[a].Seconds(), WinningRound: rounds[a]}
+		out[a] = benchResult{Events: events[a], BestSeconds: best[a].Seconds(), CPUSeconds: cpu[a].Seconds(), WinningRound: rounds[a]}
 		if best[a] > 0 {
 			out[a].EventsPerSec = float64(events[a]) / best[a].Seconds()
 		}
@@ -399,6 +406,7 @@ func benchArms(n int, mk func() core.Program, arms [][]core.MeasureOption) ([]be
 	last := make([]core.Result, len(arms))
 	for i := 0; i < n; i++ {
 		for a, opts := range arms {
+			runtime.GC() // collect the previous arm's garbage outside the timing
 			start := time.Now()
 			res, err := core.Measure(mk(), opts...)
 			el := time.Since(start)

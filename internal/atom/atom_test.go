@@ -377,3 +377,36 @@ func TestStatsPhaseConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestModBranchMatchesDivide(t *testing.T) {
+	xs := []uint32{0, 1, 15, 16, 1<<31 - 1, 1 << 31, ^uint32(0) - 1, ^uint32(0)}
+	for x := uint32(0x9e3779b9); len(xs) < 2000; {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		xs = append(xs, x)
+	}
+	im := NewImage()
+	for _, d := range []int{1, 2, 3, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 1000, 1<<16 + 1, 1<<31 - 1} {
+		r := im.Routine("r", 8, WithBranchEvery(d))
+		for _, x := range xs {
+			if got, want := r.modBranch(x), x%uint32(d); got != want {
+				t.Fatalf("modBranch(%d) with branchEvery %d = %d, want %d", x, d, got, want)
+			}
+		}
+	}
+}
+
+func TestAdvanceWrapsAtSize(t *testing.T) {
+	im := NewImage()
+	for size := 1; size <= 5; size++ {
+		r := im.Routine("r", size)
+		for c := 0; c < size; c++ {
+			r.cursor = c
+			r.advance()
+			if r.cursor != (c+1)%size {
+				t.Fatalf("size %d: cursor %d advanced to %d, want %d", size, c, r.cursor, (c+1)%size)
+			}
+		}
+	}
+}

@@ -41,6 +41,13 @@ func decodeTallyScript(data []byte) tallyScript {
 // run replays the script on a fresh probe over sink and returns the probe
 // with the totals at which its tally's sampling hook fired.
 func (s tallyScript) run(sink trace.Sink, attrSync bool) (*Probe, []uint64) {
+	p, _, samples := s.replay(sink, attrSync, (*Probe).Exec, 1)
+	return p, samples
+}
+
+// replay is run with exec standing in for Probe.Exec and every Exec
+// argument multiplied by scale; it also returns the image's routines.
+func (s tallyScript) replay(sink trace.Sink, attrSync bool, exec func(*Probe, *Routine, int), scale int) (*Probe, []*Routine, []uint64) {
 	img := NewImage()
 	var rs []*Routine
 	for _, sh := range s.shapes {
@@ -59,7 +66,7 @@ func (s tallyScript) run(sink trace.Sink, attrSync bool) (*Probe, []uint64) {
 		r := rs[arg%len(rs)]
 		switch c[0] % 10 {
 		case 0:
-			p.Exec(r, arg)
+			exec(p, r, arg*scale)
 		case 1:
 			p.ExecMul(r, arg%8)
 		case 2:
@@ -81,7 +88,7 @@ func (s tallyScript) run(sink trace.Sink, attrSync bool) (*Probe, []uint64) {
 		}
 	}
 	p.FlushEvents()
-	return p, samples
+	return p, rs, samples
 }
 
 // FuzzProbeTally walls counting at emit against per-event recounting: the
@@ -117,6 +124,81 @@ func FuzzProbeTally(f *testing.F) {
 		}
 		if !reflect.DeepEqual(tSamples, sSamples) {
 			t.Fatalf("sample points differ: %v vs %v", tSamples, sSamples)
+		}
+	})
+}
+
+// blockLog records a stream's events and the size and flush reason of
+// each block that delivered them.
+type blockLog struct {
+	trace.Recorder
+	blocks [][2]int
+}
+
+func (l *blockLog) EmitBlock(b *trace.Block) {
+	l.Recorder.EmitBlock(b)
+	l.blocks = append(l.blocks, [2]int{b.N, int(b.Reason)})
+}
+
+// FuzzExecStream walls the branch-to-branch walk against the walk it
+// replaced: the same decoded workout streams on one probe calling Exec
+// and on another calling refExec, in passes whose Exec lengths grow
+// until they cross BlockCap.  Event for event (dependence flags
+// included), block for block, and in every tally, book and walk state,
+// the two must agree.
+func FuzzExecStream(f *testing.F) {
+	f.Add([]byte{8, 0, 0, 7, 15, 0, 100, 0, 1, 0, 0})                 // Size 1, n = 0
+	f.Add([]byte{8, 0, 40, 0, 3, 0, 200, 1, 5, 0, 77, 2, 9, 0, 31})   // branchEvery 1
+	f.Add([]byte{8, 0, 40, 7, 0, 0, 255, 2, 3, 0, 9, 1, 2, 0, 130})   // shortEvery 1
+	f.Add([]byte{8, 0, 63, 3, 20, 0, 250, 1, 4, 0, 250, 0, 0, 0, 17}) // shortEvery > branchEvery
+	f.Add([]byte{16, 3, 0, 0, 0, 63, 7, 4, 20, 15, 31, 5, 1, 1, 0, 100, 1, 7, 4, 2, 0, 50, 2, 3,
+		5, 0, 0, 201, 9, 1, 0, 0, 6, 1, 0, 33, 7, 0, 0, 44, 8, 0, 3, 5, 0, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := decodeTallyScript(data)
+		attrSync := len(data)%2 == 0
+		for _, scale := range []int{1, 9, 67} {
+			if scale > 1 && len(s.calls) > 48 {
+				// Long passes replay a prefix, so an input stays a few
+				// hundred thousand events.
+				s.calls = s.calls[:48]
+			}
+			var got, want blockLog
+			p, prs, pSamples := s.replay(&got, attrSync, (*Probe).Exec, scale)
+			q, qrs, qSamples := s.replay(&want, attrSync, refExec, scale)
+			if len(got.Events) != len(want.Events) {
+				t.Fatalf("scale %d: %d events, reference %d", scale, len(got.Events), len(want.Events))
+			}
+			for i := range got.Events {
+				if got.Events[i] != want.Events[i] {
+					t.Fatalf("scale %d: event %d = %+v, reference %+v", scale, i, got.Events[i], want.Events[i])
+				}
+			}
+			if !reflect.DeepEqual(got.blocks, want.blocks) {
+				t.Fatalf("scale %d: blocks %v, reference %v", scale, got.blocks, want.blocks)
+			}
+			if a, b := p.BatchStats(), q.BatchStats(); a != b {
+				t.Fatalf("scale %d: batch stats %+v, reference %+v", scale, a, b)
+			}
+			if a, b := p.Tally().Counter, q.Tally().Counter; a != b {
+				t.Fatalf("scale %d: tally %+v, reference %+v", scale, a, b)
+			}
+			if a, b := p.Stats(), q.Stats(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("scale %d: Stats differ:\n%+v\n%+v", scale, a, b)
+			}
+			if !reflect.DeepEqual(pSamples, qSamples) {
+				t.Fatalf("scale %d: sample points %v, reference %v", scale, pSamples, qSamples)
+			}
+			if p.depRng != q.depRng || p.lastDep != q.lastDep {
+				t.Fatalf("scale %d: dependence state (%#x, %v), reference (%#x, %v)",
+					scale, p.depRng, p.lastDep, q.depRng, q.lastDep)
+			}
+			for i, r := range prs {
+				w := qrs[i]
+				if r.cursor != w.cursor || r.sinceBr != w.sinceBr || r.sinceSh != w.sinceSh || r.rng != w.rng {
+					t.Fatalf("scale %d: routine %d walk state (%d, %d, %d, %#x), reference (%d, %d, %d, %#x)",
+						scale, i, r.cursor, r.sinceBr, r.sinceSh, r.rng, w.cursor, w.sinceBr, w.sinceSh, w.rng)
+				}
+			}
 		}
 	})
 }

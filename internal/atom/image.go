@@ -18,10 +18,18 @@
 // are a small calibrated constant (documented where the routine is
 // registered) multiplied by the real work performed — characters parsed,
 // hash probes made, bytes copied, pixels drawn.
+//
+// The probe counts its stream as it emits it (Probe.Tally), and builds
+// events only for a sink that simulates them.  A routine's synthetic code
+// repeats at fixed spacing — a conditional branch every branchEvery
+// instructions, a short-int every shortEvery, a wrap at the end — so Exec
+// steps from one branch or wrap to the next and costs one step per branch,
+// not one per instruction.
 package atom
 
 import (
 	"fmt"
+	"math/bits"
 
 	"interplab/internal/trace"
 )
@@ -77,6 +85,7 @@ func (im *Image) Routine(name string, size int, opts ...RoutineOpt) *Routine {
 	for _, o := range opts {
 		o(r)
 	}
+	r.brRecip = ^uint64(0)/uint64(r.branchEvery) + 1
 	im.nextCode += uint32(size) * 4
 	// Align the next routine to a cache line.
 	im.nextCode = (im.nextCode + 31) &^ 31
@@ -141,6 +150,10 @@ type Routine struct {
 	branchEvery int
 	shortEvery  int
 	index       int
+	// brRecip is Lemire's fastmod reciprocal of branchEvery, ⌈2⁶⁴/
+	// branchEvery⌉ (0 for 1), so the walk reduces a branch site modulo
+	// branchEvery with multiplies instead of a hardware divide.
+	brRecip uint64
 
 	// Walk state (owned by the probe executing against the image).
 	cursor  int
@@ -159,6 +172,22 @@ func (r *Routine) End() uint32 { return r.Base + uint32(r.Size)*4 }
 
 // pc returns the current instruction address.
 func (r *Routine) pc() uint32 { return r.Base + uint32(r.cursor)*4 }
+
+// advance moves the cursor one instruction on, back to the top past the
+// end.  The cursor is always in [0, Size), so no divide is needed.
+func (r *Routine) advance() {
+	r.cursor++
+	if r.cursor == r.Size {
+		r.cursor = 0
+	}
+}
+
+// modBranch returns x mod branchEvery, exact for every 32-bit x (Lemire,
+// Kaser and Kurz, "Faster Remainder by Direct Computation", 2019).
+func (r *Routine) modBranch(x uint32) uint32 {
+	hi, _ := bits.Mul64(r.brRecip*uint64(x), uint64(r.branchEvery))
+	return uint32(hi)
+}
 
 func (r *Routine) String() string {
 	return fmt.Sprintf("%s@%#x[%d]", r.Name, r.Base, r.Size)

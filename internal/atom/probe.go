@@ -419,20 +419,41 @@ func (p *Probe) account(n uint64) {
 // Only a streaming probe calls it.
 func (p *Probe) emit(e trace.Event) {
 	if p.lastDep {
-		// Roughly half of the instructions that follow a load or a
-		// long-latency op consume its result; the deterministic
-		// generator keeps runs repeatable.
-		x := p.depRng
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		p.depRng = x
-		if x&1 == 0 {
-			e.Flags |= trace.FlagDep
-		}
+		e.Flags |= p.depFlag()
 	}
 	p.lastDep = e.Kind == trace.Load || e.Kind == trace.ShortInt || e.Kind == trace.Mul
 	p.batch.Append(e)
+}
+
+// fillInt appends k Int rows at pc, pc+4, ... — what k emits of Int
+// events would append.  An Int ends the dependence chain, so only the
+// first row can depend on the row before it, and the generator is drawn
+// at most once.
+func (p *Probe) fillInt(pc uint32, k int) {
+	if k == 0 {
+		return
+	}
+	var f trace.Flags
+	if p.lastDep {
+		f = p.depFlag()
+	}
+	p.lastDep = false
+	p.batch.AppendInts(pc, k, f)
+}
+
+// depFlag draws the dependence flag of an instruction that follows a load
+// or a long-latency op: roughly half of them consume its result, and the
+// deterministic generator keeps runs repeatable.
+func (p *Probe) depFlag() trace.Flags {
+	x := p.depRng
+	x ^= x << 13
+	x ^= x >> 17
+	x ^= x << 5
+	p.depRng = x
+	if x&1 == 0 {
+		return trace.FlagDep
+	}
+	return 0
 }
 
 // Exec reports n executed instructions inside routine r.  The probe walks
@@ -440,8 +461,16 @@ func (p *Probe) emit(e trace.Event) {
 // seasoned with the routine's short-integer and conditional-branch mix, and
 // loops back to the top when it falls off the end — modelling the inner
 // loops that make a routine's dynamic instruction count exceed its static
-// size.  The walk tallies the kinds in locals; it builds events only when
-// the probe streams.
+// size.
+//
+// The walk steps from branch to branch.  The next conditional branch is
+// branchEvery−sinceBr instructions on and the wrap Size−cursor on; the
+// plain instructions before whichever comes first hold the short-int
+// slots at fixed spacing, the first at max(1, shortEvery−sinceSh).  So a
+// step costs O(1) plus one loop turn per short slot, and a probe that
+// only counts pays per branch, not per instruction.  A streaming probe
+// walks the same steps and writes each run of Int rows into the block in
+// one call.
 func (p *Probe) Exec(r *Routine, n int) {
 	if n <= 0 {
 		return
@@ -452,68 +481,77 @@ func (p *Probe) Exec(r *Routine, n int) {
 	base, size, brEvery, shEvery := r.Base, r.Size, r.branchEvery, r.shortEvery
 	cursor, sinceBr, sinceSh := r.cursor, r.sinceBr, r.sinceSh
 	var short, br, taken uint64
-	for i := 0; i < n; i++ {
+	total := uint64(n)
+	for {
+		// m plain instructions precede the next branch or wrap, or the
+		// call ends among them.
+		if m := min(brEvery-sinceBr, size-cursor, n+1) - 1; m > 0 {
+			// j is the 1-based position of a short-int slot in the
+			// stretch, done the position of the last one walked.
+			done := 0
+			for j := max(1, shEvery-sinceSh); j <= m; j += shEvery {
+				if stream {
+					p.fillInt(base+uint32(cursor+done)*4, j-1-done)
+					p.emit(trace.Event{PC: base + uint32(cursor+j-1)*4, Kind: trace.ShortInt})
+				}
+				short++
+				done = j
+			}
+			if stream {
+				p.fillInt(base+uint32(cursor+done)*4, m-done)
+			}
+			if done > 0 {
+				sinceSh = m - done
+			} else {
+				sinceSh += m
+			}
+			cursor += m
+			sinceBr += m
+			n -= m
+		}
+		if n == 0 {
+			break
+		}
 		pc := base + uint32(cursor)*4
 		cursor++
-		sinceBr++
 		sinceSh++
-		if cursor >= size {
+		sinceBr = 0
+		br++
+		n--
+		if cursor == size {
 			// Loop back to the routine top: a taken backward branch.
 			cursor = 0
-			sinceBr = 0
-			br++
 			taken++
 			if stream {
 				p.emit(trace.Event{PC: pc, Addr: base, Kind: trace.Branch, Flags: trace.FlagTaken})
 			}
 			continue
 		}
-		if sinceBr >= brEvery {
-			sinceBr = 0
-			br++
-			// Branch direction: most sites are strongly biased (loops and
-			// error checks repeat their direction, which a 1-bit predictor
-			// learns); a minority of data-dependent sites flip randomly.
-			site := (pc>>2)*2654435761 ^ pc>>13
-			var isTaken bool
-			if site%8 == 0 {
-				isTaken = r.next32()&1 != 0 // data-dependent site
+		// Branch direction: most sites are strongly biased (loops and
+		// error checks repeat their direction, which a 1-bit predictor
+		// learns); a minority of data-dependent sites flip randomly.
+		site := (pc>>2)*2654435761 ^ pc>>13
+		var t uint32 // 1 when the branch is taken
+		if site%8 == 0 {
+			t = r.next32() & 1 // data-dependent site
+		} else {
+			t = site >> 3 & 1 // stable per-site direction
+		}
+		// A taken branch is a short backward one: it stays inside the
+		// routine.
+		taken += uint64(t)
+		cursor -= min(int(r.modBranch(site/16))+1, cursor) * int(t)
+		if stream {
+			if t == 0 {
+				p.emit(trace.Event{PC: pc, Addr: pc + 16, Kind: trace.Branch})
 			} else {
-				isTaken = site&8 != 0 // stable per-site direction
-			}
-			if !isTaken {
-				if stream {
-					p.emit(trace.Event{PC: pc, Addr: pc + 16, Kind: trace.Branch})
-				}
-				continue
-			}
-			taken++
-			// Short backward branch: stay inside the routine.
-			back := int((site/16)%uint32(brEvery) + 1)
-			if back > cursor {
-				back = cursor
-			}
-			cursor -= back
-			if stream {
 				p.emit(trace.Event{PC: pc, Addr: base + uint32(cursor)*4, Kind: trace.Branch, Flags: trace.FlagTaken})
 			}
-			continue
-		}
-		if sinceSh >= shEvery {
-			sinceSh = 0
-			short++
-			if stream {
-				p.emit(trace.Event{PC: pc, Kind: trace.ShortInt})
-			}
-			continue
-		}
-		if stream {
-			p.emit(trace.Event{PC: pc, Kind: trace.Int})
 		}
 	}
 	r.cursor, r.sinceBr, r.sinceSh = cursor, sinceBr, sinceSh
 	k := &p.tally.ByKind
-	k[trace.Int] += uint64(n) - short - br
+	k[trace.Int] += total - short - br
 	k[trace.ShortInt] += short
 	k[trace.Branch] += br
 	p.tally.TakenBr += taken
@@ -536,7 +574,7 @@ func (p *Probe) ExecMul(r *Routine, n int) {
 	p.tally.ByKind[trace.Mul] += uint64(n)
 	for i := 0; i < n; i++ {
 		pc := r.pc()
-		r.cursor = (r.cursor + 1) % r.Size
+		r.advance()
 		if p.stream {
 			p.emit(trace.Event{PC: pc, Kind: trace.Mul})
 		}
@@ -552,7 +590,7 @@ func (p *Probe) step() uint32 {
 		return CodeBase
 	}
 	pc := r.pc()
-	r.cursor = (r.cursor + 1) % r.Size
+	r.advance()
 	return pc
 }
 

@@ -368,7 +368,12 @@ func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 	}
 	ctx := &Ctx{Image: img, Probe: probe, Sink: fanned, OS: osys}
 	if col != nil {
-		col.Bind(probe, ctx.NativeTally())
+		// Only compiled C feeds the native tally.
+		if p.System == SysC {
+			col.Bind(probe, ctx.NativeTally())
+		} else {
+			col.Bind(probe)
+		}
 		if missJoin {
 			// Miss attribution rides the pipeline's synchronous callbacks,
 			// which land on the collector's current node — coherent only

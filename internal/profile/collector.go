@@ -63,11 +63,11 @@ type Collector struct {
 	probe *atom.Probe
 	root  node
 
-	// srcs are the tallies whose sum is the attributed stream (the
-	// probe's, plus any producer emitting beside it); charged is that
-	// sum's instruction, load, store and branch counts at the previous
-	// charge.
-	srcs    []*trace.Tally
+	// The attributed stream is the probe's tally plus the extra tallies
+	// of any producer emitting beside it; charged is the stream's
+	// instruction, load, store and branch counts at the previous charge.
+	tally   *trace.Tally
+	extra   []*trace.Tally
 	charged [4]uint64
 
 	lastVersion uint64
@@ -98,21 +98,25 @@ func NewCollector() *Collector {
 // The attributed stream is the probe's tally plus any extra tallies — a
 // producer that emits beside the probe, such as the compiled-C path's
 // mipsi.Native, whose events the probe's current state is charged with.
-// Must be called before the first event.  Runs that join cache misses back
-// to the collector must also call Probe.RequireAttrSync, so that every
-// block the pipeline sees was emitted under the probe's current state.
+// Bind only tallies the run feeds: each one is read at every attribution
+// change.  Must be called before the first event.  Runs that join cache
+// misses back to the collector must also call Probe.RequireAttrSync, so
+// that every block the pipeline sees was emitted under the probe's
+// current state.
 func (c *Collector) Bind(p *atom.Probe, extra ...*trace.Tally) {
 	c.probe = p
 	c.lastNode = nil
-	c.srcs = append([]*trace.Tally{p.Tally()}, extra...)
+	c.tally, c.extra = p.Tally(), extra
 	c.charged = c.counts()
 	p.OnAttrChange(c.charge)
 }
 
 // counts sums the attributed stream's instruction, load, store and branch
 // counts.
-func (c *Collector) counts() (n [4]uint64) {
-	for _, t := range c.srcs {
+func (c *Collector) counts() [4]uint64 {
+	t := c.tally
+	n := [4]uint64{t.Total, t.ByKind[trace.Load], t.ByKind[trace.Store], t.ByKind[trace.Branch]}
+	for _, t := range c.extra {
 		n[0] += t.Total
 		n[1] += t.ByKind[trace.Load]
 		n[2] += t.ByKind[trace.Store]
@@ -125,6 +129,9 @@ func (c *Collector) counts() (n [4]uint64) {
 // probe's current state.  States under which nothing was emitted are never
 // resolved, so they create no nodes and no frame addresses.
 func (c *Collector) charge() {
+	if c.tally == nil {
+		return // never bound
+	}
 	now := c.counts()
 	if now[0] == c.charged[0] {
 		return

@@ -69,3 +69,32 @@ func (t *Batcher) next() *Block {
 
 // Stats returns the accumulated batch accounting.
 func (t *Batcher) Stats() BatchStats { return t.stats }
+
+// AppendInts buffers k Int events at pc, pc+4, ... with Addr 0, the first
+// carrying flags and the rest none: the events k Appends would buffer,
+// split at BlockCap and flushed with FlushFill where those would flush.
+func (t *Batcher) AppendInts(pc uint32, k int, flags Flags) {
+	for k > 0 {
+		b := t.blk
+		if b == nil {
+			b = t.next()
+		}
+		lo := b.N
+		hi := min(lo+k, BlockCap)
+		// Blocks are reused: every column of every row is written.
+		for i := lo; i < hi; i++ {
+			b.PC[i] = pc
+			b.Addr[i] = 0
+			b.Kind[i] = Int
+			b.Flags[i] = 0
+			pc += 4
+		}
+		b.Flags[lo] = flags
+		flags = 0
+		b.N = hi
+		k -= hi - lo
+		if hi == BlockCap {
+			t.Flush(FlushFill)
+		}
+	}
+}

@@ -160,6 +160,46 @@ func TestBatcherFlushReasons(t *testing.T) {
 	}
 }
 
+func TestBatcherAppendIntsMatchesAppends(t *testing.T) {
+	var bulk, each Recorder
+	a, b := NewBatcher(&bulk), NewBatcher(&each)
+	// Dirty every ring slot first, so a column left unwritten would show.
+	seed := make([]byte, batchRing*BlockCap)
+	for i := range seed {
+		seed[i] = byte(i*37 + 1)
+	}
+	for _, e := range mkEvents(seed) {
+		a.Append(e)
+		b.Append(e)
+	}
+	pc := uint32(0x40_0000)
+	for i, k := range []int{1, 7, BlockCap - 3, 2*BlockCap + 5, 0, 3} {
+		f := Flags(i % 4)
+		a.AppendInts(pc, k, f)
+		for j := 0; j < k; j++ {
+			e := Event{PC: pc + uint32(j)*4, Kind: Int}
+			if j == 0 {
+				e.Flags = f
+			}
+			b.Append(e)
+		}
+		pc += uint32(k) * 4
+	}
+	a.Flush(FlushFinal)
+	b.Flush(FlushFinal)
+	if got, want := a.Stats(), b.Stats(); got != want {
+		t.Fatalf("AppendInts stats %+v, Appends %+v", got, want)
+	}
+	if len(bulk.Events) != len(each.Events) {
+		t.Fatalf("AppendInts delivered %d events, Appends %d", len(bulk.Events), len(each.Events))
+	}
+	for i := range bulk.Events {
+		if bulk.Events[i] != each.Events[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, bulk.Events[i], each.Events[i])
+		}
+	}
+}
+
 func TestBatcherNilSinkDiscards(t *testing.T) {
 	ba := NewBatcher(nil)
 	ba.Append(Event{})
