@@ -52,7 +52,8 @@ type benchHost struct {
 // and per-event cost of a measurement with telemetry off vs. on, and with
 // the attribution profiler attached, seeding the repo's performance
 // trajectory.  None of the three arms builds an event block: the producers
-// count at emit, and the observer and the profiler read their tallies.
+// count at emit, and the profiler reads their tallies.  The telemetry_on
+// arm prices WithTelemetry's registry updates alone.
 type benchReport struct {
 	Benchmark          string      `json:"benchmark"`
 	Workload           string      `json:"workload"`
@@ -236,9 +237,9 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 		rep.Parallelism, rep.SchedParallel.BestSeconds, rep.SchedParallel.CPUSeconds, rep.SchedParallel.WinningRound,
 		rep.SchedSpeedupX)
 	if l := rep.SchedLedger; l != nil {
-		fmt.Printf("scheduler ledger (%d workers, %s, %d cpus): serial fraction %.3f, imbalance %.1f%%, dilation %.2fx, batch speedup %.2fx vs Amdahl %.2fx\n",
+		fmt.Printf("scheduler ledger (%d workers, %s, %d cpus): serial fraction %.3f, imbalance %.1f%%, dilation %.2fx, overlap %.2fx vs Amdahl speedup %.2fx\n",
 			l.EffectiveWorkers, l.ClaimPolicy, l.CPUs, l.SerialFraction,
-			l.ImbalancePct, l.DilationX, l.MeasuredSpeedupX, l.PredictedSpeedupX)
+			l.ImbalancePct, l.DilationX, l.OverlapX, l.PredictedSpeedupX)
 	}
 	fmt.Printf("cache (%d experiments): cold %.2fs, warm %.2fs (%.1fx)\n",
 		rep.CacheExperiments, rep.CacheCold.BestSeconds, rep.CacheWarm.BestSeconds, rep.CacheSpeedupX)
@@ -313,7 +314,7 @@ type schedLedgerSummary struct {
 	WorkerUtilization []float64 `json:"worker_utilization"`
 	SerialFraction    float64   `json:"serial_fraction"`
 	ImbalancePct      float64   `json:"imbalance_pct"`
-	MeasuredSpeedupX  float64   `json:"measured_speedup_x"`
+	OverlapX          float64   `json:"overlap_x"`
 	PredictedSpeedupX float64   `json:"predicted_speedup_x"`
 	ContentionWaitUS  float64   `json:"contention_wait_us"`
 	// ClaimPolicy, CPUs/GOMAXPROCS, and DilationX qualify the headline:
@@ -337,7 +338,7 @@ func summarizeLedger(s *labstats.SchedStats) *schedLedgerSummary {
 		EffectiveWorkers:  s.WorkersEffective,
 		SerialFraction:    s.SerialFraction,
 		ImbalancePct:      s.ImbalancePct,
-		MeasuredSpeedupX:  s.MeasuredSpeedupX,
+		OverlapX:          s.OverlapX,
 		PredictedSpeedupX: s.PredictedSpeedupX,
 		ContentionWaitUS:  s.ContentionWaitUS,
 		ClaimPolicy:       s.ClaimPolicy,

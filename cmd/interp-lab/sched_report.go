@@ -14,9 +14,9 @@ import (
 // cmdSchedReport renders the scheduler introspection recorded in a run
 // manifest (-json on the generating run): one speedup ledger per
 // measurement batch — where the parallel wall time went, per-worker
-// busy/idle/utilization, serial fraction, imbalance, and the Amdahl
-// predicted-vs-measured speedup.  -json emits the raw sched blocks
-// instead of the text tables.
+// busy/idle/utilization, serial fraction, imbalance, and the overlap
+// (busy/wall) beside Amdahl's predicted speedup.  -json emits the raw
+// sched blocks instead of the text tables.
 func cmdSchedReport(args []string) {
 	fs := flag.NewFlagSet("sched-report", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit the sched blocks as JSON instead of text")

@@ -8,14 +8,13 @@ import (
 )
 
 // tallyScript decodes fuzz input into a probe workout.  The first byte
-// sets the tally's sampling interval (1–64 events); the next picks how
-// many routines the image holds (1–4), and three bytes per routine give
-// its size, branch spacing and short-int spacing.  The rest is a sequence
-// of (call, argument) byte pairs over the probe's reporting API.
+// picks how many routines the image holds (1–4), and three bytes per
+// routine give its size, branch spacing and short-int spacing.  The rest
+// is a sequence of (call, argument) byte pairs over the probe's reporting
+// API.  The fuzz targets stream odd-length inputs under RequireAttrSync.
 type tallyScript struct {
 	shapes [][3]byte
 	calls  [][2]byte
-	every  uint64
 }
 
 func decodeTallyScript(data []byte) tallyScript {
@@ -28,7 +27,6 @@ func decodeTallyScript(data []byte) tallyScript {
 		return b
 	}
 	var s tallyScript
-	s.every = uint64(next())%64 + 1
 	for n := int(next())%4 + 1; n > 0; n-- {
 		s.shapes = append(s.shapes, [3]byte{next(), next(), next()})
 	}
@@ -38,16 +36,15 @@ func decodeTallyScript(data []byte) tallyScript {
 	return s
 }
 
-// run replays the script on a fresh probe over sink and returns the probe
-// with the totals at which its tally's sampling hook fired.
-func (s tallyScript) run(sink trace.Sink, attrSync bool) (*Probe, []uint64) {
-	p, _, samples := s.replay(sink, attrSync, (*Probe).Exec, 1)
-	return p, samples
+// run replays the script on a fresh probe over sink.
+func (s tallyScript) run(sink trace.Sink, attrSync bool) *Probe {
+	p, _ := s.replay(sink, attrSync, (*Probe).Exec, 1)
+	return p
 }
 
 // replay is run with exec standing in for Probe.Exec and every Exec
 // argument multiplied by scale; it also returns the image's routines.
-func (s tallyScript) replay(sink trace.Sink, attrSync bool, exec func(*Probe, *Routine, int), scale int) (*Probe, []*Routine, []uint64) {
+func (s tallyScript) replay(sink trace.Sink, attrSync bool, exec func(*Probe, *Routine, int), scale int) (*Probe, []*Routine) {
 	img := NewImage()
 	var rs []*Routine
 	for _, sh := range s.shapes {
@@ -58,8 +55,6 @@ func (s tallyScript) replay(sink trace.Sink, attrSync bool, exec func(*Probe, *R
 	if attrSync {
 		p.RequireAttrSync()
 	}
-	var samples []uint64
-	p.Tally().SampleEvery(s.every, func() { samples = append(samples, p.Tally().Total) })
 	ops := []OpID{p.OpName("a"), p.OpName("b"), p.OpName("c")}
 	for _, c := range s.calls {
 		arg := int(c[1])
@@ -88,29 +83,28 @@ func (s tallyScript) replay(sink trace.Sink, attrSync bool, exec func(*Probe, *R
 		}
 	}
 	p.FlushEvents()
-	return p, rs, samples
+	return p, rs
 }
 
 // FuzzProbeTally walls counting at emit against per-event recounting: the
 // same decoded workout runs on a probe that only counts and on an
 // identical probe streaming into a sink that recounts every event (and,
 // not implementing trace.BlockSink, receives each block unrolled).  Their
-// tallies, Stats and sample points must match, and both tallies must equal
-// the recount.
+// tallies and Stats must match, and both tallies must equal the recount.
 func FuzzProbeTally(f *testing.F) {
-	f.Add([]byte{8, 0, 40, 7, 15, 0, 100, 2, 9, 3, 9, 0, 255})
-	f.Add([]byte{1, 2, 1, 0, 0, 5, 5, 3, 6, 0, 0, 17, 7, 0, 0, 33, 4, 1, 0, 9, 5, 0, 8, 0})
-	f.Add([]byte{63, 3, 64, 8, 16, 12, 3, 2, 31, 31, 31, 9, 1, 0, 200, 1, 7, 9, 0, 4, 2, 0, 60, 5, 0, 5, 0})
-	f.Add([]byte{32, 1, 0, 255, 255, 6, 1, 0, 250, 7, 0, 0, 250, 2, 1, 3, 2, 8, 0, 1, 5})
+	f.Add([]byte{0, 40, 7, 15, 0, 100, 2, 9, 3, 9, 0, 255})
+	f.Add([]byte{2, 1, 0, 0, 5, 5, 3, 6, 0, 0, 17, 7, 0, 0, 33, 4, 1, 0, 9, 5, 0, 8, 0})
+	f.Add([]byte{3, 64, 8, 16, 12, 3, 2, 31, 31, 31, 9, 1, 0, 200, 1, 7, 9, 0, 4, 2, 0, 60, 5, 0, 5, 0})
+	f.Add([]byte{1, 0, 255, 255, 6, 1, 0, 250, 7, 0, 0, 250, 2, 1, 3, 2, 8, 0, 1, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeTallyScript(data)
-		tallied, tSamples := s.run(trace.Discard, false)
+		tallied := s.run(trace.Discard, false)
 		var recount trace.Counter
-		streamed, sSamples := s.run(trace.SinkFunc(recount.Emit), len(data)%2 == 0)
-		if got, want := tallied.Tally().Counter, streamed.Tally().Counter; got != want {
+		streamed := s.run(trace.SinkFunc(recount.Emit), len(data)%2 == 1)
+		if got, want := *tallied.Tally(), *streamed.Tally(); got != want {
 			t.Fatalf("tally-only %+v != streamed %+v", got, want)
 		}
-		if got := streamed.Tally().Counter; got != recount {
+		if got := *streamed.Tally(); got != recount {
 			t.Fatalf("tally %+v != per-event recount %+v", got, recount)
 		}
 		if b := tallied.BatchStats(); b != (trace.BatchStats{}) {
@@ -121,9 +115,6 @@ func FuzzProbeTally(f *testing.F) {
 		}
 		if got, want := tallied.Stats(), streamed.Stats(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Stats differ:\n%+v\n%+v", got, want)
-		}
-		if !reflect.DeepEqual(tSamples, sSamples) {
-			t.Fatalf("sample points differ: %v vs %v", tSamples, sSamples)
 		}
 	})
 }
@@ -147,15 +138,15 @@ func (l *blockLog) EmitBlock(b *trace.Block) {
 // included), block for block, and in every tally, book and walk state,
 // the two must agree.
 func FuzzExecStream(f *testing.F) {
-	f.Add([]byte{8, 0, 0, 7, 15, 0, 100, 0, 1, 0, 0})                 // Size 1, n = 0
-	f.Add([]byte{8, 0, 40, 0, 3, 0, 200, 1, 5, 0, 77, 2, 9, 0, 31})   // branchEvery 1
-	f.Add([]byte{8, 0, 40, 7, 0, 0, 255, 2, 3, 0, 9, 1, 2, 0, 130})   // shortEvery 1
-	f.Add([]byte{8, 0, 63, 3, 20, 0, 250, 1, 4, 0, 250, 0, 0, 0, 17}) // shortEvery > branchEvery
-	f.Add([]byte{16, 3, 0, 0, 0, 63, 7, 4, 20, 15, 31, 5, 1, 1, 0, 100, 1, 7, 4, 2, 0, 50, 2, 3,
+	f.Add([]byte{0, 0, 7, 15, 0, 100, 0, 1, 0, 0})                 // Size 1, n = 0
+	f.Add([]byte{0, 40, 0, 3, 0, 200, 1, 5, 0, 77, 2, 9, 0, 31})   // branchEvery 1
+	f.Add([]byte{0, 40, 7, 0, 0, 255, 2, 3, 0, 9, 1, 2, 0, 130})   // shortEvery 1
+	f.Add([]byte{0, 63, 3, 20, 0, 250, 1, 4, 0, 250, 0, 0, 0, 17}) // shortEvery > branchEvery
+	f.Add([]byte{3, 0, 0, 0, 63, 7, 4, 20, 15, 31, 5, 1, 1, 0, 100, 1, 7, 4, 2, 0, 50, 2, 3,
 		5, 0, 0, 201, 9, 1, 0, 0, 6, 1, 0, 33, 7, 0, 0, 44, 8, 0, 3, 5, 0, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeTallyScript(data)
-		attrSync := len(data)%2 == 0
+		attrSync := len(data)%2 == 1
 		for _, scale := range []int{1, 9, 67} {
 			if scale > 1 && len(s.calls) > 48 {
 				// Long passes replay a prefix, so an input stays a few
@@ -163,8 +154,8 @@ func FuzzExecStream(f *testing.F) {
 				s.calls = s.calls[:48]
 			}
 			var got, want blockLog
-			p, prs, pSamples := s.replay(&got, attrSync, (*Probe).Exec, scale)
-			q, qrs, qSamples := s.replay(&want, attrSync, refExec, scale)
+			p, prs := s.replay(&got, attrSync, (*Probe).Exec, scale)
+			q, qrs := s.replay(&want, attrSync, refExec, scale)
 			if len(got.Events) != len(want.Events) {
 				t.Fatalf("scale %d: %d events, reference %d", scale, len(got.Events), len(want.Events))
 			}
@@ -179,14 +170,11 @@ func FuzzExecStream(f *testing.F) {
 			if a, b := p.BatchStats(), q.BatchStats(); a != b {
 				t.Fatalf("scale %d: batch stats %+v, reference %+v", scale, a, b)
 			}
-			if a, b := p.Tally().Counter, q.Tally().Counter; a != b {
+			if a, b := *p.Tally(), *q.Tally(); a != b {
 				t.Fatalf("scale %d: tally %+v, reference %+v", scale, a, b)
 			}
 			if a, b := p.Stats(), q.Stats(); !reflect.DeepEqual(a, b) {
 				t.Fatalf("scale %d: Stats differ:\n%+v\n%+v", scale, a, b)
-			}
-			if !reflect.DeepEqual(pSamples, qSamples) {
-				t.Fatalf("scale %d: sample points %v, reference %v", scale, pSamples, qSamples)
 			}
 			if p.depRng != q.depRng || p.lastDep != q.lastDep {
 				t.Fatalf("scale %d: dependence state (%#x, %v), reference (%#x, %v)",

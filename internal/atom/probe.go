@@ -53,7 +53,7 @@ type Probe struct {
 
 	// tally counts every emitted event as it is emitted; its Total, Load
 	// and Store counts double as Stats' Instructions, Loads and Stores.
-	tally trace.Tally
+	tally trace.Counter
 
 	// stream is set when the probe has a sink that consumes the events
 	// themselves (a simulator): only then are events built into blocks,
@@ -167,9 +167,8 @@ func (p *Probe) Image() *Image { return p.img }
 // --- counting and batched emission ------------------------------------------
 
 // Tally returns the probe's count of its emitted stream, kept at emit
-// time.  A caller may attach a sampling hook to it (Tally.SampleEvery);
-// the probe checks it once per Exec, ExecMul, Load and Store call.
-func (p *Probe) Tally() *trace.Tally { return &p.tally }
+// time.
+func (p *Probe) Tally() *trace.Counter { return &p.tally }
 
 // RequireAttrSync makes the probe flush its event buffer before every
 // attribution change (command begin/end, phase switch, call/return, routine
@@ -555,7 +554,6 @@ func (p *Probe) Exec(r *Routine, n int) {
 	k[trace.ShortInt] += short
 	k[trace.Branch] += br
 	p.tally.TakenBr += taken
-	p.tally.Check()
 }
 
 // setCur switches the executing routine, bumping the attribution version
@@ -579,7 +577,6 @@ func (p *Probe) ExecMul(r *Routine, n int) {
 			p.emit(trace.Event{PC: pc, Kind: trace.Mul})
 		}
 	}
-	p.tally.Check()
 }
 
 // step advances the current routine's cursor and returns the instruction
@@ -608,7 +605,6 @@ func (p *Probe) access(addr uint32, k trace.Kind) {
 	if p.stream {
 		p.emit(trace.Event{PC: pc, Addr: addr, Kind: k})
 	}
-	p.tally.Check()
 }
 
 // LoadRange reports n word loads walking forward from addr — an array or

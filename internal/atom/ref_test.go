@@ -78,5 +78,4 @@ func refExec(p *Probe, r *Routine, n int) {
 	k[trace.ShortInt] += short
 	k[trace.Branch] += br
 	p.tally.TakenBr += taken
-	p.tally.Check()
 }

@@ -49,7 +49,7 @@ type Ctx struct {
 	display *gfx.Display
 	size    int
 	batch   trace.BatchStats
-	native  trace.Tally
+	native  trace.Counter
 }
 
 // Display lazily creates the run's framebuffer (native graphics library).
@@ -72,14 +72,14 @@ func (c *Ctx) RecordBatch(bs trace.BatchStats) { c.batch.Add(bs) }
 
 // NativeTally returns the tally that a workload-side producer emitting
 // beside the probe — the compiled-C path's mipsi.Native — counts into, so
-// that the run's Result.Counter, observer and profiler see its events.
-func (c *Ctx) NativeTally() *trace.Tally { return &c.native }
+// that the run's Result.Counter and profiler see its events.
+func (c *Ctx) NativeTally() *trace.Counter { return &c.native }
 
 // Counter returns the run's stream tally so far: the probe's plus the
 // native producer's.
 func (c *Ctx) Counter() trace.Counter {
-	n := c.Probe.Tally().Counter
-	n.Add(c.native.Counter)
+	n := *c.Probe.Tally()
+	n.Add(c.native)
 	return n
 }
 
@@ -128,10 +128,6 @@ type Result struct {
 	// Stdout is the run's captured console output.
 	Stdout string
 
-	// Samples holds the telemetry observer's periodic snapshots when the
-	// run was measured with WithTelemetry; nil otherwise.
-	Samples []telemetry.Sample
-
 	// Profile holds the attribution profile when the run was measured with
 	// WithProfiling; nil otherwise.  For pipeline runs it includes
 	// cache-miss attribution.
@@ -139,8 +135,7 @@ type Result struct {
 
 	// FromCache reports that the result was restored from the measurement
 	// cache (WithCache) instead of executing the workload.  Restored
-	// results are byte-for-byte interchangeable with fresh ones except for
-	// Samples, which only a live stream produces.
+	// results are byte-for-byte interchangeable with fresh ones.
 	FromCache bool
 
 	// Batch accounts the batched event pipeline: events and blocks
@@ -183,11 +178,10 @@ func (r Result) PerCommand() (fd, ex float64) {
 
 // measureConfig carries the optional instrumentation of a measured run.
 type measureConfig struct {
-	tracer      *telemetry.Tracer
-	reg         *telemetry.Registry
-	sampleEvery uint64
-	profiling   bool
-	lane        int
+	tracer    *telemetry.Tracer
+	reg       *telemetry.Registry
+	profiling bool
+	lane      int
 
 	cache      *rescache.Cache
 	cacheScope rescache.Scope
@@ -211,21 +205,13 @@ func WithTracer(tr *telemetry.Tracer) MeasureOption {
 	return func(c *measureConfig) { c.tracer = tr }
 }
 
-// WithTelemetry samples the run's stream tally into reg with an observer,
-// and counts runs/events there.  The observer reads the producers' tallies
-// and never the events, so it adds no event blocks.  A nil registry is
-// allowed and disables metrics (the run then sets no sampling hook).
+// WithTelemetry counts the run into reg: cache hits and misses at lookup,
+// and when the run ends its events, commands, errors and the block
+// accounting of a simulated run.  It reads the producers' tallies, never
+// the events, so it adds no event blocks and nothing to the emit path.  A
+// nil registry is allowed and disables metrics.
 func WithTelemetry(reg *telemetry.Registry) MeasureOption {
 	return func(c *measureConfig) { c.reg = reg }
-}
-
-// defaultSampleEvery is the observer's sampling period in events.
-const defaultSampleEvery = 65536
-
-// WithSampleInterval sets the observer's sampling period in events
-// (default 65536).  Only meaningful together with WithTelemetry.
-func WithSampleInterval(n uint64) MeasureOption {
-	return func(c *measureConfig) { c.sampleEvery = n }
 }
 
 // WithTraceLane attributes the run's spans to the given trace lane
@@ -339,7 +325,7 @@ func (mc *measureConfig) store(key rescache.Key, res Result, sweepPts []alphasim
 // run executes p against a fresh environment.  The producers count the
 // stream as they emit it; events are built and fanned out only to the
 // given simulating sinks, so a run without one builds no blocks.  The
-// profiler and the observer read the tallies.
+// profiler reads the tallies.
 func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 	res := Result{Program: p}
 	var col *profile.Collector
@@ -382,17 +368,6 @@ func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 			probe.RequireAttrSync()
 		}
 	}
-	var obs *telemetry.Observer
-	if mc.reg != nil {
-		obs = telemetry.NewObserver(mc.reg)
-		every := mc.sampleEvery
-		if every == 0 {
-			every = defaultSampleEvery
-		}
-		sample := func() { obs.Sample(ctx.Counter()) }
-		probe.Tally().SampleEvery(every, sample)
-		ctx.NativeTally().SampleEvery(every, sample)
-	}
 	span := mc.tracer.StartOn(mc.lane, "workload "+p.ID(), "program", p.ID())
 	err := p.Run(ctx)
 	span.End()
@@ -411,10 +386,6 @@ func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 	res.Stdout = osys.Stdout.String()
 	if ctx.display != nil {
 		res.FrameChecksum = ctx.display.Checksum()
-	}
-	if obs != nil {
-		obs.Flush(res.Counter)
-		res.Samples = obs.Samples()
 	}
 	if col != nil {
 		res.Profile = col.Profile(p.ID())

@@ -343,8 +343,8 @@ func TestMeasureCacheProfileRestored(t *testing.T) {
 
 // TestMeasureTelemetryFidelity pins that instrumenting a run with
 // telemetry does not perturb the measurement: stats, counters and pipeline
-// results are identical with and without the observer, and the observed
-// run additionally yields samples.
+// results are identical with and without a registry and tracer, and the
+// instrumented run is counted and traced.
 func TestMeasureTelemetryFidelity(t *testing.T) {
 	p := toyProgram(SysPerl)
 	plain, err := MeasureWithPipeline(p, alphasim.DefaultConfig())
@@ -354,7 +354,7 @@ func TestMeasureTelemetryFidelity(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer()
 	observed, err := MeasureWithPipeline(p, alphasim.DefaultConfig(),
-		WithTelemetry(reg), WithTracer(tr), WithSampleInterval(512))
+		WithTelemetry(reg), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,12 +367,6 @@ func TestMeasureTelemetryFidelity(t *testing.T) {
 	}
 	if *observed.Pipe != *plain.Pipe {
 		t.Errorf("pipeline perturbed: %+v != %+v", observed.Pipe, plain.Pipe)
-	}
-	if len(observed.Samples) == 0 {
-		t.Error("observed run must yield telemetry samples")
-	}
-	if plain.Samples != nil {
-		t.Error("plain run must not yield samples")
 	}
 	if reg.Counter("core.measures").Value() != 1 {
 		t.Errorf("core.measures = %d, want 1", reg.Counter("core.measures").Value())

@@ -46,8 +46,8 @@ type Options struct {
 	// only wall time and the span layout in Chrome traces differ.
 	Parallelism int
 
-	// Telemetry, when non-nil, receives run metrics (counters, histograms)
-	// and enables the sampling observer on every measured stream.
+	// Telemetry, when non-nil, receives run metrics (counters, histograms):
+	// experiments, measures, events, cache hits and scheduler totals.
 	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, records the span hierarchy
 	// experiment → measure → workload/collect for Chrome trace export.
@@ -166,11 +166,11 @@ func Run(id string, opt Options) error {
 }
 
 // measureOpts threads the harness's telemetry and measurement cache into
-// core measurements.  reg is the registry the measurement should update —
-// the shared one on the serial path, a worker's private shard on the
-// parallel path (sched.go merges shards after the batch drains).
-func (o Options) measureOpts(reg *telemetry.Registry) []core.MeasureOption {
-	opts := []core.MeasureOption{core.WithTracer(o.Tracer), core.WithTelemetry(reg)}
+// core measurements.  Every worker updates the one registry: its
+// instruments are atomic, and their sums do not depend on the order the
+// jobs finish in.
+func (o Options) measureOpts() []core.MeasureOption {
+	opts := []core.MeasureOption{core.WithTracer(o.Tracer), core.WithTelemetry(o.Telemetry)}
 	if o.Profile != nil {
 		opts = append(opts, core.WithProfiling())
 	}

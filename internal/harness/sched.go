@@ -8,7 +8,6 @@ import (
 	"interplab/internal/alphasim"
 	"interplab/internal/core"
 	"interplab/internal/labstats"
-	"interplab/internal/telemetry"
 )
 
 // This file is the parallel measurement scheduler.  The experiments'
@@ -152,7 +151,7 @@ func (b *batch) runJobs(workers int) {
 	if workers <= 1 {
 		for _, j := range b.jobs {
 			b.led.Claim(j.lidx, 0)
-			b.exec(j, 0, b.opt.Telemetry)
+			b.exec(j, 0)
 			if j.err != nil {
 				return
 			}
@@ -164,20 +163,13 @@ func (b *batch) runJobs(workers int) {
 	// permutation; once any job fails, workers stop executing — each live
 	// worker abandons at most the one job it claims after the failure,
 	// and everything beyond stays unclaimed.
-	//
-	// Each worker updates a private registry shard, keeping the batch off
-	// the shared registry's mutex and counter cache lines; shards are
-	// folded back in worker order once the batch drains, so the merged
-	// totals are deterministic.
 	order := labstats.LJFOrder(ests)
 	var (
 		cursor atomic.Int64
 		failed atomic.Bool
 		wg     sync.WaitGroup
 	)
-	shards := make([]*telemetry.Registry, workers)
 	for w := 0; w < workers; w++ {
-		shards[w] = b.opt.Telemetry.Shard()
 		wg.Add(1)
 		// Lane 1 is the experiment's main line; workers get 2..n+1.
 		go func(w, lane int) {
@@ -201,7 +193,7 @@ func (b *batch) runJobs(workers int) {
 							"gap_us", float64(gap)/float64(time.Microsecond))
 					}
 				}
-				b.exec(j, lane, shards[w])
+				b.exec(j, lane)
 				lastFinish = time.Now()
 				if j.err != nil {
 					failed.Store(true)
@@ -211,14 +203,10 @@ func (b *batch) runJobs(workers int) {
 		}(w, w+2)
 	}
 	wg.Wait()
-	for _, s := range shards {
-		b.opt.Telemetry.Merge(s)
-	}
 }
 
-// exec performs one job on the given trace lane (0 = main lane), updating
-// the given telemetry registry (the shared one, or a worker's shard).
-func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
+// exec performs one job on the given trace lane (0 = main lane).
+func (b *batch) exec(j *job, lane int) {
 	o := b.opt
 	id := j.prog.ID()
 	args := []any{"program", id}
@@ -234,7 +222,7 @@ func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 	}
 	span := o.Tracer.StartOn(lane, "measure "+id, args...)
 	defer span.End()
-	opts := o.measureOpts(reg)
+	opts := o.measureOpts()
 	if lane > 0 {
 		opts = append(opts, core.WithTraceLane(lane))
 	}

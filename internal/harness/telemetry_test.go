@@ -181,7 +181,10 @@ func TestKnown(t *testing.T) {
 }
 
 // TestTelemetryMetricsPopulated checks that a telemetry-enabled run feeds
-// the registry: run counts, event counts, and observer gauges.
+// the registry: run counts and event counts.  Every worker of a parallel
+// batch updates the one registry, so none of its updates may be lost: a
+// fig1 run on 4 workers must count one core.measures per manifest record,
+// and core.events must equal the records' events summed.
 func TestTelemetryMetricsPopulated(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	if err := Run("table3", Options{Scale: 0.1, Out: &bytes.Buffer{}, Telemetry: reg}); err != nil {
@@ -192,16 +195,22 @@ func TestTelemetryMetricsPopulated(t *testing.T) {
 	}
 	// table3 only prints config (no measures); a measuring experiment must
 	// also count events.
-	if err := Run("fig1", Options{Scale: 0.1, Out: &bytes.Buffer{}, Telemetry: reg}); err != nil {
+	man := telemetry.NewManifest(0.1)
+	if err := Run("fig1", Options{Scale: 0.1, Out: &bytes.Buffer{}, Parallelism: 4, Manifest: man, Telemetry: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("core.measures").Value(); got == 0 {
-		t.Error("core.measures not counted")
+	var records, events uint64
+	for _, m := range man.Runs[0].Measurements {
+		records++
+		events += m.Events
 	}
-	if got := reg.Counter("core.events").Value(); got == 0 {
-		t.Error("core.events not counted")
+	if records == 0 || events == 0 {
+		t.Fatalf("fig1 recorded %d measurements of %d events", records, events)
 	}
-	if got := reg.Gauge("observer.events").Value(); got == 0 {
-		t.Error("observer gauges not fed")
+	if got := reg.Counter("core.measures").Value(); got != records {
+		t.Errorf("core.measures = %d, want one per manifest record (%d)", got, records)
+	}
+	if got := reg.Counter("core.events").Value(); got != events {
+		t.Errorf("core.events = %d, want the manifest records' events summed (%d)", got, events)
 	}
 }

@@ -342,15 +342,10 @@ func (s *Server) measure(rr *resolved, lane int) (core.Result, time.Duration, er
 	id := rr.prog.ID()
 	span := s.cfg.Tracer.StartOn(lane, "measure "+id, "program", id, "kind", rr.req.Kind)
 	defer span.End()
-	// Each call measures into a shard of its own, merged whole when the
-	// call ends, so one stream's observer.* gauges never interleave with
-	// another worker's.
-	shard := s.reg.Shard()
-	defer s.reg.Merge(shard)
 	opts := []core.MeasureOption{
 		core.WithTracer(s.cfg.Tracer),
 		core.WithTraceLane(lane),
-		core.WithTelemetry(shard),
+		core.WithTelemetry(s.reg),
 		core.WithCache(s.cfg.Cache, rr.scope),
 	}
 	if rr.req.Profiling {

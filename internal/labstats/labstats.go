@@ -278,8 +278,8 @@ type WorkerStats struct {
 }
 
 // SchedStats is the speedup ledger for one batch: where the parallel wall
-// time went, and how the measured speedup compares to what the measured
-// serial fraction predicts.
+// time went, and how the measured overlap compares to the speedup the
+// measured serial fraction predicts.
 type SchedStats struct {
 	// WorkersRequested is the parallelism the run asked for;
 	// WorkersEffective is what the batch actually used after capping at
@@ -291,7 +291,7 @@ type SchedStats struct {
 	Jobs   JobCounts `json:"jobs"`
 	WallUS float64   `json:"wall_us"`
 	// TotalBusyUS is the summed execution time of every finished job —
-	// the work the batch did, and the numerator of the measured speedup.
+	// the work the batch did, and the numerator of OverlapX.
 	TotalBusyUS float64 `json:"total_busy_us"`
 
 	// SerialUS is wall time during which at most one job was in flight;
@@ -299,8 +299,8 @@ type SchedStats struct {
 	// (Amdahl's f, measured structurally from the timeline).
 	SerialUS       float64 `json:"serial_us"`
 	SerialFraction float64 `json:"serial_fraction"`
-	// ImpliedSerialFraction solves Amdahl's law backwards from the
-	// measured speedup: the serial fraction that would fully explain it.
+	// ImpliedSerialFraction solves Amdahl's law backwards from OverlapX
+	// read as a speedup: the serial fraction that would fully explain it.
 	// The gap between implied and measured serial fraction is the cost
 	// Amdahl does not model — imbalance, contention, scheduling overhead.
 	ImpliedSerialFraction float64 `json:"implied_serial_fraction"`
@@ -312,16 +312,20 @@ type SchedStats struct {
 	// longer the most loaded worker ran than the average.
 	ImbalancePct float64 `json:"imbalance_pct"`
 
-	MeasuredSpeedupX  float64 `json:"measured_speedup_x"`
+	// OverlapX is busy time over wall time: the mean number of jobs in
+	// flight.  It is not a wall-clock speedup — jobs stretched by a
+	// timeshared CPU count as overlap.  PredictedSpeedupX is Amdahl's
+	// speedup for the measured serial fraction at this worker count.
+	OverlapX          float64 `json:"overlap_x"`
 	PredictedSpeedupX float64 `json:"predicted_speedup_x"`
 
 	// ClaimPolicy is how the workers ordered their claims (PolicyFIFO or
 	// PolicyLJF); empty on ledgers recorded before policies existed.
 	ClaimPolicy string `json:"claim_policy,omitempty"`
 	// CPUs and GOMAXPROCS are the hardware and runtime parallelism the
-	// batch actually had available.  MeasuredSpeedupX is busy/wall, which
-	// on an oversubscribed machine (workers > CPUs) counts timesharing
-	// dilation as speedup — compare against CPUs before celebrating.
+	// batch actually had available.  OverlapX is busy/wall, which on an
+	// oversubscribed machine (workers > CPUs) counts timesharing dilation
+	// as overlap — compare against CPUs before reading it as a speedup.
 	CPUs       int `json:"cpus,omitempty"`
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// DilationX is measured-over-estimated duration (Σ dur / Σ est) across
@@ -431,7 +435,7 @@ func Compute(jobs []JobRecord, requested, effective int, beginUS, endUS float64)
 		}
 	}
 	if s.WallUS > 0 {
-		s.MeasuredSpeedupX = s.TotalBusyUS / s.WallUS
+		s.OverlapX = s.TotalBusyUS / s.WallUS
 	}
 	// Amdahl forward: what the measured serial fraction predicts at this
 	// worker count...
@@ -440,9 +444,9 @@ func Compute(jobs []JobRecord, requested, effective int, beginUS, endUS float64)
 		s.PredictedSpeedupX = 1 / denom
 	}
 	// ...and backwards: the serial fraction that would explain the
-	// measured speedup (meaningful only with >1 worker).
-	if effective > 1 && s.MeasuredSpeedupX > 0 {
-		impl := (p/s.MeasuredSpeedupX - 1) / (p - 1)
+	// measured overlap (meaningful only with >1 worker).
+	if effective > 1 && s.OverlapX > 0 {
+		impl := (p/s.OverlapX - 1) / (p - 1)
 		if impl < 0 {
 			impl = 0
 		}

@@ -31,8 +31,8 @@ func eq(t *testing.T, name string, got, want float64) {
 //	worker 1: j1 [0,50)  j3 [50,250)
 //
 // Known answers: wall 250, work 450, serial window [200,250) (only j3 in
-// flight) so serial fraction = 50/450 = 1/9, measured speedup 450/250 =
-// 1.8, and Amdahl at 2 workers with f=1/9 predicts exactly 1.8 — a
+// flight) so serial fraction = 50/450 = 1/9, overlap 450/250 = 1.8,
+// and Amdahl at 2 workers with f=1/9 predicts exactly 1.8 — a
 // timeline whose imbalance is fully explained by its serial tail.
 func TestLedgerArithmeticTwoWorkers(t *testing.T) {
 	clk := newFakeClock()
@@ -66,7 +66,7 @@ func TestLedgerArithmeticTwoWorkers(t *testing.T) {
 	eq(t, "TotalBusyUS", s.TotalBusyUS, 450_000)
 	eq(t, "SerialUS", s.SerialUS, 50_000)
 	eq(t, "SerialFraction", s.SerialFraction, 50.0/450.0)
-	eq(t, "MeasuredSpeedupX", s.MeasuredSpeedupX, 1.8)
+	eq(t, "OverlapX", s.OverlapX, 1.8)
 	eq(t, "PredictedSpeedupX", s.PredictedSpeedupX, 1.8)
 	// Implied f from S=1.8 at p=2: (2/1.8 - 1)/(2-1) = 1/9.
 	eq(t, "ImpliedSerialFraction", s.ImpliedSerialFraction, 1.0/9.0)
@@ -117,7 +117,7 @@ func TestLedgerArithmeticSerial(t *testing.T) {
 	eq(t, "WallUS", s.WallUS, 100_000)
 	eq(t, "TotalBusyUS", s.TotalBusyUS, 100_000)
 	eq(t, "SerialFraction", s.SerialFraction, 1)
-	eq(t, "MeasuredSpeedupX", s.MeasuredSpeedupX, 1)
+	eq(t, "OverlapX", s.OverlapX, 1)
 	eq(t, "PredictedSpeedupX", s.PredictedSpeedupX, 1)
 	eq(t, "ImpliedSerialFraction", s.ImpliedSerialFraction, 1)
 	eq(t, "ImbalancePct", s.ImbalancePct, 0)
@@ -172,7 +172,7 @@ func TestConcurrencyProfileHandoff(t *testing.T) {
 	s := Compute(jobs, 2, 2, 0, 200)
 	eq(t, "SerialFraction", s.SerialFraction, 1)
 	eq(t, "SerialUS", s.SerialUS, 200)
-	eq(t, "MeasuredSpeedupX", s.MeasuredSpeedupX, 1)
+	eq(t, "OverlapX", s.OverlapX, 1)
 }
 
 // TestNilLedgerIsDisabled: the nil ledger is the disabled path, as

@@ -102,8 +102,8 @@ func TestLJFBeatsFIFOOnImbalance(t *testing.T) {
 	}
 	eq(t, "fifo imbalance pct", fifo.ImbalancePct, 100*(12.0-9.0)/9.0)
 	eq(t, "ljf imbalance pct", ljf.ImbalancePct, 0)
-	eq(t, "fifo speedup", fifo.MeasuredSpeedupX, 18.0/12.0)
-	eq(t, "ljf speedup", ljf.MeasuredSpeedupX, 2)
+	eq(t, "fifo overlap", fifo.OverlapX, 18.0/12.0)
+	eq(t, "ljf overlap", ljf.OverlapX, 2)
 
 	// The mechanism, visible in the ledger: LJF claims the longest job
 	// first (at t=0), FIFO only after a round of short ones.
@@ -126,8 +126,8 @@ func TestLJFAchievesCriticalPath(t *testing.T) {
 	eq(t, "critical path", ljf.CriticalPathUS, 8000)
 	eq(t, "ljf wall == critical path", ljf.WallUS, ljf.CriticalPathUS)
 	eq(t, "fifo wall", fifo.WallUS, 12000) // 2+2 prefix, then the 8ms job alone
-	eq(t, "ljf speedup", ljf.MeasuredSpeedupX, 2)
-	eq(t, "fifo speedup", fifo.MeasuredSpeedupX, 16.0/12.0)
+	eq(t, "ljf overlap", ljf.OverlapX, 2)
+	eq(t, "fifo overlap", fifo.OverlapX, 16.0/12.0)
 }
 
 // TestLJFOrderPermutation pins the sort itself: descending by estimate,

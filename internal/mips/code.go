@@ -30,7 +30,9 @@ const (
 	opSW      = 43
 )
 
-var functToOp = map[uint32]Op{
+// functToOp decodes the 6-bit funct field of a SPECIAL (R-type) word.
+// Codes without an instruction hold INVALID, the zero Op.
+var functToOp = [64]Op{
 	0: SLL, 2: SRL, 3: SRA, 4: SLLV, 6: SRLV, 7: SRAV,
 	8: JR, 9: JALR, 12: SYSCALL, 13: BREAK,
 	16: MFHI, 17: MTHI, 18: MFLO, 19: MTLO,
@@ -39,15 +41,10 @@ var functToOp = map[uint32]Op{
 	36: AND, 37: OR, 38: XOR, 39: NOR, 42: SLT, 43: SLTU,
 }
 
-var opToFunct = func() map[Op]uint32 {
-	m := make(map[Op]uint32, len(functToOp))
-	for f, o := range functToOp {
-		m[o] = f
-	}
-	return m
-}()
-
-var primaryToOp = map[uint32]Op{
+// primaryToOp decodes the 6-bit primary opcode of a J- or I-type word;
+// SPECIAL and REGIMM words decode through their secondary fields, and
+// codes without an instruction hold INVALID.
+var primaryToOp = [64]Op{
 	opJ: J, opJAL: JAL, opBEQ: BEQ, opBNE: BNE, opBLEZ: BLEZ, opBGTZ: BGTZ,
 	opADDI: ADDI, opADDIU: ADDIU, opSLTI: SLTI, opSLTIU: SLTIU,
 	opANDI: ANDI, opORI: ORI, opXORI: XORI, opLUI: LUI,
@@ -55,13 +52,19 @@ var primaryToOp = map[uint32]Op{
 	opSB: SB, opSH: SH, opSW: SW,
 }
 
-var opToPrimary = func() map[Op]uint32 {
-	m := make(map[Op]uint32, len(primaryToOp))
-	for p, o := range primaryToOp {
-		m[o] = p
+// opToFunct and opToPrimary encode: each maps an Op back to its code.
+var opToFunct, opToPrimary = invert(&functToOp), invert(&primaryToOp)
+
+// invert maps every Op of a decoding table to its index.
+func invert(t *[64]Op) map[Op]uint32 {
+	m := make(map[Op]uint32)
+	for code, o := range t {
+		if o != INVALID {
+			m[o] = uint32(code)
+		}
 	}
 	return m
-}()
+}
 
 // zeroExtended reports whether the op's 16-bit immediate is zero-extended.
 func zeroExtended(o Op) bool {
@@ -85,9 +88,8 @@ func Decode(word uint32, pc uint32) Inst {
 
 	switch op {
 	case opSpecial:
-		funct := word & 63
-		o, ok := functToOp[funct]
-		if !ok {
+		o := functToOp[word&63]
+		if o == INVALID {
 			return Inst{Op: INVALID, Raw: word}
 		}
 		in.Op = o
@@ -107,8 +109,8 @@ func Decode(word uint32, pc uint32) Inst {
 		in.Op = primaryToOp[op]
 		in.Target = (pc+4)&0xf000_0000 | (word&0x03ff_ffff)<<2
 	default:
-		o, ok := primaryToOp[op]
-		if !ok {
+		o := primaryToOp[op]
+		if o == INVALID {
 			return Inst{Op: INVALID, Raw: word}
 		}
 		in.Op = o

@@ -153,6 +153,57 @@ func TestDecodeInvalid(t *testing.T) {
 	}
 }
 
+// TestDecodeTablesExhaustive decodes every funct code under SPECIAL and
+// every other primary opcode, against the opcode maps the tables
+// replaced: a defined code decodes to its Op, every other code to
+// INVALID, and the encoders map each defined Op back to its code.
+func TestDecodeTablesExhaustive(t *testing.T) {
+	functs := map[uint32]Op{
+		0: SLL, 2: SRL, 3: SRA, 4: SLLV, 6: SRLV, 7: SRAV,
+		8: JR, 9: JALR, 12: SYSCALL, 13: BREAK,
+		16: MFHI, 17: MTHI, 18: MFLO, 19: MTLO,
+		24: MULT, 25: MULTU, 26: DIV, 27: DIVU,
+		32: ADD, 33: ADDU, 34: SUB, 35: SUBU,
+		36: AND, 37: OR, 38: XOR, 39: NOR, 42: SLT, 43: SLTU,
+	}
+	primaries := map[uint32]Op{
+		opJ: J, opJAL: JAL, opBEQ: BEQ, opBNE: BNE, opBLEZ: BLEZ, opBGTZ: BGTZ,
+		opADDI: ADDI, opADDIU: ADDIU, opSLTI: SLTI, opSLTIU: SLTIU,
+		opANDI: ANDI, opORI: ORI, opXORI: XORI, opLUI: LUI,
+		opLB: LB, opLH: LH, opLW: LW, opLBU: LBU, opLHU: LHU,
+		opSB: SB, opSH: SH, opSW: SW,
+	}
+	for code := uint32(0); code < 64; code++ {
+		want, ok := functs[code]
+		if !ok {
+			want = INVALID
+		}
+		if got := Decode(code, 0).Op; got != want {
+			t.Errorf("funct %d decodes to %v, want %v", code, got, want)
+		}
+		if ok && opToFunct[want] != code {
+			t.Errorf("%v encodes funct %d, want %d", want, opToFunct[want], code)
+		}
+		if code == opSpecial || code == opRegimm {
+			continue
+		}
+		want, ok = primaries[code]
+		if !ok {
+			want = INVALID
+		}
+		if got := Decode(code<<26, 0).Op; got != want {
+			t.Errorf("primary %d decodes to %v, want %v", code, got, want)
+		}
+		if ok && opToPrimary[want] != code {
+			t.Errorf("%v encodes primary %d, want %d", want, opToPrimary[want], code)
+		}
+	}
+	if len(opToFunct) != len(functs) || len(opToPrimary) != len(primaries) {
+		t.Errorf("encoders hold %d funct and %d primary ops, want %d and %d",
+			len(opToFunct), len(opToPrimary), len(functs), len(primaries))
+	}
+}
+
 func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 	// Property: every R-type op round-trips through encode/decode.
 	rops := []Op{SLL, SRL, SRA, SLLV, SRLV, SRAV, ADD, ADDU, SUB, SUBU,

@@ -454,8 +454,8 @@ func TestNativeEventStream(t *testing.T) {
 	for _, e := range rec.Events {
 		recount.Emit(e)
 	}
-	if nat.Tally.Counter != recount {
-		t.Errorf("tally %+v must equal the sink's stream recounted %+v", nat.Tally.Counter, recount)
+	if *nat.Tally != recount {
+		t.Errorf("tally %+v must equal the sink's stream recounted %+v", *nat.Tally, recount)
 	}
 }
 

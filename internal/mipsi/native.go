@@ -27,9 +27,8 @@ type Native struct {
 	// Tally counts the emitted stream at emit time (Table 2's C row
 	// equates virtual commands with native instructions).  NewNative
 	// points it at a tally of the Native's own; a caller may point it at
-	// a shared one before Run, and the sampling hook it carries is
-	// checked once per step.
-	Tally *trace.Tally
+	// a shared one before Run.
+	Tally *trace.Counter
 
 	// batch buffers the emitted stream into blocks for the sink; only a
 	// Native with a sink (stream) builds events at all.  The compiled-C
@@ -53,7 +52,7 @@ func NewNative(prog *mips.Program, os *vfs.OS, sink trace.Sink) (*Native, error)
 	}
 	return &Native{
 		M:      m,
-		Tally:  new(trace.Tally),
+		Tally:  new(trace.Counter),
 		batch:  trace.NewBatcher(sink),
 		stream: sink != trace.Discard,
 	}, nil
@@ -166,7 +165,6 @@ func (n *Native) Step() error {
 	if in.Op.Class() == mips.ClassSyscall {
 		n.kernel(info)
 	}
-	n.Tally.Check()
 	return nil
 }
 

@@ -66,8 +66,8 @@ type Collector struct {
 	// The attributed stream is the probe's tally plus the extra tallies
 	// of any producer emitting beside it; charged is the stream's
 	// instruction, load, store and branch counts at the previous charge.
-	tally   *trace.Tally
-	extra   []*trace.Tally
+	tally   *trace.Counter
+	extra   []*trace.Counter
 	charged [4]uint64
 
 	lastVersion uint64
@@ -103,7 +103,7 @@ func NewCollector() *Collector {
 // misses back to the collector must also call Probe.RequireAttrSync, so
 // that every block the pipeline sees was emitted under the probe's
 // current state.
-func (c *Collector) Bind(p *atom.Probe, extra ...*trace.Tally) {
+func (c *Collector) Bind(p *atom.Probe, extra ...*trace.Counter) {
 	c.probe = p
 	c.lastNode = nil
 	c.tally, c.extra = p.Tally(), extra

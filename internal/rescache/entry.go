@@ -8,12 +8,9 @@ import (
 )
 
 // Entry is the cached value of one measurement: every Result field that is
-// a pure function of the measurement inputs.  (Telemetry observer samples
-// are deliberately absent — they describe the run that happened, not the
-// measurement, and are not part of any rendered output or manifest.)
-// internal/core converts between Entry and core.Result; keeping the
-// conversion there keeps this package free of a core dependency in both
-// directions.
+// a pure function of the measurement inputs.  internal/core converts
+// between Entry and core.Result; keeping the conversion there keeps this
+// package free of a core dependency in both directions.
 type Entry struct {
 	Key Key `json:"key"`
 

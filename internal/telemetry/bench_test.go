@@ -6,15 +6,40 @@ import (
 	"interplab/internal/trace"
 )
 
-// The observer reads the producers' tallies instead of the event stream,
-// so telemetry's cost on the emit path is the tally's sampling check.
-// BenchmarkTelemetryBaseline counts a block-sized stream into a bare
-// counter; BenchmarkTelemetryDisabled adds the once-per-call Check of a
-// tally without a hook, which must be within noise of the baseline; and
-// BenchmarkTelemetryEnabled prices the observer's sampling at the default
-// interval.
+// Telemetry adds nothing to the emit path: the producers count their
+// stream in a trace.Counter, and the registry is updated once per run.
+// BenchmarkTelemetryBaseline prices that count on a block-sized stream;
+// the others price the registry's instruments.
 
 var benchEvents = stream(4096)
+
+// stream synthesizes a deterministic mixed-kind event stream.
+func stream(n int) []trace.Event {
+	evs := make([]trace.Event, n)
+	for i := range evs {
+		e := trace.Event{PC: uint32(4 * i)}
+		switch i % 5 {
+		case 0:
+			e.Kind = trace.Int
+		case 1:
+			e.Kind = trace.Load
+			e.Addr = uint32(i)
+		case 2:
+			e.Kind = trace.Load
+			e.Addr = uint32(i * 2)
+		case 3:
+			e.Kind = trace.Store
+			e.Addr = uint32(i)
+		case 4:
+			e.Kind = trace.Branch
+			if i%10 == 4 {
+				e.Flags = trace.FlagTaken
+			}
+		}
+		evs[i] = e
+	}
+	return evs
+}
 
 // BenchmarkTelemetryBaseline is the uninstrumented count: events straight
 // into a counter.
@@ -24,34 +49,6 @@ func BenchmarkTelemetryBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, e := range benchEvents {
 			c.Emit(e)
-		}
-	}
-}
-
-// BenchmarkTelemetryDisabled is the same count through a tally that no
-// observer samples, checked once per event as the native producer does.
-func BenchmarkTelemetryDisabled(b *testing.B) {
-	var t trace.Tally
-	b.SetBytes(int64(len(benchEvents)))
-	for i := 0; i < b.N; i++ {
-		for _, e := range benchEvents {
-			t.Emit(e)
-			t.Check()
-		}
-	}
-}
-
-// BenchmarkTelemetryEnabled prices the sampling observer at the default
-// interval.
-func BenchmarkTelemetryEnabled(b *testing.B) {
-	obs := NewObserver(NewRegistry())
-	var t trace.Tally
-	t.SampleEvery(65536, func() { obs.Sample(t.Counter) })
-	b.SetBytes(int64(len(benchEvents)))
-	for i := 0; i < b.N; i++ {
-		for _, e := range benchEvents {
-			t.Emit(e)
-			t.Check()
 		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package telemetry instruments the laboratory itself: structured metrics
 // (counters, gauges, log-bucketed histograms), span-based tracing of the
-// experiment pipeline exported as Chrome trace-event JSON, a sampling
-// observer that snapshots a run's stream tally without touching the
-// stream, and versioned machine-readable run manifests.
+// experiment pipeline exported as Chrome trace-event JSON, and versioned
+// machine-readable run manifests.
 //
 // The paper is a measurement study; this package is the measurement of the
 // measurers.  Everything is designed around a near-zero-cost disabled path:
@@ -13,7 +12,6 @@ package telemetry
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -51,25 +49,16 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous value.  A nil Gauge is valid and all its
+// Gauge is an instantaneous level.  A nil Gauge is valid and all its
 // methods no-op.  The value is stored as a float64 bit pattern.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set records the current value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by delta (negative deltas decrease it), atomically
-// with respect to concurrent Add and Set calls.  Level-style gauges — a
+// Add adjusts the gauge by delta (negative deltas decrease it),
+// atomically with respect to concurrent Add calls.  Level-style gauges — a
 // server's in-flight request count, an admission queue's depth — are
-// incremented and decremented from many goroutines, which Set alone cannot
-// express without a racy read-modify-write.
+// incremented and decremented from many goroutines.
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
@@ -83,7 +72,7 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Value returns the last value set (0 for a nil Gauge).
+// Value returns the gauge's current level (0 for a nil Gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
@@ -257,67 +246,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Shard returns a fresh registry meant for one worker's private updates,
-// to be folded back with Merge when the worker finishes.  Sharding keeps
-// concurrent workers off the shared registry's mutex and counter cache
-// lines entirely.  A nil registry shards to nil (the disabled path stays
-// disabled).
-func (r *Registry) Shard() *Registry {
-	if r == nil {
-		return nil
-	}
-	return NewRegistry()
-}
-
-// Merge folds a shard's instruments into r: counters add, histograms add
-// bucket-wise, and gauges overwrite (callers merge shards in a fixed order
-// so the surviving gauge value is deterministic).  The fold happens under
-// r's lock, so a concurrent Snapshot sees all of a shard or none of it.
-// Merging nil, or into nil, no-ops.
-func (r *Registry) Merge(s *Registry) {
-	if r == nil || s == nil || r == s {
-		return
-	}
-	// Copy the shard's instrument table first, so the two registries'
-	// locks are never held together.
-	s.mu.Lock()
-	counters, gauges, hists := maps.Clone(s.counters), maps.Clone(s.gauges), maps.Clone(s.hists)
-	s.mu.Unlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	foldInto(r.counters, counters, func(dst, c *Counter) { dst.Add(c.Value()) })
-	foldInto(r.gauges, gauges, func(dst, g *Gauge) { dst.Set(g.Value()) })
-	foldInto(r.hists, hists, func(dst, h *Histogram) { dst.merge(h) })
-}
-
-// foldInto folds each instrument of src into the same-named one of dst,
-// creating it first when dst lacks it.  The caller holds dst's lock.
-func foldInto[T any](dst, src map[string]*T, fold func(dst, src *T)) {
-	for name, x := range src {
-		d, ok := dst[name]
-		if !ok {
-			d = new(T)
-			dst[name] = d
-		}
-		fold(d, x)
-	}
-}
-
-// merge adds another histogram's observations bucket-wise.
-func (h *Histogram) merge(from *Histogram) {
-	if h == nil || from == nil {
-		return
-	}
-	h.count.Add(from.count.Load())
-	h.sum.Add(from.sum.Load())
-	for i := 0; i < histBuckets; i++ {
-		if n := from.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
 }
 
 // Metric is one exported instrument value.  Exactly one of the value

@@ -17,7 +17,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Error("same name must return the same counter")
 	}
 	g := r.Gauge("temp")
-	g.Set(2.5)
+	g.Add(2.5)
 	if got := g.Value(); got != 2.5 {
 		t.Errorf("gauge = %g, want 2.5", got)
 	}
@@ -65,7 +65,7 @@ func TestNilRegistryNoOps(t *testing.T) {
 		t.Error("nil registry must produce inert counters")
 	}
 	g := r.Gauge("y")
-	g.Set(1)
+	g.Add(1)
 	if g != nil || g.Value() != 0 {
 		t.Error("nil registry must produce inert gauges")
 	}
@@ -120,7 +120,7 @@ func TestSnapshotSortedAndTyped(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b.count").Add(2)
 	r.Counter("a.count").Inc()
-	r.Gauge("rate").Set(7)
+	r.Gauge("rate").Add(7)
 	r.Histogram("sizes").Observe(16)
 	snap := r.Snapshot()
 	if len(snap) != 4 {
@@ -152,7 +152,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("shared").Inc()
 				r.Histogram("h").Observe(uint64(j))
-				r.Gauge("g").Set(float64(j))
+				r.Gauge("g").Add(1)
 			}
 		}()
 	}
@@ -162,5 +162,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.Histogram("h").Count(); got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
+	}
+	if got := r.Gauge("g").Value(); got != 8000 {
+		t.Errorf("gauge = %g, want 8000", got)
 	}
 }

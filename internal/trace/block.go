@@ -2,7 +2,7 @@ package trace
 
 // This file is the batched event pipeline.  A full interp-lab run emits
 // on the order of 10^9 Events.  Producers count them as they emit them
-// (Tally), so only the simulating sinks — the pipeline and the cache
+// (in a Counter), so only the simulating sinks — the pipeline and the cache
 // sweep — need the events themselves, and a run without one builds no
 // block at all.  For the runs that have one, blocks amortize the cost of
 // delivery: the producer accumulates events into a struct-of-arrays Block

@@ -2,9 +2,10 @@ package trace
 
 // Counter tallies an event stream: how many events of each kind, and how
 // many conditional branches were taken.  It backs the pure-counting
-// experiments (Tables 1 and 2).  Producers keep one at emit time (Tally);
-// as a sink it counts event by event, which makes it the reference the
-// producers' tallies are tested against.
+// experiments (Tables 1 and 2).  Producers keep one at emit time, filled
+// whether or not any sink receives the events, so a run whose consumers
+// only count builds no event blocks; as a sink it counts event by event,
+// which makes it the reference the producers' tallies are tested against.
 type Counter struct {
 	Total   uint64
 	ByKind  [numKinds]uint64
@@ -40,43 +41,6 @@ func (c *Counter) Branches() uint64 { return c.ByKind[Branch] }
 
 // Kind returns the count for one instruction kind.
 func (c *Counter) Kind(k Kind) uint64 { return c.ByKind[k] }
-
-// Tally is the count a producer keeps of the stream it emits: the
-// embedded Counter is filled at emit time, whether or not any sink
-// receives the events, so a run whose consumers only count builds no
-// event blocks.  A tally can also carry a sampling hook, which the
-// producer fires through Check as Total crosses each multiple of an
-// interval.
-type Tally struct {
-	Counter
-
-	every, next uint64
-	hook        func()
-}
-
-// SampleEvery arranges for Check to call hook each time Total has reached
-// the next multiple of every (which must be > 0).
-func (t *Tally) SampleEvery(every uint64, hook func()) {
-	t.every, t.hook = every, hook
-	t.next = (t.Total/every + 1) * every
-}
-
-// Check calls the sampling hook when Total has reached the next multiple
-// of the interval.  Producers call it once per emitting call, not once per
-// event, so a sample lands at most one call's events past the boundary.
-func (t *Tally) Check() {
-	if t.hook != nil && t.Total >= t.next {
-		t.sample()
-	}
-}
-
-// sample is Check's slow path, kept out of line so Check inlines.
-//
-//go:noinline
-func (t *Tally) sample() {
-	t.next = (t.Total/t.every + 1) * t.every
-	t.hook()
-}
 
 // Multi fans one stream out to several sinks in order.
 type Multi []Sink

@@ -50,28 +50,14 @@ func TestMultiEmpty(t *testing.T) {
 	m.Emit(Event{Kind: Load}) // must not panic
 }
 
-// TestTallySampling pins the producers' sampling contract: Check fires the
-// hook once per crossed multiple of the interval, at the first check past
-// it, and never without a hook.
-func TestTallySampling(t *testing.T) {
-	var tl Tally
-	tl.Check() // no hook: must not panic
-	var at []uint64
-	tl.SampleEvery(10, func() { at = append(at, tl.Total) })
-	for _, step := range []uint64{4, 4, 4, 25, 1, 2} {
-		tl.Total += step
-		tl.Check()
-	}
-	// Totals 4, 8, 12 (crosses 10), 37 (crosses 20 and 30: one sample),
-	// 38, 40 (reaches 40).
-	want := []uint64{12, 37, 40}
-	if fmt.Sprint(at) != fmt.Sprint(want) {
-		t.Errorf("samples at %v, want %v", at, want)
-	}
-	var c Counter
-	c.Emit(Event{Kind: Branch, Flags: FlagTaken})
-	tl.Add(c)
-	if tl.Total != 41 || tl.ByKind[Branch] != 1 || tl.TakenBr != 1 {
-		t.Errorf("Add: %+v", tl.Counter)
+// TestCounterAdd pins that Add folds another tally's kinds, total and
+// taken branches into c.
+func TestCounterAdd(t *testing.T) {
+	c := Counter{Total: 40}
+	var o Counter
+	o.Emit(Event{Kind: Branch, Flags: FlagTaken})
+	c.Add(o)
+	if c.Total != 41 || c.ByKind[Branch] != 1 || c.TakenBr != 1 {
+		t.Errorf("Add: %+v", c)
 	}
 }

@@ -43,10 +43,6 @@ const (
 	numKinds = int(Return) + 1
 )
 
-// NumKinds counts the instruction kinds; Kind values are 0..NumKinds-1.
-// Sinks that tally per-kind use it to size arrays.
-const NumKinds = numKinds
-
 var kindNames = [numKinds]string{"int", "shortint", "mul", "float", "load", "store", "branch", "jump", "return"}
 
 // String returns the lower-case mnemonic class name.
