@@ -93,13 +93,6 @@ func BenchmarkICacheSweep(b *testing.B) {
 // blockRecorder keeps a copy of every event block a guest emits.
 type blockRecorder struct{ blocks []*trace.Block }
 
-func (r *blockRecorder) Emit(e trace.Event) {
-	if n := len(r.blocks); n == 0 || r.blocks[n-1].Full() {
-		r.blocks = append(r.blocks, new(trace.Block))
-	}
-	r.blocks[len(r.blocks)-1].Append(e)
-}
-
 func (r *blockRecorder) EmitBlock(b *trace.Block) {
 	c := *b
 	r.blocks = append(r.blocks, &c)

@@ -82,7 +82,7 @@ type benchReport struct {
 
 	// SchedLedger is the speedup ledger of the parallel arm's best run —
 	// why SchedSpeedupX is what it is (per-worker utilization, serial
-	// fraction, imbalance, Amdahl prediction).  SchedLedgerP2 is the same
+	// fraction, imbalance, overlap).  SchedLedgerP2 is the same
 	// ledger at exactly two workers, a fixed point comparable across hosts
 	// with different core counts.
 	SchedLedger   *schedLedgerSummary `json:"sched_ledger"`
@@ -237,9 +237,9 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 		rep.Parallelism, rep.SchedParallel.BestSeconds, rep.SchedParallel.CPUSeconds, rep.SchedParallel.WinningRound,
 		rep.SchedSpeedupX)
 	if l := rep.SchedLedger; l != nil {
-		fmt.Printf("scheduler ledger (%d workers, %s, %d cpus): serial fraction %.3f, imbalance %.1f%%, dilation %.2fx, overlap %.2fx vs Amdahl speedup %.2fx\n",
+		fmt.Printf("scheduler ledger (%d workers, %s, %d cpus): serial fraction %.3f, imbalance %.1f%%, dilation %.2fx, overlap %.2fx\n",
 			l.EffectiveWorkers, l.ClaimPolicy, l.CPUs, l.SerialFraction,
-			l.ImbalancePct, l.DilationX, l.OverlapX, l.PredictedSpeedupX)
+			l.ImbalancePct, l.DilationX, l.OverlapX)
 	}
 	fmt.Printf("cache (%d experiments): cold %.2fs, warm %.2fs (%.1fx)\n",
 		rep.CacheExperiments, rep.CacheCold.BestSeconds, rep.CacheWarm.BestSeconds, rep.CacheSpeedupX)
@@ -306,8 +306,8 @@ func cacheRun(cache *rescache.Cache, scale float64) (string, benchResult) {
 
 // schedLedgerSummary condenses one batch's speedup ledger for
 // BENCH_telemetry.json: enough to explain the headline speedup — who was
-// busy, what share of the work ran serially, and what Amdahl's law says
-// that should have cost — without the full per-job ledger.
+// busy, what share of the work ran serially, and how many jobs were in
+// flight on average — without the full per-job ledger.
 type schedLedgerSummary struct {
 	Parallelism       int       `json:"parallelism"`
 	EffectiveWorkers  int       `json:"effective_workers"`
@@ -315,7 +315,6 @@ type schedLedgerSummary struct {
 	SerialFraction    float64   `json:"serial_fraction"`
 	ImbalancePct      float64   `json:"imbalance_pct"`
 	OverlapX          float64   `json:"overlap_x"`
-	PredictedSpeedupX float64   `json:"predicted_speedup_x"`
 	ContentionWaitUS  float64   `json:"contention_wait_us"`
 	// ClaimPolicy, CPUs/GOMAXPROCS, and DilationX qualify the headline:
 	// how claims were ordered, how much hardware parallelism the arm
@@ -334,17 +333,16 @@ func summarizeLedger(s *labstats.SchedStats) *schedLedgerSummary {
 		return nil
 	}
 	out := &schedLedgerSummary{
-		Parallelism:       s.WorkersRequested,
-		EffectiveWorkers:  s.WorkersEffective,
-		SerialFraction:    s.SerialFraction,
-		ImbalancePct:      s.ImbalancePct,
-		OverlapX:          s.OverlapX,
-		PredictedSpeedupX: s.PredictedSpeedupX,
-		ContentionWaitUS:  s.ContentionWaitUS,
-		ClaimPolicy:       s.ClaimPolicy,
-		CPUs:              s.CPUs,
-		GOMAXPROCS:        s.GOMAXPROCS,
-		DilationX:         s.DilationX,
+		Parallelism:      s.WorkersRequested,
+		EffectiveWorkers: s.WorkersEffective,
+		SerialFraction:   s.SerialFraction,
+		ImbalancePct:     s.ImbalancePct,
+		OverlapX:         s.OverlapX,
+		ContentionWaitUS: s.ContentionWaitUS,
+		ClaimPolicy:      s.ClaimPolicy,
+		CPUs:             s.CPUs,
+		GOMAXPROCS:       s.GOMAXPROCS,
+		DilationX:        s.DilationX,
 	}
 	for _, w := range s.Workers {
 		out.WorkerUtilization = append(out.WorkerUtilization, w.Utilization)

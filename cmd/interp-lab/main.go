@@ -29,7 +29,7 @@
 // exports per-routine/per-opcode profiles as pprof (go tool pprof) and
 // folded stacks (flamegraphs); sched-report renders the speedup ledger a
 // -json run records for each measurement batch (per-worker utilization,
-// serial fraction, overlap vs. Amdahl's predicted speedup); see
+// serial fraction, overlap); see
 // docs/OBSERVABILITY.md.  The serve subcommand runs the lab as an HTTP
 // daemon — measurement requests with singleflight dedup, a fixed worker
 // pool, backpressure, and a cache shared with CLI runs (see

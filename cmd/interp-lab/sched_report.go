@@ -15,7 +15,7 @@ import (
 // manifest (-json on the generating run): one speedup ledger per
 // measurement batch — where the parallel wall time went, per-worker
 // busy/idle/utilization, serial fraction, imbalance, and the overlap
-// (busy/wall) beside Amdahl's predicted speedup.  -json emits the raw
+// (busy/wall).  -json emits the raw
 // sched blocks instead of the text tables.
 func cmdSchedReport(args []string) {
 	fs := flag.NewFlagSet("sched-report", flag.ExitOnError)

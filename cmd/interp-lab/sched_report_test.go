@@ -49,7 +49,7 @@ func TestSchedReportText(t *testing.T) {
 	text := out.String()
 	for _, want := range []string{
 		"table1",
-		"speedup",
+		"overlap",
 		"serial fraction",
 		"worker",
 		"imbalance",

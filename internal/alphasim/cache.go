@@ -7,9 +7,10 @@
 // table, a 12-entry return stack and a 32-entry branch target cache.
 //
 // The simulator consumes the native-instruction stream produced by
-// internal/atom and accounts every unfilled issue slot to one of the
-// paper's stall causes (Figure 3).  It also provides a parametric
-// instruction-cache sweep used to regenerate Figure 4.  The sweep gets
+// internal/atom, in the blocks the producer cuts (trace.Sink), and
+// accounts every unfilled issue slot to one of the paper's stall causes
+// (Figure 3).  It also provides a parametric instruction-cache sweep used
+// to regenerate Figure 4.  The sweep gets
 // every geometry from one pass: it drops fetches from the line just
 // fetched, which hit everywhere, keeps one LRU stack per distinct set
 // count, and counts each access at the stack depth where its line was

@@ -10,11 +10,11 @@ import (
 // TestCyclesLowerBound: cycles can never beat the issue width.
 func TestCyclesLowerBound(t *testing.T) {
 	f := func(n uint16) bool {
-		p := New(DefaultConfig())
-		for i := 0; i < int(n)+1; i++ {
-			p.Emit(trace.Event{PC: uint32(i%32) * 4, Kind: trace.Int})
-		}
-		st := p.Stats()
+		st := simulate(DefaultConfig(), func(ba *trace.Batcher) {
+			for i := 0; i < int(n)+1; i++ {
+				ba.Append(trace.Event{PC: uint32(i%32) * 4, Kind: trace.Int})
+			}
+		})
 		return st.Cycles*2 >= st.Instructions && st.Cycles >= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -26,27 +26,30 @@ func TestCyclesLowerBound(t *testing.T) {
 // plus the recorded stall cycles.
 func TestStallAccountingConservation(t *testing.T) {
 	f := func(seed uint32, n uint16) bool {
-		p := New(DefaultConfig())
-		rng := seed | 1
-		events := int(n) + 1
-		for i := 0; i < events; i++ {
-			rng ^= rng << 13
-			rng ^= rng >> 17
-			rng ^= rng << 5
-			e := trace.Event{
-				PC:   (rng % (64 << 10)) &^ 3,
-				Addr: rng >> 2 % (2 << 20),
-				Kind: trace.Kind(rng % 9),
+		st := simulate(DefaultConfig(), func(ba *trace.Batcher) {
+			rng := seed | 1
+			events := int(n) + 1
+			for i := 0; i < events; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 17
+				rng ^= rng << 5
+				e := trace.Event{
+					PC:   (rng % (64 << 10)) &^ 3,
+					Addr: rng >> 2 % (2 << 20),
+					Kind: trace.Kind(rng % 9),
+				}
+				if rng&512 != 0 {
+					e.Flags |= trace.FlagTaken
+				}
+				if rng&1024 != 0 {
+					e.Flags |= trace.FlagDep
+				}
+				ba.Append(e)
+				if rng&2048 != 0 {
+					ba.Flush(trace.FlushAttr) // cut the block here
+				}
 			}
-			if rng&512 != 0 {
-				e.Flags |= trace.FlagTaken
-			}
-			if rng&1024 != 0 {
-				e.Flags |= trace.FlagDep
-			}
-			p.Emit(e)
-		}
-		st := p.Stats()
+		})
 		var stalls uint64
 		for c := 0; c < NumCauses; c++ {
 			stalls += st.Stalls[c]
@@ -59,26 +62,14 @@ func TestStallAccountingConservation(t *testing.T) {
 	}
 }
 
-// TestRunHelper drives the replay-style entry point.
-func TestRunHelper(t *testing.T) {
-	st := Run(DefaultConfig(), func(sink trace.Sink) {
-		for i := 0; i < 1000; i++ {
-			sink.Emit(trace.Event{PC: uint32(i%8) * 4, Kind: trace.Int})
-		}
-	})
-	if st.Instructions != 1000 {
-		t.Errorf("instructions = %d", st.Instructions)
-	}
-}
-
 // TestTLBMissesAreCounted ties stall cycles to the miss counters.
 func TestTLBMissesAreCounted(t *testing.T) {
-	p := New(DefaultConfig())
-	for i := 0; i < 100; i++ {
-		// 100 distinct instruction pages.
-		p.Emit(trace.Event{PC: uint32(i) << 13, Kind: trace.Int})
-	}
-	st := p.Stats()
+	st := simulate(DefaultConfig(), func(ba *trace.Batcher) {
+		for i := 0; i < 100; i++ {
+			// 100 distinct instruction pages.
+			ba.Append(trace.Event{PC: uint32(i) << 13, Kind: trace.Int})
+		}
+	})
 	if st.ITLBMisses != 100 {
 		t.Errorf("itlb misses = %d, want 100 (all distinct pages)", st.ITLBMisses)
 	}

@@ -47,8 +47,6 @@ func (p *refPipeline) stall(c Cause, cycles int) {
 	p.stats.Cycles += uint64(cycles)
 }
 
-func (p *refPipeline) Emit(e trace.Event) { p.step(e) }
-
 func (p *refPipeline) EmitBlock(b *trace.Block) {
 	for i := 0; i < b.N; i++ {
 		p.step(trace.Event{PC: b.PC[i], Addr: b.Addr[i], Kind: b.Kind[i], Flags: b.Flags[i]})
@@ -180,8 +178,8 @@ func memoGeometry(g [3]byte) Config {
 	return cfg
 }
 
-// checkMemo feeds events to the memoised Pipeline one event at a time, in
-// blocks cut after each index in cuts (and wherever a block fills), and
+// checkMemo feeds events to the memoised Pipeline in blocks of one event,
+// in blocks cut after each index in cuts (and wherever a block fills), and
 // alternating the two between cuts; the oracle gets the alternating feed.
 // Every memoised run must report the oracle's Stats and MissObserver
 // calls.
@@ -192,13 +190,12 @@ func checkMemo(t *testing.T, cfg Config, events []trace.Event, cuts map[int]bool
 	}
 	type sink interface {
 		trace.Sink
-		trace.BlockSink
 		Stats() Stats
 	}
 	type run struct {
 		name string
 		p    sink
-		mode int // 0 per event, 1 blocks, 2 alternating
+		mode int // 0 one-event blocks, 1 cut blocks, 2 alternating
 		log  missLog
 	}
 	oracle := &run{name: "oracle", mode: 2}
@@ -206,21 +203,21 @@ func checkMemo(t *testing.T, cfg Config, events []trace.Event, cuts map[int]bool
 	ref.missObs = &oracle.log
 	oracle.p = ref
 	runs := []*run{oracle}
-	for mode, feed := range []string{"Emit", "EmitBlock", "mixed"} {
+	for mode, feed := range []string{"one-event", "blocks", "mixed"} {
 		r := &run{name: "memo/" + feed, mode: mode}
 		p := New(cfg)
 		p.SetMissObserver(&r.log)
 		r.p = p
 		runs = append(runs, r)
 	}
-	b, segment := new(trace.Block), 0
+	b, one, segment := new(trace.Block), new(trace.Block), 0
 	flush := func() {
 		for _, r := range runs {
 			if r.mode == 1 || r.mode == 2 && segment%2 == 0 {
 				r.p.EmitBlock(b)
 			} else if r.mode == 2 {
 				for i := 0; i < b.N; i++ {
-					r.p.Emit(b.Event(i))
+					emitOne(r.p, one, b.Event(i))
 				}
 			}
 		}
@@ -230,7 +227,7 @@ func checkMemo(t *testing.T, cfg Config, events []trace.Event, cuts map[int]bool
 	for i, e := range events {
 		for _, r := range runs {
 			if r.mode == 0 {
-				r.p.Emit(e)
+				emitOne(r.p, one, e)
 			}
 		}
 		b.Append(e)

@@ -244,15 +244,16 @@ func (s Stats) IMissPer100() float64 {
 // the event that issued the access so the miss can be attributed back to the
 // interpreter routine and virtual command that caused it (the profiling
 // layer's join).  Level 1 is an L1 miss that hit L2; level 2 also missed L2.
-// Calls arrive synchronously inside Emit, while the issuing probe's
+// Calls arrive synchronously inside EmitBlock, while the issuing probe's
 // attribution state is still current for the event.
 type MissObserver interface {
 	IMiss(e trace.Event, level int)
 	DMiss(e trace.Event, level int)
 }
 
-// Pipeline simulates the configured machine over an event stream.  It
-// implements trace.Sink.
+// Pipeline simulates the configured machine over an event stream.  It is
+// a trace.Sink: it takes the stream in blocks, however the producer cuts
+// them, and simulates each block's events in order.
 type Pipeline struct {
 	cfg    Config
 	icache *Cache
@@ -308,12 +309,6 @@ func (p *Pipeline) Config() Config { return p.cfg }
 
 func (p *Pipeline) stall(c Cause, cycles int) {
 	p.stats.Stalls[c] += uint64(cycles)
-}
-
-// Emit processes one native instruction.
-func (p *Pipeline) Emit(e trace.Event) {
-	p.stats.Instructions++
-	p.step(e.PC, e.Addr, e.Kind, e.Flags)
 }
 
 // EmitBlock processes a whole event batch in one loop over the block's
@@ -439,12 +434,4 @@ func (p *Pipeline) Stats() Stats {
 		s.Cycles += c
 	}
 	return s
-}
-
-// Run drains events from a replayable generator into a fresh pipeline and
-// returns its stats.
-func Run(cfg Config, generate func(sink trace.Sink)) Stats {
-	p := New(cfg)
-	generate(p)
-	return p.Stats()
 }

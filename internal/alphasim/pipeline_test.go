@@ -8,6 +8,25 @@ import (
 	"interplab/internal/trace"
 )
 
+// simulate runs a fresh pipeline for cfg over the events gen appends to a
+// producer's batcher, which cuts a block wherever one fills or gen
+// flushes, and returns the pipeline's stats.
+func simulate(cfg Config, gen func(ba *trace.Batcher)) Stats {
+	p := New(cfg)
+	ba := trace.NewBatcher(p)
+	gen(ba)
+	ba.Flush(trace.FlushFinal)
+	return p.Stats()
+}
+
+// emitOne hands e to s in a block of one event, the finest cut a producer
+// can make; scratch carries it.
+func emitOne(s trace.Sink, scratch *trace.Block, e trace.Event) {
+	scratch.Reset()
+	scratch.Append(e)
+	s.EmitBlock(scratch)
+}
+
 func TestCauseString(t *testing.T) {
 	want := map[Cause]string{
 		CauseOther: "other", CauseShortInt: "short int", CauseLoadDelay: "load delay",
@@ -27,11 +46,11 @@ func TestCauseString(t *testing.T) {
 func TestPipelineTightLoop(t *testing.T) {
 	// A tiny loop of plain integer instructions: after warmup everything
 	// hits, so CPI approaches 1/width = 0.5.
-	p := New(DefaultConfig())
-	for i := 0; i < 100000; i++ {
-		p.Emit(trace.Event{PC: uint32(i%16) * 4, Kind: trace.Int})
-	}
-	st := p.Stats()
+	st := simulate(DefaultConfig(), func(ba *trace.Batcher) {
+		for i := 0; i < 100000; i++ {
+			ba.Append(trace.Event{PC: uint32(i%16) * 4, Kind: trace.Int})
+		}
+	})
 	if st.Instructions != 100000 {
 		t.Fatalf("instructions = %d", st.Instructions)
 	}
@@ -45,14 +64,14 @@ func TestPipelineTightLoop(t *testing.T) {
 
 func TestPipelineICacheStalls(t *testing.T) {
 	// A code footprint far beyond 8 KB, walked repeatedly: heavy imiss.
-	p := New(DefaultConfig())
 	span := uint32(64 << 10) // 64 KB of code
-	for pass := 0; pass < 8; pass++ {
-		for pc := uint32(0); pc < span; pc += 4 {
-			p.Emit(trace.Event{PC: pc, Kind: trace.Int})
+	st := simulate(DefaultConfig(), func(ba *trace.Batcher) {
+		for pass := 0; pass < 8; pass++ {
+			for pc := uint32(0); pc < span; pc += 4 {
+				ba.Append(trace.Event{PC: pc, Kind: trace.Int})
+			}
 		}
-	}
-	st := p.Stats()
+	})
 	if st.IMisses1 == 0 {
 		t.Fatal("expected L1I misses")
 	}
@@ -68,13 +87,13 @@ func TestPipelineICacheStalls(t *testing.T) {
 }
 
 func TestPipelineDCacheStalls(t *testing.T) {
-	p := New(DefaultConfig())
 	// Loads striding over 1 MB: misses in L1 and beyond L2 reach.
-	for i := 0; i < 100000; i++ {
-		addr := uint32(i*64) % (1 << 20)
-		p.Emit(trace.Event{PC: 0x1000, Kind: trace.Load, Addr: addr})
-	}
-	st := p.Stats()
+	st := simulate(DefaultConfig(), func(ba *trace.Batcher) {
+		for i := 0; i < 100000; i++ {
+			addr := uint32(i*64) % (1 << 20)
+			ba.Append(trace.Event{PC: 0x1000, Kind: trace.Load, Addr: addr})
+		}
+	})
 	if st.DMisses1 == 0 {
 		t.Fatal("expected data cache misses")
 	}
@@ -87,46 +106,45 @@ func TestPipelineDCacheStalls(t *testing.T) {
 }
 
 func TestPipelineLoadDelayRequiresDep(t *testing.T) {
-	cfg := DefaultConfig()
-	indep := New(cfg)
-	dep := New(cfg)
-	for i := 0; i < 1000; i++ {
-		addr := uint32(i%8) * 4
-		indep.Emit(trace.Event{PC: 0, Kind: trace.Load, Addr: addr})
-		indep.Emit(trace.Event{PC: 4, Kind: trace.Int})
-		dep.Emit(trace.Event{PC: 0, Kind: trace.Load, Addr: addr})
-		dep.Emit(trace.Event{PC: 4, Kind: trace.Int, Flags: trace.FlagDep})
+	loadUse := func(use trace.Flags) Stats {
+		return simulate(DefaultConfig(), func(ba *trace.Batcher) {
+			for i := 0; i < 1000; i++ {
+				ba.Append(trace.Event{PC: 0, Kind: trace.Load, Addr: uint32(i%8) * 4})
+				ba.Append(trace.Event{PC: 4, Kind: trace.Int, Flags: use})
+			}
+		})
 	}
-	if got := indep.Stats().Stalls[CauseLoadDelay]; got != 0 {
+	if got := loadUse(0).Stalls[CauseLoadDelay]; got != 0 {
 		t.Errorf("independent loads must not stall: %d", got)
 	}
-	if got := dep.Stats().Stalls[CauseLoadDelay]; got == 0 {
+	if got := loadUse(trace.FlagDep).Stalls[CauseLoadDelay]; got == 0 {
 		t.Error("dependent loads must stall")
 	}
 }
 
 func TestPipelineShortIntStall(t *testing.T) {
-	p := New(DefaultConfig())
-	for i := 0; i < 100; i++ {
-		p.Emit(trace.Event{PC: 0, Kind: trace.ShortInt})
-		p.Emit(trace.Event{PC: 4, Kind: trace.Int, Flags: trace.FlagDep})
-	}
-	if p.Stats().Stalls[CauseShortInt] != 100 {
-		t.Errorf("short-int stalls = %d, want 100", p.Stats().Stalls[CauseShortInt])
+	st := simulate(DefaultConfig(), func(ba *trace.Batcher) {
+		for i := 0; i < 100; i++ {
+			ba.Append(trace.Event{PC: 0, Kind: trace.ShortInt})
+			ba.Append(trace.Event{PC: 4, Kind: trace.Int, Flags: trace.FlagDep})
+		}
+	})
+	if st.Stalls[CauseShortInt] != 100 {
+		t.Errorf("short-int stalls = %d, want 100", st.Stalls[CauseShortInt])
 	}
 }
 
 func TestPipelineMispredictStall(t *testing.T) {
-	p := New(DefaultConfig())
 	// Alternating branch at one PC: 1-bit predictor always wrong.
-	for i := 0; i < 100; i++ {
-		fl := trace.Flags(0)
-		if i%2 == 0 {
-			fl = trace.FlagTaken
+	st := simulate(DefaultConfig(), func(ba *trace.Batcher) {
+		for i := 0; i < 100; i++ {
+			fl := trace.Flags(0)
+			if i%2 == 0 {
+				fl = trace.FlagTaken
+			}
+			ba.Append(trace.Event{PC: 0x100, Addr: 0x80, Kind: trace.Branch, Flags: fl})
 		}
-		p.Emit(trace.Event{PC: 0x100, Addr: 0x80, Kind: trace.Branch, Flags: fl})
-	}
-	st := p.Stats()
+	})
 	if st.Mispredicts < 99 {
 		t.Errorf("mispredicts = %d, want >=99", st.Mispredicts)
 	}
@@ -138,11 +156,11 @@ func TestPipelineMispredictStall(t *testing.T) {
 func TestPipelineITLBSensitivity(t *testing.T) {
 	// The paper: growing the iTLB from 8 to 32 entries effectively
 	// eliminates iTLB stalls for code spanning a dozen pages.
-	gen := func(sink trace.Sink) {
+	gen := func(ba *trace.Batcher) {
 		for pass := 0; pass < 2000; pass++ {
 			for pg := 0; pg < 12; pg++ {
 				for i := 0; i < 16; i++ {
-					sink.Emit(trace.Event{PC: uint32(pg)<<13 + uint32(i*4), Kind: trace.Int})
+					ba.Append(trace.Event{PC: uint32(pg)<<13 + uint32(i*4), Kind: trace.Int})
 				}
 			}
 		}
@@ -150,8 +168,8 @@ func TestPipelineITLBSensitivity(t *testing.T) {
 	small := DefaultConfig()
 	big := DefaultConfig()
 	big.ITLBEntries = 32
-	s1 := Run(small, gen)
-	s2 := Run(big, gen)
+	s1 := simulate(small, gen)
+	s2 := simulate(big, gen)
 	if s1.ITLBMisses <= s2.ITLBMisses {
 		t.Errorf("8-entry iTLB misses (%d) should exceed 32-entry (%d)", s1.ITLBMisses, s2.ITLBMisses)
 	}
@@ -164,23 +182,26 @@ func TestStatsFractionsSumToOne(t *testing.T) {
 	// Property: busy + all stall fractions (with Other as residual)
 	// accounts for every issue slot.
 	f := func(seed uint8, n uint16) bool {
-		p := New(DefaultConfig())
-		rng := uint32(seed) + 1
-		for i := 0; i < int(n)+10; i++ {
-			rng ^= rng << 13
-			rng ^= rng >> 17
-			rng ^= rng << 5
-			k := trace.Kind(rng % 9)
-			e := trace.Event{PC: (rng % 65536) &^ 3, Addr: (rng >> 3) % (1 << 20), Kind: k}
-			if rng&16 != 0 {
-				e.Flags |= trace.FlagTaken
+		st := simulate(DefaultConfig(), func(ba *trace.Batcher) {
+			rng := uint32(seed) + 1
+			for i := 0; i < int(n)+10; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 17
+				rng ^= rng << 5
+				k := trace.Kind(rng % 9)
+				e := trace.Event{PC: (rng % 65536) &^ 3, Addr: (rng >> 3) % (1 << 20), Kind: k}
+				if rng&16 != 0 {
+					e.Flags |= trace.FlagTaken
+				}
+				if rng&32 != 0 {
+					e.Flags |= trace.FlagDep
+				}
+				ba.Append(e)
+				if rng&64 != 0 {
+					ba.Flush(trace.FlushAttr) // cut the block here
+				}
 			}
-			if rng&32 != 0 {
-				e.Flags |= trace.FlagDep
-			}
-			p.Emit(e)
-		}
-		st := p.Stats()
+		})
 		sum := st.BusyFrac(2) + st.OtherFrac(2)
 		for c := 0; c < NumCauses; c++ {
 			if Cause(c) != CauseOther {

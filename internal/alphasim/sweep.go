@@ -31,15 +31,15 @@ func (pt SweepPoint) Label() string { return fmt.Sprintf("%dKB/%dway", pt.SizeKB
 
 // ICacheSweep simulates many true-LRU instruction-cache geometries, all
 // with one line size, in a single pass over one event stream, so Figure 4
-// needs only one run per workload.  It implements trace.Sink.
+// needs only one run per workload.  It is a trace.Sink: it takes the
+// stream in blocks, however the producer cuts them.
 //
 // It gets every geometry from stack-distance simulation (Mattson et al.
 // 1970; Hill & Smith 1989) rather than one cache per point:
 //
 //   - Same-line filter.  A fetch from the same line as the fetch before it
 //     hits in every geometry and leaves every LRU order as it was, so it
-//     only counts as an instruction.  The filter carries across blocks and
-//     across Emit and EmitBlock.
+//     only counts as an instruction.  The filter carries across blocks.
 //   - One LRU stack per distinct set count.  Each set keeps its lines most
 //     recently used first, as deep as the largest associativity sharing the
 //     set count.  An A-way cache with that set count holds exactly the top
@@ -149,25 +149,6 @@ func NewICacheSweep(sizesKB, assocs []int, lineSize int) *ICacheSweep {
 // direct-mapped/2-way/4-way, 32-byte lines.
 func DefaultICacheSweep() *ICacheSweep {
 	return NewICacheSweep([]int{8, 16, 32, 64}, []int{1, 2, 4}, 32)
-}
-
-// Emit simulates one instruction fetch in every geometry.
-func (s *ICacheSweep) Emit(e trace.Event) {
-	if tag := e.PC>>s.lineShift + 1; tag != s.last {
-		s.last = tag
-		for i := range s.stacks {
-			st := &s.stacks[i]
-			d := st.access(tag)
-			st.hist[d]++
-			st.charge(s.points)
-			if d == 0 {
-				break
-			}
-		}
-	}
-	for i := range s.points {
-		s.points[i].Instructions++
-	}
 }
 
 // EmitBlock simulates a whole batch.  It first compacts the block's PC

@@ -40,23 +40,23 @@ var sweepGrids = []sweepGrid{
 }
 
 // checkSweep feeds pcs to three ICacheSweeps over grid — in blocks cut
-// after each index in cuts (and wherever a block fills), one Emit per
+// after each index in cuts (and wherever a block fills), in blocks of one
 // event, and alternating the two between cuts — and reports any point
 // that differs from the per-geometry reference.
 func checkSweep(t *testing.T, g sweepGrid, pcs []uint32, cuts map[int]bool) {
 	t.Helper()
 	want := referenceSweep(g.sizesKB, g.assocs, g.lineSize, pcs)
 	blocked := NewICacheSweep(g.sizesKB, g.assocs, g.lineSize)
-	perEvent := NewICacheSweep(g.sizesKB, g.assocs, g.lineSize)
+	oneEvent := NewICacheSweep(g.sizesKB, g.assocs, g.lineSize)
 	mixed := NewICacheSweep(g.sizesKB, g.assocs, g.lineSize)
-	b, segment := new(trace.Block), 0
+	b, one, segment := new(trace.Block), new(trace.Block), 0
 	flush := func() {
 		blocked.EmitBlock(b)
 		if segment%2 == 0 {
 			mixed.EmitBlock(b)
 		} else {
 			for i := 0; i < b.N; i++ {
-				mixed.Emit(b.Event(i))
+				emitOne(mixed, one, b.Event(i))
 			}
 		}
 		segment++
@@ -64,7 +64,7 @@ func checkSweep(t *testing.T, g sweepGrid, pcs []uint32, cuts map[int]bool) {
 	}
 	for i, pc := range pcs {
 		e := trace.Event{PC: pc, Kind: trace.Int}
-		perEvent.Emit(e)
+		emitOne(oneEvent, one, e)
 		b.Append(e)
 		if b.Full() || cuts[i] {
 			flush()
@@ -74,7 +74,7 @@ func checkSweep(t *testing.T, g sweepGrid, pcs []uint32, cuts map[int]bool) {
 	for _, s := range []struct {
 		path  string
 		sweep *ICacheSweep
-	}{{"EmitBlock", blocked}, {"Emit", perEvent}, {"mixed", mixed}} {
+	}{{"blocks", blocked}, {"one-event", oneEvent}, {"mixed", mixed}} {
 		got := s.sweep.Points()
 		if len(got) != len(want) {
 			t.Fatalf("%s/%s: %d points, want %d", g.name, s.path, len(got), len(want))
@@ -112,8 +112,8 @@ func loopyStream(rng *rand.Rand, n, ws, jumpEvery, cutEvery int) ([]uint32, map[
 
 // TestICacheSweepMatchesPerGeometryLRU: the one-pass sweep reports, for
 // every point of every grid, exactly the counts of a separate true-LRU
-// cache, whether the stream arrives in blocks, one event at a time, or
-// both in turn.
+// cache, whether the stream arrives in cut blocks, in blocks of one event,
+// or both in turn.
 func TestICacheSweepMatchesPerGeometryLRU(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -266,6 +266,7 @@ func TestICacheSweepOrdering(t *testing.T) {
 	// and twice the sets (each of its sets splits in two), nor more than one
 	// with the same sets and more ways.
 	sweep := DefaultICacheSweep()
+	ba := trace.NewBatcher(sweep)
 	rng := uint32(12345)
 	for i := 0; i < 200000; i++ {
 		rng ^= rng << 13
@@ -273,8 +274,9 @@ func TestICacheSweepOrdering(t *testing.T) {
 		rng ^= rng << 5
 		// 48 KB working set with loop structure.
 		pc := (rng % (48 << 10)) &^ 3
-		sweep.Emit(trace.Event{PC: pc, Kind: trace.Int})
+		ba.Append(trace.Event{PC: pc, Kind: trace.Int})
 	}
+	ba.Flush(trace.FlushFinal)
 	misses := func(kb, assoc int) uint64 {
 		pt, ok := sweep.Point(kb, assoc)
 		if !ok {

@@ -86,10 +86,20 @@ func TestExecStaysInRoutine(t *testing.T) {
 	}
 }
 
+// recountSink is a block sink that recounts every event it receives, one
+// by one, into its Counter: the per-event reference for the probe's tally.
+type recountSink struct{ trace.Counter }
+
+func (r *recountSink) EmitBlock(b *trace.Block) {
+	for i := 0; i < b.N; i++ {
+		r.Emit(b.Event(i))
+	}
+}
+
 func TestExecEmitsMix(t *testing.T) {
 	im := NewImage()
 	r := im.Routine("strops", 128, WithShortEvery(4), WithBranchEvery(6))
-	var c trace.Counter
+	var c recountSink
 	p := NewProbe(im, &c)
 	p.Exec(r, 10000)
 	p.FlushEvents()
@@ -113,7 +123,7 @@ func TestLoadStoreAccounting(t *testing.T) {
 	im := NewImage()
 	r := im.Routine("r", 32)
 	d := im.Data("d", 256)
-	var c trace.Counter
+	var c recountSink
 	p := NewProbe(im, &c)
 	p.Exec(r, 10)
 	p.Load(d.Addr(0))
@@ -325,7 +335,7 @@ func TestExecTotalMatchesSink(t *testing.T) {
 		im := NewImage()
 		r := im.Routine("r", 77)
 		d := im.Data("d", 1024)
-		var c trace.Counter
+		var c recountSink
 		p := NewProbe(im, &c)
 		for _, o := range ops {
 			switch o % 3 {

@@ -26,7 +26,6 @@ var execShapes = []struct {
 // and delivers them, and nothing downstream adds cost.
 type blockDrop struct{}
 
-func (blockDrop) Emit(trace.Event)       {}
 func (blockDrop) EmitBlock(*trace.Block) {}
 
 // BenchmarkProbeExec measures Exec's cost per reported instruction, in a

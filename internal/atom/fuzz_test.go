@@ -88,9 +88,9 @@ func (s tallyScript) replay(sink trace.Sink, attrSync bool, exec func(*Probe, *R
 
 // FuzzProbeTally walls counting at emit against per-event recounting: the
 // same decoded workout runs on a probe that only counts and on an
-// identical probe streaming into a sink that recounts every event (and,
-// not implementing trace.BlockSink, receives each block unrolled).  Their
-// tallies and Stats must match, and both tallies must equal the recount.
+// identical probe streaming into a sink that unrolls each block it
+// receives and recounts it event by event.  Their tallies and Stats must
+// match, and both tallies must equal the recount.
 func FuzzProbeTally(f *testing.F) {
 	f.Add([]byte{0, 40, 7, 15, 0, 100, 2, 9, 3, 9, 0, 255})
 	f.Add([]byte{2, 1, 0, 0, 5, 5, 3, 6, 0, 0, 17, 7, 0, 0, 33, 4, 1, 0, 9, 5, 0, 8, 0})
@@ -99,8 +99,9 @@ func FuzzProbeTally(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeTallyScript(data)
 		tallied := s.run(trace.Discard, false)
-		var recount trace.Counter
-		streamed := s.run(trace.SinkFunc(recount.Emit), len(data)%2 == 1)
+		var sink recountSink
+		streamed := s.run(&sink, len(data)%2 == 1)
+		recount := sink.Counter
 		if got, want := *tallied.Tally(), *streamed.Tally(); got != want {
 			t.Fatalf("tally-only %+v != streamed %+v", got, want)
 		}

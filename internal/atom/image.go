@@ -30,8 +30,6 @@ package atom
 import (
 	"fmt"
 	"math/bits"
-
-	"interplab/internal/trace"
 )
 
 // Address-space layout of the synthetic native machine.  The choice mimics a
@@ -223,5 +221,3 @@ func (d *DataRegion) Addr(off uint32) uint32 {
 func (d *DataRegion) String() string {
 	return fmt.Sprintf("%s@%#x[%d]", d.Name, d.Base, d.Size)
 }
-
-var _ trace.Sink = (*trace.Counter)(nil)

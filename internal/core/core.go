@@ -244,21 +244,30 @@ func WithProfiling() MeasureOption {
 	return func(c *measureConfig) { c.profiling = true }
 }
 
-// cacheKey builds the content address for one measurement of p under the
-// current cache scope.
-func (mc *measureConfig) cacheKey(p Program, kind, config, sweep string) rescache.Key {
-	return rescache.Key{
+// CacheKey builds the content address of one measurement of p in scope.
+// Its kind is "pipeline" whenever cfg is non-nil, else "sweep" when sweep
+// is non-nil, else "measure"; a fused pipeline-and-sweep run carries both
+// the config and the sweep geometry.  The measure path stores its entry
+// under this key, and the server keys its singleflight and advertised
+// key on it, so the two cannot disagree.
+func CacheKey(p Program, scope rescache.Scope, cfg *alphasim.Config, sweep *alphasim.ICacheSweep, profiling bool) rescache.Key {
+	k := rescache.Key{
 		Schema:      rescache.SchemaVersion,
 		Fingerprint: rescache.Fingerprint(),
-		Experiment:  mc.cacheScope.Experiment,
-		Scale:       mc.cacheScope.Scale,
-		Kind:        kind,
+		Experiment:  scope.Experiment,
+		Scale:       scope.Scale,
+		Kind:        "measure",
 		Program:     p.ID(),
 		Variant:     p.Variant,
-		Config:      config,
-		Sweep:       sweep,
-		Profiling:   mc.profiling,
+		Profiling:   profiling,
 	}
+	if sweep != nil {
+		k.Kind, k.Sweep = "sweep", sweep.Geometry()
+	}
+	if cfg != nil {
+		k.Kind, k.Config = "pipeline", rescache.ConfigKey(*cfg)
+	}
+	return k
 }
 
 // lookup consults the cache for key and, on a hit that valid accepts,
@@ -442,18 +451,10 @@ func MeasureWithPipelineAndSweep(p Program, cfg alphasim.Config, sweep *alphasim
 // measure is the one measurement path behind the Measure* functions: it
 // consults the cache, runs p once with its stream fanned out to the
 // processor pipeline (when cfg is non-nil) and the instruction-cache sweep
-// (when sweep is non-nil), and stores the result.  The kind in the cache
-// key is "pipeline" whenever a pipeline runs, else "sweep" or "measure".
+// (when sweep is non-nil), and stores the result under CacheKey.
 func measure(p Program, cfg *alphasim.Config, sweep *alphasim.ICacheSweep, opts []MeasureOption) (Result, error) {
 	mc := newMeasureConfig(opts)
-	kind, config, geometry := "measure", "", ""
-	if sweep != nil {
-		kind, geometry = "sweep", sweep.Geometry()
-	}
-	if cfg != nil {
-		kind, config = "pipeline", rescache.ConfigKey(*cfg)
-	}
-	key := mc.cacheKey(p, kind, config, geometry)
+	key := CacheKey(p, mc.cacheScope, cfg, sweep, mc.profiling)
 	// An entry must restore every requested sink; the pipeline check comes
 	// first because RestorePoints overwrites the sweep when it succeeds.
 	valid := func(e *rescache.Entry) bool {

@@ -94,9 +94,19 @@ func TestChecksumDeterministic(t *testing.T) {
 	}
 }
 
+// recountSink is a block sink that recounts the stream it receives, one
+// event at a time, into its Counter.
+type recountSink struct{ trace.Counter }
+
+func (r *recountSink) EmitBlock(b *trace.Block) {
+	for i := 0; i < b.N; i++ {
+		r.Emit(b.Event(i))
+	}
+}
+
 func TestInstrumentedDrawingChargesNativeRegion(t *testing.T) {
 	img := atom.NewImage()
-	var c trace.Counter
+	var c recountSink
 	p := atom.NewProbe(img, &c)
 	d := New(img, p, 64, 64)
 	before := p.Total()

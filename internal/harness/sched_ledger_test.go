@@ -168,8 +168,8 @@ func TestSchedBlockOnParallelRun(t *testing.T) {
 	if s.SerialFraction < 0 || s.SerialFraction > 1 {
 		t.Errorf("serial fraction = %v", s.SerialFraction)
 	}
-	if s.OverlapX <= 0 || s.PredictedSpeedupX < 1 {
-		t.Errorf("overlap %v, predicted speedup %v", s.OverlapX, s.PredictedSpeedupX)
+	if s.OverlapX <= 0 {
+		t.Errorf("overlap = %v", s.OverlapX)
 	}
 	if s.CriticalPathUS <= 0 || s.CriticalPathUS > s.WallUS {
 		t.Errorf("critical path = %v with wall %v", s.CriticalPathUS, s.WallUS)

@@ -55,16 +55,6 @@ func (m *Module) FuncIndex(name string) (int, error) {
 	return 0, fmt.Errorf("jvm: no function %q", name)
 }
 
-// NativeIndex returns the index of a named native method.
-func (m *Module) NativeIndex(name string) (int, error) {
-	for i, n := range m.Natives {
-		if n.Name == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("jvm: no native %q", name)
-}
-
 // CodeBytes returns the total bytecode size — the module's Table 2 "Size".
 func (m *Module) CodeBytes() int {
 	n := 0

@@ -83,7 +83,7 @@ const maxScale = 16
 type resolved struct {
 	req   Request
 	prog  core.Program
-	cfg   alphasim.Config       // pipeline
+	cfg   *alphasim.Config      // pipeline
 	sweep *alphasim.ICacheSweep // sweep (private to the one job)
 	scope rescache.Scope
 	key   rescache.Key
@@ -125,13 +125,14 @@ func resolve(req Request) (*resolved, *httpError) {
 			return nil, errBadRequest("config only applies to pipeline requests (kind %q)", req.Kind)
 		}
 	case "pipeline":
-		rr.cfg = alphasim.DefaultConfig()
+		cfg := alphasim.DefaultConfig()
 		if req.Config != nil {
 			if err := req.Config.Validate(); err != nil {
 				return nil, errBadRequest("invalid config: %v", err)
 			}
-			rr.cfg = *req.Config
+			cfg = *req.Config
 		}
+		rr.cfg = &cfg
 	case "sweep":
 		if req.Config != nil {
 			return nil, errBadRequest("config only applies to pipeline requests (kind %q)", req.Kind)
@@ -150,22 +151,7 @@ func resolve(req Request) (*resolved, *httpError) {
 		experiment = "serve"
 	}
 	rr.scope = rescache.Scope{Experiment: experiment, Scale: scale}
-	rr.key = rescache.Key{
-		Schema:      rescache.SchemaVersion,
-		Fingerprint: rescache.Fingerprint(),
-		Experiment:  experiment,
-		Scale:       scale,
-		Kind:        req.Kind,
-		Program:     prog.ID(),
-		Variant:     prog.Variant,
-		Profiling:   req.Profiling,
-	}
-	switch req.Kind {
-	case "pipeline":
-		rr.key.Config = rescache.ConfigKey(rr.cfg)
-	case "sweep":
-		rr.key.Sweep = rr.sweep.Geometry()
-	}
+	rr.key = core.CacheKey(prog, rr.scope, rr.cfg, rr.sweep, req.Profiling)
 	return rr, nil
 }
 

@@ -358,7 +358,7 @@ func (s *Server) measure(rr *resolved, lane int) (core.Result, time.Duration, er
 	case "measure":
 		res, err = core.Measure(rr.prog, opts...)
 	case "pipeline":
-		res, err = core.MeasureWithPipeline(rr.prog, rr.cfg, opts...)
+		res, err = core.MeasureWithPipeline(rr.prog, *rr.cfg, opts...)
 	case "sweep":
 		res, err = core.MeasureWithSweep(rr.prog, rr.sweep, opts...)
 	default:

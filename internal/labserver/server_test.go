@@ -99,8 +99,9 @@ func TestHappyPathMeasure(t *testing.T) {
 // the served measurement must be byte-identical (modulo wall time and
 // cache provenance, which legitimately differ run to run) to the record
 // the harness builds for the same measurement, and the two must share
-// cache entries — a measurement the server performed is a cache hit for a
-// CLI run with the same key, with identical measured bytes.
+// cache entries — the key the server advertises is the key its entry is
+// stored under, and a measurement the server performed is a cache hit for
+// a CLI run with the same key, with identical measured bytes.
 func TestServedBytesMatchHarness(t *testing.T) {
 	cache, err := rescache.Open(t.TempDir(), false)
 	if err != nil {
@@ -113,13 +114,21 @@ func TestServedBytesMatchHarness(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	served := decodeResponse(t, body).Measurement
+	r := decodeResponse(t, body)
+	served := r.Measurement
+
+	rr := mustResolve(t, Request{Kind: "pipeline", Program: testProgram})
+	if want := rr.key.Hash(); r.Key != want {
+		t.Errorf("served key %q, resolved key hashes to %q", r.Key, want)
+	}
+	if _, ok := cache.Get(rr.key); !ok {
+		t.Fatal("no cache entry under the resolved key after the request")
+	}
 
 	// Re-run the identical measurement through core with the same shared
 	// cache and scope, as a CLI run would: it must hit the entry the server
 	// stored.
-	rr := mustResolve(t, Request{Kind: "pipeline", Program: testProgram})
-	res, err := core.MeasureWithPipeline(rr.prog, rr.cfg,
+	res, err := core.MeasureWithPipeline(rr.prog, *rr.cfg,
 		core.WithCache(cache, rescache.Scope{Experiment: "serve", Scale: 1}))
 	if err != nil {
 		t.Fatal(err)
@@ -561,8 +570,8 @@ func TestResolveValidatesConfig(t *testing.T) {
 				if herr != nil {
 					t.Fatalf("valid config rejected: %v", herr)
 				}
-				if rr.cfg != *tc.cfg {
-					t.Errorf("resolved config %+v, want %+v", rr.cfg, *tc.cfg)
+				if *rr.cfg != *tc.cfg {
+					t.Errorf("resolved config %+v, want %+v", *rr.cfg, *tc.cfg)
 				}
 				return
 			}

@@ -5,8 +5,7 @@
 // which worker) plus bracketing runtime snapshots (GC, allocation, mutex
 // wait), folded into a speedup ledger that decomposes where parallel wall
 // time went — serial fraction, per-worker utilization, imbalance, critical
-// path, contention — and compares an Amdahl-style predicted speedup
-// against the measured one.
+// path, contention.
 //
 // The ledger is pure bookkeeping over timestamps from an injectable clock;
 // every derived number in SchedStats is computed by Compute, a pure
@@ -299,11 +298,6 @@ type SchedStats struct {
 	// (Amdahl's f, measured structurally from the timeline).
 	SerialUS       float64 `json:"serial_us"`
 	SerialFraction float64 `json:"serial_fraction"`
-	// ImpliedSerialFraction solves Amdahl's law backwards from OverlapX
-	// read as a speedup: the serial fraction that would fully explain it.
-	// The gap between implied and measured serial fraction is the cost
-	// Amdahl does not model — imbalance, contention, scheduling overhead.
-	ImpliedSerialFraction float64 `json:"implied_serial_fraction"`
 
 	// CriticalPathUS is the longest single job: no schedule of these
 	// (independent) jobs can finish faster.
@@ -314,10 +308,8 @@ type SchedStats struct {
 
 	// OverlapX is busy time over wall time: the mean number of jobs in
 	// flight.  It is not a wall-clock speedup — jobs stretched by a
-	// timeshared CPU count as overlap.  PredictedSpeedupX is Amdahl's
-	// speedup for the measured serial fraction at this worker count.
-	OverlapX          float64 `json:"overlap_x"`
-	PredictedSpeedupX float64 `json:"predicted_speedup_x"`
+	// timeshared CPU count as overlap.
+	OverlapX float64 `json:"overlap_x"`
 
 	// ClaimPolicy is how the workers ordered their claims (PolicyFIFO or
 	// PolicyLJF); empty on ledgers recorded before policies existed.
@@ -436,26 +428,6 @@ func Compute(jobs []JobRecord, requested, effective int, beginUS, endUS float64)
 	}
 	if s.WallUS > 0 {
 		s.OverlapX = s.TotalBusyUS / s.WallUS
-	}
-	// Amdahl forward: what the measured serial fraction predicts at this
-	// worker count...
-	f, p := s.SerialFraction, float64(effective)
-	if denom := f + (1-f)/p; denom > 0 {
-		s.PredictedSpeedupX = 1 / denom
-	}
-	// ...and backwards: the serial fraction that would explain the
-	// measured overlap (meaningful only with >1 worker).
-	if effective > 1 && s.OverlapX > 0 {
-		impl := (p/s.OverlapX - 1) / (p - 1)
-		if impl < 0 {
-			impl = 0
-		}
-		if impl > 1 {
-			impl = 1
-		}
-		s.ImpliedSerialFraction = impl
-	} else if effective == 1 {
-		s.ImpliedSerialFraction = 1
 	}
 	return s
 }

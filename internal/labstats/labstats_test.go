@@ -31,9 +31,7 @@ func eq(t *testing.T, name string, got, want float64) {
 //	worker 1: j1 [0,50)  j3 [50,250)
 //
 // Known answers: wall 250, work 450, serial window [200,250) (only j3 in
-// flight) so serial fraction = 50/450 = 1/9, overlap 450/250 = 1.8,
-// and Amdahl at 2 workers with f=1/9 predicts exactly 1.8 — a
-// timeline whose imbalance is fully explained by its serial tail.
+// flight) so serial fraction = 50/450 = 1/9 and overlap 450/250 = 1.8.
 func TestLedgerArithmeticTwoWorkers(t *testing.T) {
 	clk := newFakeClock()
 	l := NewLedger()
@@ -67,9 +65,6 @@ func TestLedgerArithmeticTwoWorkers(t *testing.T) {
 	eq(t, "SerialUS", s.SerialUS, 50_000)
 	eq(t, "SerialFraction", s.SerialFraction, 50.0/450.0)
 	eq(t, "OverlapX", s.OverlapX, 1.8)
-	eq(t, "PredictedSpeedupX", s.PredictedSpeedupX, 1.8)
-	// Implied f from S=1.8 at p=2: (2/1.8 - 1)/(2-1) = 1/9.
-	eq(t, "ImpliedSerialFraction", s.ImpliedSerialFraction, 1.0/9.0)
 	eq(t, "CriticalPathUS", s.CriticalPathUS, 200_000)
 
 	if len(s.Workers) != 2 {
@@ -95,7 +90,7 @@ func TestLedgerArithmeticTwoWorkers(t *testing.T) {
 }
 
 // TestLedgerArithmeticSerial pins the degenerate single-worker shape:
-// serial fraction 1, speedup 1, predicted 1, zero imbalance.
+// serial fraction 1, overlap 1, zero imbalance.
 func TestLedgerArithmeticSerial(t *testing.T) {
 	clk := newFakeClock()
 	l := NewLedger()
@@ -118,8 +113,6 @@ func TestLedgerArithmeticSerial(t *testing.T) {
 	eq(t, "TotalBusyUS", s.TotalBusyUS, 100_000)
 	eq(t, "SerialFraction", s.SerialFraction, 1)
 	eq(t, "OverlapX", s.OverlapX, 1)
-	eq(t, "PredictedSpeedupX", s.PredictedSpeedupX, 1)
-	eq(t, "ImpliedSerialFraction", s.ImpliedSerialFraction, 1)
 	eq(t, "ImbalancePct", s.ImbalancePct, 0)
 	eq(t, "w0.Utilization", s.Workers[0].Utilization, 1)
 }

@@ -29,10 +29,9 @@ func (s *SchedStats) WriteReport(w io.Writer, id string) error {
 		id, s.Jobs.Enqueued, s.WorkersEffective, s.WorkersRequested, fmtUS(s.WallUS)); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  overlap %.2fx (busy/wall) vs %.2fx predicted speedup (Amdahl at %d workers)\n",
-		s.OverlapX, s.PredictedSpeedupX, s.WorkersEffective)
-	fmt.Fprintf(w, "  serial fraction %.3f measured, %.3f implied by overlap; serial wall %s of %s\n",
-		s.SerialFraction, s.ImpliedSerialFraction, fmtUS(s.SerialUS), fmtUS(s.WallUS))
+	fmt.Fprintf(w, "  overlap %.2fx (busy/wall)\n", s.OverlapX)
+	fmt.Fprintf(w, "  serial fraction %.3f, serial wall %s of %s\n",
+		s.SerialFraction, fmtUS(s.SerialUS), fmtUS(s.WallUS))
 	fmt.Fprintf(w, "  work %s, critical path %s, imbalance %.1f%%, mutex wait %s\n",
 		fmtUS(s.TotalBusyUS), fmtUS(s.CriticalPathUS), s.ImbalancePct, fmtUS(s.ContentionWaitUS))
 	if s.ClaimPolicy != "" {

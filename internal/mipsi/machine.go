@@ -91,9 +91,6 @@ func NewMachine(prog *mips.Program, os *vfs.OS) (*Machine, error) {
 // Exited reports whether the guest has called exit.
 func (m *Machine) Exited() bool { return m.exited }
 
-// Brk returns the current heap break.
-func (m *Machine) Brk() uint32 { return m.brk }
-
 func signed(v uint32) int32 { return int32(v) }
 
 // Step fetches and executes one instruction.

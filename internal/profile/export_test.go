@@ -11,10 +11,10 @@ import (
 // every event as it arrived.  It re-resolves the sample stack from the
 // probe's state whenever the attribution version moves, without the
 // collector's memo tables, so it shares only the trie and the profile
-// rendering with its subject.  It implements trace.Sink but not
-// trace.BlockSink, so blocks reach it unrolled; the probe it observes must
-// run under RequireAttrSync, so that each event arrives while the state it
-// was emitted under is still current.
+// rendering with its subject.  Emit takes one event, so a test sink
+// unrolls each block into it; the probe it observes must run under
+// RequireAttrSync, so that each event arrives while the state it was
+// emitted under is still current.
 type RefCollector struct {
 	c       *Collector
 	version uint64

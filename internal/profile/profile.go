@@ -113,19 +113,6 @@ func (p *Profile) FrameTotal(frame string, vi int) int64 {
 	return t
 }
 
-// FrameFlat returns the self value attributed to samples whose leaf is
-// frame — pprof's "flat".
-func (p *Profile) FrameFlat(frame string, vi int) int64 {
-	var t int64
-	for i := range p.Samples {
-		st := p.Samples[i].Stack
-		if len(st) > 0 && st[len(st)-1] == frame {
-			t += p.Samples[i].Values[vi]
-		}
-	}
-	return t
-}
-
 // sortSamples orders samples by their joined stack, the deterministic order
 // every writer relies on.
 func sortSamples(samples []Sample) {

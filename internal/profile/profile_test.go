@@ -329,6 +329,15 @@ func foldAll(t *testing.T, prof *profile.Profile) []byte {
 	return buf.Bytes()
 }
 
+// refSink unrolls each block it receives into the per-event oracle.
+type refSink struct{ ref *profile.RefCollector }
+
+func (s *refSink) EmitBlock(b *trace.Block) {
+	for i := 0; i < b.N; i++ {
+		s.ref.Emit(b.Event(i))
+	}
+}
+
 // TestCollectorSegmentedMatchesPerEvent pins the collector's segment
 // charging to per-event attribution: the same scripted stream, charged
 // from the probe's tally at each attribution change by a collector on a
@@ -343,9 +352,10 @@ func TestCollectorSegmentedMatchesPerEvent(t *testing.T) {
 	charged := col.Profile("test/seg")
 
 	refImg := atom.NewImage()
-	var ref *profile.RefCollector
-	refProbe := atom.NewProbe(refImg, trace.SinkFunc(func(e trace.Event) { ref.Emit(e) }))
-	ref = profile.NewRefCollector(refProbe)
+	sink := &refSink{}
+	refProbe := atom.NewProbe(refImg, sink)
+	ref := profile.NewRefCollector(refProbe)
+	sink.ref = ref
 	refProbe.RequireAttrSync()
 	driveScenario(refProbe, refImg)
 	refProbe.FlushEvents()

@@ -41,14 +41,16 @@ type rebuild struct {
 	batch   trace.BatchStats // the probe's delivered blocks
 }
 
-// perEventSink recounts and re-attributes every event it receives.  It
-// does not implement trace.BlockSink, so EmitBlockTo unrolls each block
-// into per-event calls.
+// perEventSink unrolls each block it receives and recounts and
+// re-attributes its events one by one.
 type perEventSink struct{ r *rebuild }
 
-func (s perEventSink) Emit(e trace.Event) {
-	s.r.counter.Emit(e)
-	s.r.ref.Emit(e)
+func (s perEventSink) EmitBlock(b *trace.Block) {
+	for i := 0; i < b.N; i++ {
+		e := b.Event(i)
+		s.r.counter.Emit(e)
+		s.r.ref.Emit(e)
+	}
 }
 
 // streamRun runs p the way core.run does, but with the per-event sink as

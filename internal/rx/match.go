@@ -83,11 +83,6 @@ func (m *matcher) run(pc, sp int) bool {
 	}
 }
 
-// MatchAt attempts an anchored match starting exactly at position from.
-func (re *Regexp) MatchAt(s []byte, from int) Match {
-	return re.matchAt(s, from, DefaultStepLimit)
-}
-
 func (re *Regexp) matchAt(s []byte, from, limit int) Match {
 	m := &matcher{prog: re.prog, s: s, limit: limit}
 	m.caps = make([]int, 2*(re.ncap+1))

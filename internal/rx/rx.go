@@ -54,20 +54,12 @@ func (cs *classSet) has(c byte) bool {
 
 // Regexp is a compiled pattern.
 type Regexp struct {
-	prog   []inst
-	ncap   int
-	source string
+	prog []inst
+	ncap int
 }
-
-// Source returns the original pattern.
-func (re *Regexp) Source() string { return re.source }
 
 // Groups returns the number of capturing groups.
 func (re *Regexp) Groups() int { return re.ncap }
-
-// ProgLen returns the compiled program length (an instrumentation hook:
-// compile cost is proportional to it).
-func (re *Regexp) ProgLen() int { return len(re.prog) }
 
 // Match is the result of a match attempt.
 type Match struct {
@@ -109,7 +101,7 @@ func Compile(pattern string) (*Regexp, error) {
 	}
 	c.emit(inst{op: opSave, x: 1})
 	c.emit(inst{op: opMatch})
-	return &Regexp{prog: c.prog, ncap: c.ncap, source: pattern}, nil
+	return &Regexp{prog: c.prog, ncap: c.ncap}, nil
 }
 
 // MustCompile panics on error; for statically known patterns.

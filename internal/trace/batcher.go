@@ -7,7 +7,7 @@ package trace
 const batchRing = 4
 
 // Batcher accumulates events into a reusable ring of Blocks and delivers
-// full blocks to a sink via EmitBlockTo.  It is the shared engine behind
+// full blocks to its sink.  It is the shared engine behind
 // the batching producers (atom.Probe, mipsi.Native).  Blocks are allocated
 // lazily, so an idle producer pays nothing.
 type Batcher struct {
@@ -50,7 +50,7 @@ func (t *Batcher) Flush(reason FlushReason) {
 	}
 	b.Reason = reason
 	t.stats.count(b)
-	EmitBlockTo(t.sink, b)
+	t.sink.EmitBlock(b)
 	t.idx = (t.idx + 1) % batchRing
 	t.blk = t.next()
 }

@@ -85,28 +85,6 @@ func (b *Block) Event(i int) Event {
 	return Event{PC: b.PC[i], Addr: b.Addr[i], Kind: b.Kind[i], Flags: b.Flags[i]}
 }
 
-// BlockSink consumes whole event batches.  Sinks that implement it receive
-// blocks natively; the rest get the block unrolled event by event through
-// the EmitBlockTo shim, so converting a sink is an optimization, never a
-// requirement.  Events within a block are in program order, and blocks
-// arrive in stream order.
-type BlockSink interface {
-	EmitBlock(b *Block)
-}
-
-// EmitBlockTo delivers b to s: natively when s implements BlockSink,
-// otherwise unrolled into per-event Emit calls.  It is the compatibility
-// shim between batching producers and unconverted sinks.
-func EmitBlockTo(s Sink, b *Block) {
-	if bs, ok := s.(BlockSink); ok {
-		bs.EmitBlock(b)
-		return
-	}
-	for i := 0; i < b.N; i++ {
-		s.Emit(b.Event(i))
-	}
-}
-
 // BatchStats accounts a producer's batching behavior: how many events
 // traveled in how many blocks, and what triggered each flush.  The JSON
 // tags are the manifest schema's "batch" object (docs/OBSERVABILITY.md).
@@ -155,8 +133,8 @@ func (s *BatchStats) count(b *Block) {
 
 // Combine builds the cheapest sink equivalent to fanning out over sinks in
 // order: nil sinks and Discard drop out, zero remaining sinks collapse to
-// Discard, one collapses to the sink itself (no per-event loop), and only
-// a genuine fan-out pays for a Multi.
+// Discard, one collapses to the sink itself (no fan-out loop), and only a
+// genuine fan-out pays for a Multi.
 func Combine(sinks ...Sink) Sink {
 	kept := make([]Sink, 0, len(sinks))
 	for _, s := range sinks {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -53,59 +54,36 @@ func TestBlockFullAtCap(t *testing.T) {
 	}
 }
 
-// TestEmitBlockToUnrollsForPlainSinks pins the compatibility shim: a sink
-// without an EmitBlock method receives every event of the block, in order,
-// through Emit.
-func TestEmitBlockToUnrollsForPlainSinks(t *testing.T) {
-	var b Block
-	evs := mkEvents([]byte{3, 14, 15, 92, 65})
-	for _, e := range evs {
-		b.Append(e)
-	}
-	var got []Event
-	EmitBlockTo(SinkFunc(func(e Event) { got = append(got, e) }), &b)
-	if len(got) != len(evs) {
-		t.Fatalf("unrolled %d events, want %d", len(got), len(evs))
-	}
-	for i := range evs {
-		if got[i] != evs[i] {
-			t.Errorf("event %d = %+v, want %+v", i, got[i], evs[i])
-		}
-	}
-}
-
 // TestBlockSinksMatchPerEvent is the block-path equivalence property: for
-// any event sequence, delivering it as blocks — natively to the Recorder,
-// unrolled by EmitBlockTo for the Counter — leaves both in exactly the
-// state per-event delivery would.
+// any event sequence, cut into blocks wherever the seed says and wherever
+// a block fills, a Recorder receives exactly the sequence, in order, and
+// a Counter recounting what it received matches one counting the
+// sequence event by event.
 func TestBlockSinksMatchPerEvent(t *testing.T) {
 	f := func(seed []byte) bool {
 		evs := mkEvents(seed)
 		var perEvent, blocked Counter
-		var recPer, recBlk Recorder
+		var rec Recorder
 		var b Block
-		for _, e := range evs {
+		for i, e := range evs {
 			perEvent.Emit(e)
-			recPer.Emit(e)
 			b.Append(e)
-			if b.Full() {
-				EmitBlockTo(&blocked, &b)
-				EmitBlockTo(&recBlk, &b)
+			if b.Full() || seed[i]%7 == 0 {
+				rec.EmitBlock(&b)
 				b.Reset()
 			}
 		}
 		if b.N > 0 {
-			EmitBlockTo(&blocked, &b)
-			EmitBlockTo(&recBlk, &b)
+			rec.EmitBlock(&b)
 		}
-		if perEvent != blocked {
+		for _, e := range rec.Events {
+			blocked.Emit(e)
+		}
+		if perEvent != blocked || len(rec.Events) != len(evs) {
 			return false
 		}
-		if len(recPer.Events) != len(recBlk.Events) {
-			return false
-		}
-		for i := range recPer.Events {
-			if recPer.Events[i] != recBlk.Events[i] {
+		for i := range evs {
+			if rec.Events[i] != evs[i] {
 				return false
 			}
 		}
@@ -116,22 +94,22 @@ func TestBlockSinksMatchPerEvent(t *testing.T) {
 	}
 }
 
-// TestMultiEmitBlockFansInOrder checks that a Multi hands the block to each
-// member in fan order, using each member's native block path or the shim.
+// TestMultiEmitBlockFansInOrder checks that a Multi hands each block to
+// every member in fan order.
 func TestMultiEmitBlockFansInOrder(t *testing.T) {
-	var c Counter
+	var rec Recorder
 	var order []string
-	plain := SinkFunc(func(Event) { order = append(order, "plain") })
-	m := Multi{&c, plain}
+	m := Multi{tap{"first", &order}, &rec, tap{"last", &order}}
 	var b Block
-	b.Append(Event{Kind: Load})
-	b.Append(Event{Kind: Store})
+	b.Append(Event{Kind: Load, PC: 8})
+	b.Append(Event{Kind: Store, PC: 12})
 	m.EmitBlock(&b)
-	if c.Total != 2 {
-		t.Errorf("counter saw %d events, want 2", c.Total)
+	if len(rec.Events) != 2 {
+		t.Errorf("recorder saw %d events, want 2", len(rec.Events))
 	}
-	if len(order) != 2 {
-		t.Errorf("plain sink saw %d events, want 2 (shim unroll)", len(order))
+	want := []string{"first:8", "first:12", "last:8", "last:12"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("fan order = %v, want %v", order, want)
 	}
 }
 
@@ -225,8 +203,7 @@ func TestBatchStatsAccounting(t *testing.T) {
 }
 
 func TestCombineCollapses(t *testing.T) {
-	var c Counter
-	var rec Recorder
+	var c, rec Recorder
 	if got := Combine(); got != Discard {
 		t.Errorf("Combine() = %T, want Discard", got)
 	}

@@ -4,8 +4,9 @@ package trace
 // many conditional branches were taken.  It backs the pure-counting
 // experiments (Tables 1 and 2).  Producers keep one at emit time, filled
 // whether or not any sink receives the events, so a run whose consumers
-// only count builds no event blocks; as a sink it counts event by event,
-// which makes it the reference the producers' tallies are tested against.
+// only count builds no event blocks.  It is not a Sink.  Emit counts one
+// event: the compiled-C producer tallies with it, and tests recount
+// delivered blocks with it, the reference the tallies are checked against.
 type Counter struct {
 	Total   uint64
 	ByKind  [numKinds]uint64
@@ -45,29 +46,18 @@ func (c *Counter) Kind(k Kind) uint64 { return c.ByKind[k] }
 // Multi fans one stream out to several sinks in order.
 type Multi []Sink
 
-// Emit forwards e to every sink.
-func (m Multi) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
-
-// EmitBlock forwards the batch to every sink, natively where the sink
-// implements BlockSink and unrolled otherwise, so one unconverted sink in
-// the fan never forces the others back onto the per-event path.
+// EmitBlock forwards the block to every sink, in fan order.
 func (m Multi) EmitBlock(b *Block) {
 	for _, s := range m {
-		EmitBlockTo(s, b)
+		s.EmitBlock(b)
 	}
 }
 
-// Discard drops every event.  A nil sink is not legal on a Probe; Discard is
-// the explicit "count nothing, simulate nothing" choice.
+// Discard drops every block.  A nil sink is not legal on a Probe; Discard
+// is the explicit "count nothing, simulate nothing" choice.
 var Discard Sink = discard{}
 
 type discard struct{}
-
-func (discard) Emit(Event) {}
 
 func (discard) EmitBlock(*Block) {}
 
@@ -78,10 +68,7 @@ type Recorder struct {
 	Events []Event
 }
 
-// Emit appends e.
-func (r *Recorder) Emit(e Event) { r.Events = append(r.Events, e) }
-
-// EmitBlock appends every event of the batch.
+// EmitBlock appends every event of the block.
 func (r *Recorder) EmitBlock(b *Block) {
 	for i := 0; i < b.N; i++ {
 		r.Events = append(r.Events, b.Event(i))

@@ -5,16 +5,29 @@ import (
 	"testing"
 )
 
-// TestMultiFanOutOrdering pins Multi's contract: for each event, sinks are
-// visited in slice order, and each sink sees the events in stream order.
+// tap is a test sink that logs each event it receives as name:PC.
+type tap struct {
+	name string
+	log  *[]string
+}
+
+func (s tap) EmitBlock(b *Block) {
+	for i := 0; i < b.N; i++ {
+		*s.log = append(*s.log, fmt.Sprintf("%s:%d", s.name, b.PC[i]))
+	}
+}
+
+// TestMultiFanOutOrdering pins Multi's contract: for each block, sinks are
+// visited in slice order, and each sink sees the blocks in stream order.
 func TestMultiFanOutOrdering(t *testing.T) {
 	var log []string
-	tap := func(name string) Sink {
-		return SinkFunc(func(e Event) { log = append(log, fmt.Sprintf("%s:%d", name, e.PC)) })
+	m := Multi{tap{"a", &log}, tap{"b", &log}, tap{"c", &log}}
+	var b Block
+	for _, pc := range []uint32{1, 2} {
+		b.Reset()
+		b.Append(Event{PC: pc})
+		m.EmitBlock(&b)
 	}
-	m := Multi{tap("a"), tap("b"), tap("c")}
-	m.Emit(Event{PC: 1})
-	m.Emit(Event{PC: 2})
 	want := []string{"a:1", "b:1", "c:1", "a:2", "b:2", "c:2"}
 	if len(log) != len(want) {
 		t.Fatalf("log = %v, want %v", log, want)
@@ -47,7 +60,9 @@ func TestCounterNotTakenBranch(t *testing.T) {
 // TestMultiEmpty pins that an empty Multi is a valid no-op sink.
 func TestMultiEmpty(t *testing.T) {
 	var m Multi
-	m.Emit(Event{Kind: Load}) // must not panic
+	var b Block
+	b.Append(Event{Kind: Load})
+	m.EmitBlock(&b) // must not panic
 }
 
 // TestCounterAdd pins that Add folds another tally's kinds, total and

@@ -8,7 +8,9 @@
 // instruction with a program counter, a kind (integer op, load, store,
 // branch, ...), and, where relevant, an effective address or branch target.
 // Interpreters never construct Events directly; they drive an *atom.Probe*,
-// which synthesizes the stream.
+// which synthesizes the stream and counts it in a Counter as it goes.
+// Only the simulators need the events themselves: a producer hands them
+// to its Sink in Blocks, which a Batcher fills.
 package trace
 
 // Kind classifies a native instruction.  The categories mirror the stall
@@ -93,15 +95,12 @@ func (e Event) Dep() bool { return e.Flags&FlagDep != 0 }
 // Call reports whether a Jump event is a subroutine call.
 func (e Event) Call() bool { return e.Flags&FlagCall != 0 }
 
-// Sink consumes a native-instruction stream.  Implementations include the
-// pipeline simulator, cache sweeps, and counting sinks.  Emit is called once
-// per instruction, in program order.
+// Sink consumes a native-instruction stream in blocks: EmitBlock is
+// called once per Block, blocks arrive in stream order, and the events of
+// a block are in program order.  Producers reuse their blocks, so a sink
+// must finish with b before EmitBlock returns and must not retain it.
+// The simulators (the pipeline and the cache sweep) are the sinks;
+// producers count the stream themselves (see Counter).
 type Sink interface {
-	Emit(e Event)
+	EmitBlock(b *Block)
 }
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(e Event)
-
-// Emit calls f(e).
-func (f SinkFunc) Emit(e Event) { f(e) }

@@ -91,30 +91,26 @@ func TestCounterTotalsByKindSum(t *testing.T) {
 }
 
 func TestMultiAndDiscard(t *testing.T) {
-	var a, b Counter
+	var a, b Recorder
 	m := Multi{&a, &b, Discard}
-	m.Emit(Event{Kind: Int})
-	m.Emit(Event{Kind: Load})
-	if a.Total != 2 || b.Total != 2 {
-		t.Errorf("multi fan-out failed: a=%d b=%d", a.Total, b.Total)
+	var blk Block
+	blk.Append(Event{Kind: Int})
+	blk.Append(Event{Kind: Load})
+	m.EmitBlock(&blk)
+	if len(a.Events) != 2 || len(b.Events) != 2 {
+		t.Errorf("multi fan-out failed: a=%d b=%d", len(a.Events), len(b.Events))
 	}
 }
 
 func TestRecorder(t *testing.T) {
 	var r Recorder
-	r.Emit(Event{PC: 4, Kind: Int})
-	r.Emit(Event{PC: 8, Kind: Load, Addr: 100})
-	if len(r.Events) != 2 || r.Events[1].Addr != 100 {
+	var b Block
+	b.Append(Event{PC: 4, Kind: Int})
+	r.EmitBlock(&b)
+	b.Reset()
+	b.Append(Event{PC: 8, Kind: Load, Addr: 100})
+	r.EmitBlock(&b)
+	if len(r.Events) != 2 || r.Events[0].PC != 4 || r.Events[1].Addr != 100 {
 		t.Fatalf("recorder content wrong: %+v", r.Events)
-	}
-}
-
-func TestSinkFunc(t *testing.T) {
-	n := 0
-	s := SinkFunc(func(Event) { n++ })
-	s.Emit(Event{})
-	s.Emit(Event{})
-	if n != 2 {
-		t.Errorf("SinkFunc called %d times, want 2", n)
 	}
 }

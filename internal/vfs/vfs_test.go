@@ -114,8 +114,7 @@ func TestFileNames(t *testing.T) {
 
 func TestInstrumentedReadChargesPrecompiledCode(t *testing.T) {
 	img := atom.NewImage()
-	var c trace.Counter
-	p := atom.NewProbe(img, &c)
+	p := atom.NewProbe(img, new(trace.Recorder))
 	o := New()
 	o.Instrument(img, p)
 	o.AddFile("f", bytes.Repeat([]byte("x"), 4096))

@@ -13,7 +13,6 @@ package workloads
 import (
 	"fmt"
 
-	"interplab/internal/atom"
 	"interplab/internal/core"
 	"interplab/internal/jvm"
 	"interplab/internal/minicc"
@@ -21,7 +20,6 @@ import (
 	"interplab/internal/perl"
 	"interplab/internal/tcl"
 	"interplab/internal/tk"
-	"interplab/internal/trace"
 )
 
 // runMIPS compiles mini-C and interprets the binary under MIPSI.
@@ -157,16 +155,3 @@ func Suite(scale float64) []core.Program {
 	progs = append(progs, TclSuite(scale)...)
 	return progs
 }
-
-// ByID finds a program in the default suite.
-func ByID(id string) (core.Program, bool) {
-	for _, p := range Suite(1) {
-		if p.ID() == id {
-			return p, true
-		}
-	}
-	return core.Program{}, false
-}
-
-var _ = atom.CodeBase
-var _ trace.Sink
