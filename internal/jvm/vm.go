@@ -102,7 +102,7 @@ type VM struct {
 	stackRegion atom.RegionID
 	fieldRegion atom.RegionID
 
-	codeOff map[int]uint32 // function index -> code offset in codeReg
+	codeOff []uint32 // function index -> code offset in codeReg
 
 	stack     []int32
 	frames    []jframe
@@ -120,7 +120,7 @@ type VM struct {
 
 // New prepares a VM for mod.  img/p may be nil for uninstrumented tests.
 func New(mod *Module, img *atom.Image, p *atom.Probe) (*VM, error) {
-	vm := &VM{Mod: mod, p: p, img: img, codeOff: make(map[int]uint32)}
+	vm := &VM{Mod: mod, p: p, img: img}
 	if p != nil && img != nil {
 		vm.rDispatch = img.Routine("jvm.dispatch", 110)
 		vm.rFrame = img.Routine("jvm.frame", 160)
@@ -158,6 +158,7 @@ func New(mod *Module, img *atom.Image, p *atom.Probe) (*VM, error) {
 		vm.stackRegion = p.RegionName("java.stack")
 		vm.fieldRegion = p.RegionName("java.field")
 
+		vm.codeOff = make([]uint32, len(mod.Funcs))
 		off := uint32(0)
 		for i, f := range mod.Funcs {
 			vm.codeOff[i] = off

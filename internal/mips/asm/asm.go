@@ -207,21 +207,32 @@ func (a *assembler) directive(s string) error {
 		if err != nil || n < 0 {
 			return a.errf("bad .space size %q", rest)
 		}
-		a.data = append(a.data, make([]byte, n)...)
+		return a.pad(n)
 	case ".align":
 		n, err := parseInt(rest)
 		if err != nil || n < 0 || n > 12 {
 			return a.errf("bad .align %q", rest)
 		}
-		mask := (1 << n) - 1
 		if a.sec == secData {
-			for len(a.data)&mask != 0 {
-				a.data = append(a.data, 0)
-			}
+			return a.pad(int64(-len(a.data) & (1<<n - 1)))
 		}
 	default:
 		return a.errf("unknown directive %q", name)
 	}
+	return nil
+}
+
+// maxData bounds the data segment, so that no directive makes the
+// assembler allocate without limit; the lab's largest program has about
+// 1 MB of data.
+const maxData = 16 << 20
+
+// pad appends n zero bytes to the data segment.
+func (a *assembler) pad(n int64) error {
+	if n > maxData-int64(len(a.data)) {
+		return a.errf("data segment over %d bytes", maxData)
+	}
+	a.data = append(a.data, make([]byte, n)...)
 	return nil
 }
 

@@ -212,6 +212,8 @@ func TestAssembleErrors(t *testing.T) {
 		{".quux 3", "unknown directive"},
 		{".data\n\t.word zz,", "undefined symbol"},
 		{".text\n\taddiu $t0, $t9, 99999", "out of"},
+		{".data\n\t.space 1000000000000", "data segment over"},
+		{".data\n\t.space 9000000\n\t.space 9000000", "data segment over"},
 		{"\taddiu $t0, $zero, 1", ""}, // default section is .text: fine
 	}
 	for _, c := range cases {

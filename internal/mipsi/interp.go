@@ -67,7 +67,6 @@ type Interp struct {
 	opIDs      [mips.NumOps]atom.OpID
 
 	tiersReady bool
-	fusedAt    map[uint32]int // pc of a fused pair's first half -> pair index
 	fusedH     []*atom.Routine
 	fusedIDs   []atom.OpID
 
@@ -155,27 +154,28 @@ func (ip *Interp) translate(vaddr uint32) {
 func (ip *Interp) Step() error {
 	ip.ensureTiers()
 	m := ip.M
-	pc, in, err := m.Fetch()
+	pc := m.PC
+	d, err := m.fetch()
 	if err != nil {
 		return err
 	}
 	p := ip.p
-	op := in.Op
+	op := d.Op
 	if op == mips.INVALID {
 		return fmt.Errorf("mipsi: invalid instruction at %#x", pc)
 	}
 	// A delay-slot instruction executes alone even at a fused site: its
 	// successor is the branch target, not the adjacent word.
-	if ip.fusedAt != nil && !m.delayActive {
-		if idx, ok := ip.fusedAt[pc]; ok {
-			return ip.stepFused(pc, in, idx)
-		}
+	if d.fused != 0 && !m.delayActive {
+		return ip.stepFused(pc, d)
 	}
 	p.BeginCommand(ip.opIDs[op])
 
 	// Fetch: translate the PC (fast path when the page is unchanged, as
 	// MIPSI caches the last text frame), then load the instruction word
-	// from guest text, then decode and read the operand registers.
+	// from guest text, then decode and read the operand registers.  The
+	// host decoded the word once, at load; the simulated MIPSI pays for
+	// fetch and decode on every execution.
 	p.Exec(ip.rFetch, costFetchLoop)
 	if page := pc >> 12; page == ip.lastFetchPage {
 		p.Exec(ip.rFetch, costFetchFast)
@@ -190,19 +190,19 @@ func (ip *Interp) Step() error {
 	} else {
 		p.Exec(ip.rDecode, costDecode)
 	}
-	p.Load(ip.regs.Addr(uint32(in.Rs) * 4))
-	p.Load(ip.regs.Addr(uint32(in.Rt) * 4))
+	p.Load(ip.regs.Addr(uint32(d.Rs) * 4))
+	p.Load(ip.regs.Addr(uint32(d.Rt) * 4))
 
 	p.BeginExecute()
-	info, err := m.Exec(pc, in)
-	if err != nil {
+	var info StepInfo
+	if err := m.Exec(pc, &d.Inst, &info); err != nil {
 		if err == ErrExited {
 			p.EndCommand()
 		}
 		return err
 	}
 
-	ip.chargeExec(ip.handlers[op], in, info)
+	ip.chargeExec(ip.handlers[op], &d.Inst, &info)
 	p.EndCommand()
 	return nil
 }
@@ -210,7 +210,7 @@ func (ip *Interp) Step() error {
 // chargeExec accounts one architecturally executed instruction against
 // handler routine h (its own handler normally, the fused handler when the
 // instruction ran as half of a superinstruction).
-func (ip *Interp) chargeExec(h *atom.Routine, in mips.Inst, info StepInfo) {
+func (ip *Interp) chargeExec(h *atom.Routine, in *mips.Inst, info *StepInfo) {
 	p := ip.p
 	switch in.Op.Class() {
 	case mips.ClassALU:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"interplab/internal/mips"
+	"interplab/internal/trace"
 	"interplab/internal/vfs"
 )
 
@@ -24,8 +25,7 @@ var ErrExited = fmt.Errorf("mipsi: program exited")
 // StepInfo describes one architecturally executed instruction, with
 // everything the instrumentation wrappers need to account it.
 type StepInfo struct {
-	PC   uint32
-	Inst mips.Inst
+	PC uint32
 	// MemAddr is the effective address for loads/stores.
 	MemAddr uint32
 	// Taken reports a conditional branch's outcome.
@@ -40,8 +40,73 @@ type StepInfo struct {
 	SyscallBytes int
 }
 
+// decoded is one predecoded text word: the instruction, plus what each
+// execution mode would otherwise work out from it on every step.
+type decoded struct {
+	mips.Inst
+
+	// kind and flags are the event Native emits for the instruction (the
+	// caller adds the operands' dependence, the branch outcome and the
+	// address), and dest is the register it writes, 0 for none.
+	kind  trace.Kind
+	flags trace.Flags
+	dest  uint8
+
+	// fused is 1 + the mipsiFusedPairs index of the fused pair that
+	// starts at this word, or 0.  The superinstruction tier sets it once,
+	// from the loaded text, at the first Run; decoding never changes it.
+	fused uint8
+
+	// stale marks a word that a store has written since it was decoded:
+	// the next fetch decodes it again from memory.
+	stale bool
+}
+
+// decode sets d to the instruction word at pc, leaving its fused mark.
+func (d *decoded) decode(word, pc uint32) {
+	d.Inst = mips.Decode(word, pc)
+	d.kind, d.flags, d.dest, d.stale = trace.Int, 0, 0, false
+	switch in := &d.Inst; in.Op.Class() {
+	case mips.ClassALU:
+		d.dest = uint8(in.Rd)
+		switch in.Op {
+		case mips.ADDI, mips.ADDIU, mips.SLTI, mips.SLTIU,
+			mips.ANDI, mips.ORI, mips.XORI, mips.LUI:
+			d.dest = uint8(in.Rt)
+		}
+	case mips.ClassShift:
+		d.kind, d.dest = trace.ShortInt, uint8(in.Rd)
+	case mips.ClassMulDiv:
+		d.kind = trace.Mul
+	case mips.ClassLoad:
+		d.kind, d.dest = trace.Load, uint8(in.Rt)
+	case mips.ClassStore:
+		d.kind = trace.Store
+	case mips.ClassBranch:
+		d.kind = trace.Branch
+	case mips.ClassJump:
+		d.kind = trace.Jump
+		switch {
+		case in.Op == mips.JAL:
+			d.flags, d.dest = trace.FlagCall, mips.RegRA
+		case in.Op == mips.JALR:
+			d.flags, d.dest = trace.FlagCall, uint8(in.Rd)
+		case in.Op == mips.JR && in.Rs == mips.RegRA:
+			d.kind = trace.Return
+		}
+	case mips.ClassSyscall:
+		// A trap is a call into the kernel.
+		d.kind, d.flags = trace.Jump, trace.FlagCall
+	}
+}
+
 // Machine is the architectural state of one guest: registers, hi/lo, pc,
 // guest memory, and the descriptor table of the hosting OS.
+//
+// The text segment is decoded once, by NewMachine, into a table that the
+// steppers fetch from.  Stores the machine executes (SB, SH, SW and the
+// read syscall) keep the table true to memory; a write into text straight
+// through Mem is not seen by it.
 type Machine struct {
 	Regs [32]uint32
 	Hi   uint32
@@ -63,16 +128,26 @@ type Machine struct {
 	// PC+4 still executes before control transfers.
 	delayActive bool
 	delayTarget uint32
+
+	// text is the decode table: text[(pc-textBase)/4] is the word at pc.
+	// spare holds what fetchMem decodes for a pc outside the table.
+	text     []decoded
+	textBase uint32
+	spare    decoded
 }
 
 // NewMachine loads prog into a fresh address space.
 func NewMachine(prog *mips.Program, os *vfs.OS) (*Machine, error) {
-	m := &Machine{Mem: NewMemory(), Prog: prog, OS: os, PC: prog.Entry}
+	m := &Machine{Mem: NewMemory(), Prog: prog, OS: os, PC: prog.Entry,
+		text: make([]decoded, len(prog.Text)), textBase: prog.TextBase}
 	for i, w := range prog.Text {
-		if err := m.Mem.StoreWord(prog.TextBase+uint32(i)*4, w); err != nil {
+		pc := prog.TextBase + uint32(i)*4
+		if err := m.Mem.StoreWord(pc, w); err != nil {
 			return nil, err
 		}
+		m.text[i].decode(w, pc)
 	}
+	m.wroteText(prog.DataBase, len(prog.Data))
 	if err := m.Mem.WriteBytes(prog.DataBase, prog.Data); err != nil {
 		return nil, err
 	}
@@ -82,6 +157,7 @@ func NewMachine(prog *mips.Program, os *vfs.OS) (*Machine, error) {
 	}
 	m.Regs[mips.RegSP] = mips.StackTop
 	// Touch the stack page so deep-recursion stores are cheap.
+	m.wroteText(mips.StackTop-4, 4)
 	if err := m.Mem.StoreWord(mips.StackTop-4, 0); err != nil {
 		return nil, err
 	}
@@ -93,31 +169,71 @@ func (m *Machine) Exited() bool { return m.exited }
 
 func signed(v uint32) int32 { return int32(v) }
 
-// Step fetches and executes one instruction.
-func (m *Machine) Step() (StepInfo, error) {
-	pc, in, err := m.Fetch()
+// Step fetches and executes one instruction, describing it in info.
+func (m *Machine) Step(info *StepInfo) error {
+	pc := m.PC
+	d, err := m.fetch()
 	if err != nil {
-		return StepInfo{}, err
+		return err
 	}
-	return m.Exec(pc, in)
+	return m.Exec(pc, &d.Inst, info)
 }
 
-// Fetch reads and decodes the next instruction without changing state, so
-// instrumentation can open the virtual command before execution.
-func (m *Machine) Fetch() (uint32, mips.Inst, error) {
+// fetch returns the instruction at the PC without changing architectural
+// state, so instrumentation can open the virtual command before execution:
+// the PC's decode-table entry, unless the PC is outside the table or a
+// store has since written the word.  The entry stays as it is until the
+// next fetch, even when the instruction overwrites its own word.
+func (m *Machine) fetch() (*decoded, error) {
 	if m.exited {
-		return 0, mips.Inst{}, ErrExited
+		return nil, ErrExited
 	}
-	word, err := m.Mem.LoadWord(m.PC)
-	if err != nil {
-		return 0, mips.Inst{}, fmt.Errorf("mipsi: fetch at %#x: %w", m.PC, err)
+	if off := m.PC - m.textBase; off&3 == 0 && off/4 < uint32(len(m.text)) {
+		if d := &m.text[off/4]; !d.stale {
+			return d, nil
+		}
 	}
-	return m.PC, mips.Decode(word, m.PC), nil
+	return m.fetchMem()
 }
 
-// Exec executes the instruction fetched at pc and returns what happened.
-func (m *Machine) Exec(pc uint32, in mips.Inst) (StepInfo, error) {
-	info := StepInfo{PC: pc, Inst: in, InDelaySlot: m.delayActive}
+// fetchMem reads the word at the PC from guest memory and decodes it: the
+// decode path behind the table.  A stale text word decodes back into its
+// table entry; a PC outside the table (beyond the text segment, or
+// misaligned) decodes into the spare entry, which the next call reuses.
+func (m *Machine) fetchMem() (*decoded, error) {
+	pc := m.PC
+	word, err := m.Mem.LoadWord(pc)
+	if err != nil {
+		return nil, fmt.Errorf("mipsi: fetch at %#x: %w", pc, err)
+	}
+	d := &m.spare
+	if off := pc - m.textBase; off&3 == 0 && off/4 < uint32(len(m.text)) {
+		d = &m.text[off/4]
+	}
+	d.decode(word, pc)
+	return d, nil
+}
+
+// wroteText marks stale every decode-table word that the n bytes stored
+// at addr overlap.
+func (m *Machine) wroteText(addr uint32, n int) {
+	size := uint32(len(m.text)) * 4
+	// The bytes are addr .. addr+n-1, wrapping at 2^32: none is in text
+	// when the first lies past it and the run does not wrap round to it.
+	if off := addr - m.textBase; off >= size && -off >= uint32(n) {
+		return
+	}
+	for i := 0; i < n; i++ {
+		if off := addr + uint32(i) - m.textBase; off < size {
+			m.text[off/4].stale = true
+		}
+	}
+}
+
+// Exec executes in, the instruction fetched at pc, and describes it in
+// info.
+func (m *Machine) Exec(pc uint32, in *mips.Inst, info *StepInfo) error {
+	*info = StepInfo{PC: pc, InDelaySlot: m.delayActive}
 
 	// Default successor; a pending delayed branch overrides it after this
 	// instruction completes.
@@ -165,11 +281,11 @@ func (m *Machine) Exec(pc uint32, in mips.Inst) (StepInfo, error) {
 		info.Taken, info.Target = true, rs
 		m.delayActive, m.delayTarget = true, rs
 	case mips.SYSCALL:
-		if err := m.syscall(&info); err != nil {
-			return info, err
+		if err := m.syscall(info); err != nil {
+			return err
 		}
 	case mips.BREAK:
-		return info, fmt.Errorf("mipsi: break at %#x", pc)
+		return fmt.Errorf("mipsi: break at %#x", pc)
 	case mips.MFHI:
 		setReg(in.Rd, m.Hi)
 	case mips.MTHI:
@@ -263,59 +379,62 @@ func (m *Machine) Exec(pc uint32, in mips.Inst) (StepInfo, error) {
 		info.MemAddr = rs + uint32(in.Imm)
 		b, err := m.Mem.LoadByte(info.MemAddr)
 		if err != nil {
-			return info, err
+			return err
 		}
 		setReg(in.Rt, uint32(int32(int8(b))))
 	case mips.LBU:
 		info.MemAddr = rs + uint32(in.Imm)
 		b, err := m.Mem.LoadByte(info.MemAddr)
 		if err != nil {
-			return info, err
+			return err
 		}
 		setReg(in.Rt, uint32(b))
 	case mips.LH:
 		info.MemAddr = rs + uint32(in.Imm)
 		h, err := m.Mem.LoadHalf(info.MemAddr)
 		if err != nil {
-			return info, err
+			return err
 		}
 		setReg(in.Rt, uint32(int32(int16(h))))
 	case mips.LHU:
 		info.MemAddr = rs + uint32(in.Imm)
 		h, err := m.Mem.LoadHalf(info.MemAddr)
 		if err != nil {
-			return info, err
+			return err
 		}
 		setReg(in.Rt, uint32(h))
 	case mips.LW:
 		info.MemAddr = rs + uint32(in.Imm)
 		w, err := m.Mem.LoadWord(info.MemAddr)
 		if err != nil {
-			return info, err
+			return err
 		}
 		setReg(in.Rt, w)
 	case mips.SB:
 		info.MemAddr = rs + uint32(in.Imm)
+		m.wroteText(info.MemAddr, 1)
 		if err := m.Mem.StoreByte(info.MemAddr, byte(rt)); err != nil {
-			return info, err
+			return err
 		}
 	case mips.SH:
 		info.MemAddr = rs + uint32(in.Imm)
+		m.wroteText(info.MemAddr, 2)
 		if err := m.Mem.StoreHalf(info.MemAddr, uint16(rt)); err != nil {
-			return info, err
+			return err
 		}
 	case mips.SW:
 		info.MemAddr = rs + uint32(in.Imm)
+		m.wroteText(info.MemAddr, 4)
 		if err := m.Mem.StoreWord(info.MemAddr, rt); err != nil {
-			return info, err
+			return err
 		}
 	default:
-		return info, fmt.Errorf("mipsi: invalid instruction %#x at %#x", in.Raw, pc)
+		return fmt.Errorf("mipsi: invalid instruction %#x at %#x", in.Raw, pc)
 	}
 
 	m.PC = next
 	m.Steps++
-	return info, nil
+	return nil
 }
 
 // syscall services a trap.  Payload sizes are reported in info for
@@ -334,6 +453,7 @@ func (m *Machine) syscall(info *StepInfo) error {
 			m.Regs[mips.RegV0] = ^uint32(0)
 			return nil
 		}
+		m.wroteText(a1, len(b))
 		if err := m.Mem.WriteBytes(a1, b); err != nil {
 			return err
 		}

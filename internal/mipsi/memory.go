@@ -15,6 +15,14 @@
 //     exactly one native instruction event.  This is how the compiled-C
 //     baselines of Table 1, the C des row of Table 2, and the native SPEC
 //     runs of Figure 3 are produced.
+//
+// The host decodes the text segment once, when NewMachine loads it, into
+// a table both modes step through.  A store into text (SB, SH, SW or the
+// read syscall) makes the words it touches decode again at their next
+// fetch, and a PC outside the table is fetched from memory and decoded
+// each time.  The simulation does not see the table: Interp charges the
+// simulated fetch, translation and decode of every word it executes, as
+// the original MIPSI paid them.
 package mipsi
 
 import "fmt"

@@ -42,8 +42,9 @@ func TestMachineArithmeticLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var info StepInfo
 	for !m.Exited() {
-		if _, err := m.Step(); err != nil {
+		if err := m.Step(&info); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,8 +76,9 @@ over:
 	if err != nil {
 		t.Fatal(err)
 	}
+	var info StepInfo
 	for !m.Exited() {
-		if _, err := m.Step(); err != nil {
+		if err := m.Step(&info); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,8 +106,9 @@ double:
 	if err != nil {
 		t.Fatal(err)
 	}
+	var info StepInfo
 	for !m.Exited() {
-		if _, err := m.Step(); err != nil {
+		if err := m.Step(&info); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,8 +143,9 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
+	var info StepInfo
 	for !m.Exited() {
-		if _, err := m.Step(); err != nil {
+		if err := m.Step(&info); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,8 +176,9 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
+	var info StepInfo
 	for !m.Exited() {
-		if _, err := m.Step(); err != nil {
+		if err := m.Step(&info); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,8 +228,9 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
+	var info StepInfo
 	for !m.Exited() {
-		if _, err := m.Step(); err != nil {
+		if err := m.Step(&info); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,8 +267,9 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
+	var info StepInfo
 	for !m2.Exited() {
-		if _, err := m2.Step(); err != nil {
+		if err := m2.Step(&info); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -73,104 +73,48 @@ func (n *Native) Flush() { n.batch.Flush(trace.FlushFinal) }
 // BatchStats returns the native path's batching account.
 func (n *Native) BatchStats() trace.BatchStats { return n.batch.Stats() }
 
-// destReg returns the register an instruction writes, or 0.
-func destReg(in mips.Inst) int {
-	switch in.Op.Class() {
-	case mips.ClassALU, mips.ClassShift:
-		switch in.Op {
-		case mips.ADDI, mips.ADDIU, mips.SLTI, mips.SLTIU,
-			mips.ANDI, mips.ORI, mips.XORI, mips.LUI:
-			return in.Rt
-		case mips.MFHI, mips.MFLO:
-			return in.Rd
-		}
-		return in.Rd
-	case mips.ClassLoad:
-		return in.Rt
-	case mips.ClassJump:
-		if in.Op == mips.JAL {
-			return mips.RegRA
-		}
-		if in.Op == mips.JALR {
-			return in.Rd
-		}
-	}
-	return 0
-}
-
 // Step executes one guest instruction and emits its event.
 func (n *Native) Step() error {
 	m := n.M
-	pc, in, err := m.Fetch()
+	pc := m.PC
+	d, err := m.fetch()
 	if err != nil {
 		return err
 	}
-	info, err := m.Exec(pc, in)
-	if err != nil {
+	var info StepInfo
+	if err := m.Exec(pc, &d.Inst, &info); err != nil {
 		return err
 	}
 
-	var fl trace.Flags
-	if n.prevDest != 0 && (in.Rs == n.prevDest || in.Rt == n.prevDest) {
-		fl |= trace.FlagDep
+	e := trace.Event{PC: pc, Kind: d.kind, Flags: d.flags}
+	if n.prevDest != 0 && (d.Rs == n.prevDest || d.Rt == n.prevDest) {
+		e.Flags |= trace.FlagDep
 	}
-	n.prevDest = destReg(in)
-
-	e := trace.Event{PC: pc, Flags: fl}
-	switch in.Op.Class() {
-	case mips.ClassShift:
-		e.Kind = trace.ShortInt
-	case mips.ClassMulDiv:
-		e.Kind = trace.Mul
-	case mips.ClassLoad:
-		e.Kind = trace.Load
+	n.prevDest = int(d.dest)
+	switch d.kind {
+	case trace.Load, trace.Store:
 		e.Addr = info.MemAddr
-	case mips.ClassStore:
-		e.Kind = trace.Store
-		e.Addr = info.MemAddr
-	case mips.ClassBranch:
-		e.Kind = trace.Branch
+	case trace.Branch:
 		e.Addr = info.Target
 		if info.Taken {
 			e.Flags |= trace.FlagTaken
 		}
-	case mips.ClassJump:
+	case trace.Jump, trace.Return:
 		e.Addr = info.Target
-		switch in.Op {
-		case mips.JAL, mips.JALR:
-			e.Kind = trace.Jump
-			e.Flags |= trace.FlagCall
-		case mips.JR:
-			if in.Rs == mips.RegRA {
-				e.Kind = trace.Return
-			} else {
-				e.Kind = trace.Jump
-			}
-		default:
-			e.Kind = trace.Jump
-		}
-	case mips.ClassSyscall:
-		e.Kind = trace.Jump
-		e.Addr = kernelBase
-		e.Flags |= trace.FlagCall
-	default:
-		if in.Op == mips.LBU || in.Op == mips.LB || in.Op == mips.SB {
-			e.Kind = trace.ShortInt // byte ops are "short int" on the 21064
-		} else {
-			e.Kind = trace.Int
-		}
 	}
+	if d.Op != mips.SYSCALL {
+		n.emit(e)
+		return nil
+	}
+	e.Addr = kernelBase
 	n.emit(e)
-
-	if in.Op.Class() == mips.ClassSyscall {
-		n.kernel(info)
-	}
+	n.kernel(&info)
 	return nil
 }
 
 // kernel emits the precompiled kernel path for a trap: entry/validation
 // code plus a word-copy loop over the buffer cache for read/write payloads.
-func (n *Native) kernel(info StepInfo) {
+func (n *Native) kernel(info *StepInfo) {
 	exec := func(cnt int) {
 		for i := 0; i < cnt; i++ {
 			n.emit(trace.Event{PC: kernelBase + n.kpc, Kind: trace.Int})

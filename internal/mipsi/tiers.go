@@ -85,27 +85,25 @@ func (ip *Interp) ensureTiers() {
 	ip.fuseText()
 }
 
-// fuseText predecodes the guest text and records every non-overlapping
-// occurrence of a fused pair (greedy, left to right).  Pairs split across
-// a page boundary are skipped: the fetch fast path caches one translated
-// page, and a fused fetch must stay within it.  The pass is charged to
-// the startup phase, like the binary load.
+// fuseText finds every non-overlapping occurrence of a fused pair in the
+// loaded text (greedy, left to right) and marks its first word in the
+// decode table.  Pairs split across a page boundary are skipped: the fetch
+// fast path caches one translated page, and a fused fetch must stay within
+// it.  The pass is charged to the startup phase, like the binary load.
 func (ip *Interp) fuseText() {
 	p := ip.p
 	p.SetStartup(true)
 	p.Call(ip.rFuse)
-	prog := ip.M.Prog
-	ip.fusedAt = make(map[uint32]int)
-	for i := 0; i < len(prog.Text); i++ {
-		pc := prog.TextBase + uint32(i)*4
+	m := ip.M
+	text := m.text
+	for i := 0; i < len(text); i++ {
+		pc := m.textBase + uint32(i)*4
 		p.Exec(ip.rFuse, costFusePredecode)
-		if i+1 >= len(prog.Text) || pc>>12 != (pc+4)>>12 {
+		if i+1 >= len(text) || pc>>12 != (pc+4)>>12 {
 			continue
 		}
-		a := mips.Decode(prog.Text[i], pc)
-		b := mips.Decode(prog.Text[i+1], pc+4)
-		if idx, ok := mipsiFuseIndex[[2]mips.Op{a.Op, b.Op}]; ok {
-			ip.fusedAt[pc] = idx
+		if idx, ok := mipsiFuseIndex[[2]mips.Op{text[i].Op, text[i+1].Op}]; ok {
+			text[i].fused = uint8(idx + 1)
 			ip.FusedSites++
 			i++ // greedy: a fused second half never starts another pair
 		}
@@ -114,11 +112,12 @@ func (ip *Interp) fuseText() {
 	p.SetStartup(false)
 }
 
-// stepFused interprets one fused pair as a single virtual command: one
-// trip through the fetch loop and the predecode table, then both halves
-// execute inside the fused handler.
-func (ip *Interp) stepFused(pc uint32, in mips.Inst, idx int) error {
+// stepFused interprets the fused pair that starts with d, at pc, as a
+// single virtual command: one trip through the fetch loop and the
+// predecode table, then both halves execute inside the fused handler.
+func (ip *Interp) stepFused(pc uint32, d *decoded) error {
 	m, p := ip.M, ip.p
+	idx := int(d.fused) - 1
 	p.BeginCommand(ip.fusedIDs[idx])
 
 	// One fetch covers the pair: the site is same-page by construction,
@@ -134,37 +133,37 @@ func (ip *Interp) stepFused(pc uint32, in mips.Inst, idx int) error {
 	p.Load(guestBias | (pc + 4))
 	// Predecoded dispatch replaces the decode switch entirely.
 	p.Exec(ip.rDecode, costFusedDispatch)
-	p.Load(ip.regs.Addr(uint32(in.Rs) * 4))
-	p.Load(ip.regs.Addr(uint32(in.Rt) * 4))
+	p.Load(ip.regs.Addr(uint32(d.Rs) * 4))
+	p.Load(ip.regs.Addr(uint32(d.Rt) * 4))
 
 	p.BeginExecute()
 	h := ip.fusedH[idx]
-	info, err := m.Exec(pc, in)
-	if err != nil {
+	var info StepInfo
+	if err := m.Exec(pc, &d.Inst, &info); err != nil {
 		if err == ErrExited {
 			p.EndCommand()
 		}
 		return err
 	}
-	ip.chargeExec(h, in, info)
+	ip.chargeExec(h, &d.Inst, &info)
 
 	// The first half is straight-line, so the machine now sits on the
 	// second: re-fetch architecturally (free — the word was predecoded)
 	// and execute it under the same command.
-	pc2, in2, err := m.Fetch()
+	pc2 := m.PC
+	d2, err := m.fetch()
 	if err != nil {
 		return err
 	}
-	p.Load(ip.regs.Addr(uint32(in2.Rs) * 4))
-	p.Load(ip.regs.Addr(uint32(in2.Rt) * 4))
-	info2, err := m.Exec(pc2, in2)
-	if err != nil {
+	p.Load(ip.regs.Addr(uint32(d2.Rs) * 4))
+	p.Load(ip.regs.Addr(uint32(d2.Rt) * 4))
+	if err := m.Exec(pc2, &d2.Inst, &info); err != nil {
 		if err == ErrExited {
 			p.EndCommand()
 		}
 		return err
 	}
-	ip.chargeExec(h, in2, info2)
+	ip.chargeExec(h, &d2.Inst, &info)
 	p.EndCommand()
 	return nil
 }

@@ -259,5 +259,9 @@ func DESTcl(blocks int) core.Program {
 // DESMiniCSource exposes the shared mini-C des source for ablations.
 func DESMiniCSource(blocks int) string { return desMiniC(blocks) }
 
+// SpecMiniCSources exposes the mini-C sources of the SPEC workalikes (the
+// MIPSI and native suites), by name, as the assembler's fuzz seeds.
+func SpecMiniCSources(scale float64) map[string]string { return specSources(scale) }
+
 // DESTclSource exposes the Tcl des script for ablations.
 func DESTclSource(blocks int) string { return desTclSrc(blocks) }
