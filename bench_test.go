@@ -117,13 +117,14 @@ func recordBlocks(b *testing.B, p core.Program) []*trace.Block {
 }
 
 // desStreams is des on all five systems at the smallest block counts the
-// perfbench measure workload draws (4.3M events, 42 MB of blocks),
-// recorded on first use.
+// perfbench measure workload draws (4.3M events), recorded on first use.
 var desStreams [][]*trace.Block
 
-// BenchmarkPipelineReplay reports the pipeline sink's own cost per event:
-// it replays recorded des blocks of all five systems through a fresh
-// Table 3 pipeline each, with no guest, probe or counter in the loop.
+// BenchmarkPipelineReplay reports each simulating sink's own cost per
+// event (instruction, however many a block row carries): it replays
+// recorded des blocks of all five systems through a fresh Table 3
+// pipeline, or a fresh default icache sweep, each, with no guest, probe or
+// counter in the loop.
 func BenchmarkPipelineReplay(b *testing.B) {
 	if desStreams == nil {
 		for _, p := range []core.Program{
@@ -136,21 +137,31 @@ func BenchmarkPipelineReplay(b *testing.B) {
 	var events int
 	for _, blocks := range desStreams {
 		for _, blk := range blocks {
-			events += blk.N
+			events += blk.Insts
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, blocks := range desStreams {
-			p := alphasim.New(alphasim.DefaultConfig())
-			for _, blk := range blocks {
-				p.EmitBlock(blk)
+	arms := []struct {
+		name string
+		sink func() trace.Sink
+	}{
+		{"pipeline", func() trace.Sink { return alphasim.New(alphasim.DefaultConfig()) }},
+		{"sweep", func() trace.Sink { return alphasim.DefaultICacheSweep() }},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, blocks := range desStreams {
+					s := arm.sink()
+					for _, blk := range blocks {
+						s.EmitBlock(blk)
+					}
+					replaySink = s
+				}
 			}
-			replayStats = p.Stats()
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
-// replayStats keeps the replayed pipeline's result live.
-var replayStats alphasim.Stats
+// replaySink keeps the last replayed sink live.
+var replaySink trace.Sink

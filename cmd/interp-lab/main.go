@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	interp-lab [-scale f] [-parallel n] [-cache dir] [-json manifest.json] [-trace trace.json] experiment...
+//	interp-lab [-scale f] [-parallel n] [-cache dir] [-json manifest.json] [-trace trace.json] [-cpuprofile file] experiment...
 //	interp-lab profile [-scale f] [-pprof file] [-folded file] [-top n] [-value type] [-json file] experiment
 //	interp-lab serve [-addr host:port] [-cache dir] [-parallel n] [-queue n] [-request-timeout d] [-drain-timeout d]
 //	interp-lab cache [-dir d] [-max-age dur] stats|gc|clear|fingerprint
@@ -25,9 +25,12 @@
 // versioned machine-readable run manifest that `interp-lab report`
 // re-renders to the exact text of a direct run; -trace writes a Chrome
 // trace-event file of the run's span hierarchy for chrome://tracing or
-// Perfetto.  The profile subcommand attaches the attribution profiler and
-// exports per-routine/per-opcode profiles as pprof (go tool pprof) and
-// folded stacks (flamegraphs); sched-report renders the speedup ledger a
+// Perfetto; -cpuprofile writes a Go CPU profile of the run, each
+// measurement job's samples labeled with its experiment, kind, program and
+// variant (go tool pprof -tagfocus).  The profile subcommand attaches the
+// attribution profiler and exports per-routine/per-opcode profiles as
+// pprof (go tool pprof) and folded stacks (flamegraphs); sched-report
+// renders the speedup ledger a
 // -json run records for each measurement batch (per-worker utilization,
 // serial fraction, overlap); see
 // docs/OBSERVABILITY.md.  The serve subcommand runs the lab as an HTTP
@@ -44,6 +47,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"interplab/internal/harness"
 	"interplab/internal/labserver"
@@ -52,7 +56,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: interp-lab [-scale f] [-parallel n] [-cache dir [-cache-readonly]] [-json file] [-trace file] experiment...
+	fmt.Fprintf(os.Stderr, `usage: interp-lab [-scale f] [-parallel n] [-cache dir [-cache-readonly]] [-json file] [-trace file] [-cpuprofile file] experiment...
        interp-lab profile [-scale f] [-pprof file] [-folded file] [-top n] [-value type] [-json file] experiment
        interp-lab serve [-addr host:port] [-cache dir] [-parallel n] [-queue n] [-request-timeout d] [-drain-timeout d]
        interp-lab cache [-dir d] [-max-age dur] stats|gc|clear|fingerprint
@@ -71,6 +75,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "measurement workers per experiment (1 = serial; output is identical)")
 	jsonOut := flag.String("json", "", "write a machine-readable run manifest to `file`")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event file to `file`")
+	cpuProfile := flag.String("cpuprofile", "", "write a Go CPU profile of the run to `file`, labeled by job")
 	cacheDir := flag.String("cache", "", "memoize measurements in the cache at `dir` (see docs/CACHING.md)")
 	cacheRO := flag.Bool("cache-readonly", false, "with -cache: consult the cache without writing new entries")
 	version := flag.Bool("version", false, "print the lab build identity (binary fingerprint, cache schema, toolchain) and exit")
@@ -125,7 +130,34 @@ func main() {
 	if err := validateParallel(*parallel); err != nil {
 		usageFatalf(usage, "%v", err)
 	}
-	cmdRun(args, *scale, *parallel, *jsonOut, *traceOut, openCacheFlags(*cacheDir, *cacheRO, usage))
+	cache := openCacheFlags(*cacheDir, *cacheRO, usage)
+	stop := func() {}
+	if *cpuProfile != "" {
+		stop = startCPUProfile(*cpuProfile)
+	}
+	err := cmdRun(args, *scale, *parallel, *jsonOut, *traceOut, cache)
+	stop()
+	if err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// startCPUProfile starts a Go CPU profile written to path and returns
+// the function that stops and closes it.
+func startCPUProfile(path string) (stop func()) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatalf("-cpuprofile: %v", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatalf("close %s: %v", path, err)
+		}
+	}
 }
 
 // validateScale rejects workload scales the experiments cannot honor:
@@ -191,8 +223,8 @@ func openCacheFlags(dir string, readonly bool, usage func()) *rescache.Cache {
 
 // cmdRun executes the named experiments, optionally recording a run
 // manifest (-json), a span trace (-trace), and memoizing measurements
-// (-cache).
-func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string, cache *rescache.Cache) {
+// (-cache).  It returns the first experiment's error, naming it.
+func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string, cache *rescache.Cache) error {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = harness.Experiments
 	}
@@ -214,8 +246,7 @@ func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string,
 			fmt.Println()
 		}
 		if err := harness.Run(id, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "interp-lab: %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %v", id, err)
 		}
 	}
 	if man != nil {
@@ -226,6 +257,7 @@ func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string,
 	if opt.Tracer != nil {
 		writeFileVia(traceOut, opt.Tracer.WriteJSON)
 	}
+	return nil
 }
 
 // cacheInfo summarizes an attached cache for the manifest's config.cache

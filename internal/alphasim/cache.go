@@ -26,6 +26,17 @@
 // entry most recently used, every age in the same order, and every later
 // victim the same.  L2 is looked up only on an L1 miss, and a skipped
 // lookup is a hit, so L2 and the miss notifications are unchanged too.
+//
+// Both simulators take a stretch row (trace.Block) — a straight-line run
+// of Int and ShortInt instructions and the conditional branch that ends
+// it — whole.  Its fetches after the first in a line or page repeat the
+// memo, so the pipeline looks up only where they enter a new line or page
+// and the sweep turns the run straight into line tags.  Inside a stretch
+// only a ShortInt's result can stall a dependent instruction, so its
+// short-int stalls are popcount(dep & short<<1); the first instruction
+// depends on the row before it, and the branch goes through the
+// predictor, as for single events.  Every statistic, sweep point and miss
+// notification equals what the stretch's events one by one would give.
 package alphasim
 
 // CacheConfig describes one cache level.

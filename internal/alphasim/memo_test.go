@@ -8,9 +8,10 @@ import (
 )
 
 // refPipeline is the test oracle for Pipeline: the simulator as it was
-// before the MRU memo, with every fetch and data access looked up in its
-// TLB and L1, and Cycles and IFetches accumulated event by event.
-// FuzzPipelineMemo requires the two to agree on every stream.
+// before the MRU memo and stretch rows, with every block expanded into its
+// events, every fetch and data access looked up in its TLB and L1, and
+// Cycles and IFetches accumulated event by event.  FuzzPipelineMemo
+// requires the two to agree on every stream.
 type refPipeline struct {
 	cfg    Config
 	icache *Cache
@@ -24,6 +25,7 @@ type refPipeline struct {
 	prevKind trace.Kind
 	prevHit  bool // previous load hit L1
 	pending  uint64
+	events   []trace.Event
 
 	missObs MissObserver
 }
@@ -48,8 +50,9 @@ func (p *refPipeline) stall(c Cause, cycles int) {
 }
 
 func (p *refPipeline) EmitBlock(b *trace.Block) {
-	for i := 0; i < b.N; i++ {
-		p.step(trace.Event{PC: b.PC[i], Addr: b.Addr[i], Kind: b.Kind[i], Flags: b.Flags[i]})
+	p.events = b.AppendEvents(p.events[:0])
+	for _, e := range p.events {
+		p.step(e)
 	}
 }
 
@@ -84,7 +87,7 @@ func (p *refPipeline) step(e trace.Event) {
 			level = 2
 		}
 		if p.missObs != nil {
-			p.missObs.IMiss(e, level)
+			p.missObs.IMiss(level)
 		}
 	}
 
@@ -122,7 +125,7 @@ func (p *refPipeline) step(e trace.Event) {
 				level = 2
 			}
 			if p.missObs != nil {
-				p.missObs.DMiss(e, level)
+				p.missObs.DMiss(level)
 			}
 		}
 	case trace.Branch:
@@ -148,17 +151,17 @@ func (p *refPipeline) step(e trace.Event) {
 	p.prevKind = e.Kind
 }
 
-// missCall is one MissObserver call; missLog records them in order.
+// missCall is one MissObserver call: a data or an instruction miss, and
+// its level.  missLog records them in order.
 type missCall struct {
 	data  bool
-	e     trace.Event
 	level int
 }
 
 type missLog []missCall
 
-func (l *missLog) IMiss(e trace.Event, level int) { *l = append(*l, missCall{false, e, level}) }
-func (l *missLog) DMiss(e trace.Event, level int) { *l = append(*l, missCall{true, e, level}) }
+func (l *missLog) IMiss(level int) { *l = append(*l, missCall{false, level}) }
+func (l *missLog) DMiss(level int) { *l = append(*l, missCall{true, level}) }
 
 // memoGeometry decodes the first three bytes of a FuzzPipelineMemo input
 // into a machine: per-cache line size and associativity, page size, iTLB
@@ -181,8 +184,9 @@ func memoGeometry(g [3]byte) Config {
 // checkMemo feeds events to the memoised Pipeline in blocks of one event,
 // in blocks cut after each index in cuts (and wherever a block fills), and
 // alternating the two between cuts; the oracle gets the alternating feed.
-// Every memoised run must report the oracle's Stats and MissObserver
-// calls.
+// Two more pipelines get the stream packed into stretch rows
+// (packStretches), one row per block and in blocks cut as above.  Every
+// pipeline must report the oracle's Stats and MissObserver calls.
 func checkMemo(t *testing.T, cfg Config, events []trace.Event, cuts map[int]bool) {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
@@ -203,7 +207,7 @@ func checkMemo(t *testing.T, cfg Config, events []trace.Event, cuts map[int]bool
 	ref.missObs = &oracle.log
 	oracle.p = ref
 	runs := []*run{oracle}
-	for mode, feed := range []string{"one-event", "blocks", "mixed"} {
+	for mode, feed := range []string{"one-event", "blocks", "mixed", "stretch-rows", "stretch-blocks"} {
 		r := &run{name: "memo/" + feed, mode: mode}
 		p := New(cfg)
 		p.SetMissObserver(&r.log)
@@ -216,8 +220,8 @@ func checkMemo(t *testing.T, cfg Config, events []trace.Event, cuts map[int]bool
 			if r.mode == 1 || r.mode == 2 && segment%2 == 0 {
 				r.p.EmitBlock(b)
 			} else if r.mode == 2 {
-				for i := 0; i < b.N; i++ {
-					emitOne(r.p, one, b.Event(i))
+				for _, e := range b.AppendEvents(nil) {
+					emitOne(r.p, one, e)
 				}
 			}
 		}
@@ -236,6 +240,12 @@ func checkMemo(t *testing.T, cfg Config, events []trace.Event, cuts map[int]bool
 		}
 	}
 	flush()
+	rows := packStretches(events, cuts)
+	for _, r := range runs {
+		if r.mode >= 3 {
+			emitRows(r.p, rows, cuts, r.mode == 3)
+		}
+	}
 	want, wantLog := runs[0].p.Stats(), runs[0].log
 	for _, r := range runs[1:] {
 		if got := r.p.Stats(); got != want {
@@ -309,6 +319,44 @@ func encodeLoopy(rng *rand.Rand, geom [3]byte, pcs []uint32, cuts map[int]bool, 
 	return out
 }
 
+// encodeDeps writes geom and then n events of straight-line code in
+// decodeStream's coding: Int and ShortInt instructions, loads and
+// multiplies, each marked dependent about half the time, and about one in
+// eight a conditional branch, taken back a few instructions or not taken.
+// Packed into stretch rows, the stream gives rows whose short-int and
+// dependence masks, and whose first instruction's producer in the row
+// before, take every combination.
+func encodeDeps(rng *rand.Rand, geom [3]byte, n int) []byte {
+	out := append([]byte(nil), geom[:]...)
+	pc := uint32(streamCode)
+	for i := 0; i < n; i++ {
+		var dep byte
+		if rng.Intn(2) == 0 {
+			dep = 0x20
+		}
+		op, next := byte(0x80|6|8), pc+4 // Int
+		switch r := rng.Intn(16); {
+		case r < 5:
+			op = 0x80 | 6 // ShortInt
+		case r < 7:
+			op = 0x80 | 1 // load
+		case r < 8:
+			op = 0x80 | 7 // multiply
+		case r < 10:
+			op = 0x80 | 3 // not-taken branch
+		case r < 11 && pc >= streamCode+64:
+			op, next = 0x80|3|8, pc-uint32(4*(1+rng.Intn(16))) // taken branch
+		}
+		w := (next - streamCode) >> 2
+		if op&7 == 1 {
+			w = uint32(rng.Intn(64 << 10))
+		}
+		out = append(out, op|dep, byte(w>>8), byte(w))
+		pc = next
+	}
+	return out
+}
+
 // TestPipelineMemoAddressExtremes: the memo's "no previous access" state
 // collides with no address, even with 1-byte lines, where line numbers
 // span the whole 32-bit space: the first access to address 0 and accesses
@@ -328,11 +376,13 @@ func TestPipelineMemoAddressExtremes(t *testing.T) {
 	checkMemo(t, DefaultConfig(), events, map[int]bool{1: true})
 }
 
-// FuzzPipelineMemo checks that the MRU memo is exact: on any stream of
-// fetches, data accesses, branches, calls and returns, over caches with
-// 16- to 64-byte lines and 1 to 4 ways, 4 to 16 KB pages, an 8- or
-// 32-entry iTLB and issue widths 1 to 3, the memoised Pipeline reports the
-// oracle's Stats and miss calls however the stream is cut into blocks.
+// FuzzPipelineMemo checks that the MRU memo and stretch rows are exact: on
+// any stream of fetches, data accesses, branches, calls and returns, over
+// caches with 16- to 64-byte lines and 1 to 4 ways, 4 to 16 KB pages, an
+// 8- or 32-entry iTLB and issue widths 1 to 3, the memoised Pipeline
+// reports the oracle's Stats and miss calls however the stream is cut
+// into blocks, and whether it arrives one row per event or in stretch
+// rows.
 func FuzzPipelineMemo(f *testing.F) {
 	f.Add([]byte{})
 	for seed := int64(1); seed <= 12; seed++ {
@@ -341,6 +391,11 @@ func FuzzPipelineMemo(f *testing.F) {
 		pcs, cuts := loopyStream(rng, 1500, ws, 4+rng.Intn(40), 1+rng.Intn(600))
 		geom := [3]byte{byte(rng.Intn(27)), byte(rng.Intn(27)), byte(rng.Intn(18))}
 		f.Add(encodeLoopy(rng, geom, pcs, cuts, 2+rng.Intn(6)))
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		geom := [3]byte{byte(rng.Intn(27)), byte(rng.Intn(27)), byte(rng.Intn(18))}
+		f.Add(encodeDeps(rng, geom, 3000))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var geom [3]byte

@@ -2,6 +2,7 @@ package alphasim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"interplab/internal/trace"
 )
@@ -240,20 +241,21 @@ func (s Stats) IMissPer100() float64 {
 	return 100 * float64(s.IMisses1) / float64(s.Instructions)
 }
 
-// MissObserver receives cache-miss notifications from the pipeline, carrying
-// the event that issued the access so the miss can be attributed back to the
-// interpreter routine and virtual command that caused it (the profiling
-// layer's join).  Level 1 is an L1 miss that hit L2; level 2 also missed L2.
-// Calls arrive synchronously inside EmitBlock, while the issuing probe's
-// attribution state is still current for the event.
+// MissObserver receives cache-miss notifications from the pipeline, so
+// that a miss can be attributed back to the interpreter routine and
+// virtual command that caused it (the profiling layer's join).  Level 1 is
+// an L1 miss that hit L2; level 2 also missed L2.  Calls arrive
+// synchronously inside EmitBlock, in stream order, while the issuing
+// probe's attribution state is still current for the block.
 type MissObserver interface {
-	IMiss(e trace.Event, level int)
-	DMiss(e trace.Event, level int)
+	IMiss(level int)
+	DMiss(level int)
 }
 
 // Pipeline simulates the configured machine over an event stream.  It is
 // a trace.Sink: it takes the stream in blocks, however the producer cuts
-// them, and simulates each block's events in order.
+// them, and simulates each block's rows in order, a stretch row in one
+// step.
 type Pipeline struct {
 	cfg    Config
 	icache *Cache
@@ -269,6 +271,10 @@ type Pipeline struct {
 	// entry, so its lookup is skipped (see the package doc).
 	iLine, iPage uint64
 	dLine, dPage uint64
+
+	// fetchShift is log2 of the smaller of a line and a page: a stretch's
+	// fetches need looking up only where they enter a new one.
+	fetchShift uint
 
 	stats    Stats
 	prevKind trace.Kind
@@ -289,7 +295,7 @@ func (p *Pipeline) SetMissObserver(o MissObserver) { p.missObs = o }
 // TLBs round a line or page size up to a power of two and mask a set
 // count that is not one, and an empty cache or table divides by zero.
 func New(cfg Config) *Pipeline {
-	return &Pipeline{
+	p := &Pipeline{
 		cfg:    cfg,
 		icache: NewCache(cfg.ICache),
 		dcache: NewCache(cfg.DCache),
@@ -302,6 +308,8 @@ func New(cfg Config) *Pipeline {
 		dLine:  noAccess,
 		dPage:  noAccess,
 	}
+	p.fetchShift = min(p.icache.lineShift, p.itlb.pageShift)
+	return p
 }
 
 // Config returns the simulated machine description.
@@ -311,15 +319,19 @@ func (p *Pipeline) stall(c Cause, cycles int) {
 	p.stats.Stalls[c] += uint64(cycles)
 }
 
-// EmitBlock processes a whole event batch in one loop over the block's
+// EmitBlock processes a whole batch in one loop over the block's
 // columns; the machine model is per-instruction, but the instruction
 // count is per-block.
 func (p *Pipeline) EmitBlock(b *trace.Block) {
 	n := b.N
-	p.stats.Instructions += uint64(n)
-	addrs, kinds, flags := b.Addr[:n], b.Kind[:n], b.Flags[:n]
+	p.stats.Instructions += uint64(b.Insts)
+	addrs, kinds, flags, lens := b.Addr[:n], b.Kind[:n], b.Flags[:n], b.Len[:n]
 	for i, pc := range b.PC[:n] {
-		p.step(pc, addrs[i], kinds[i], flags[i])
+		if l := lens[i]; l != 0 {
+			p.stretch(pc, int(l), b.Short[i], b.Dep[i], addrs[i], kinds[i], flags[i])
+		} else {
+			p.step(pc, addrs[i], kinds[i], flags[i])
+		}
 	}
 }
 
@@ -327,46 +339,9 @@ func (p *Pipeline) EmitBlock(b *trace.Block) {
 // Stats accounts from the instruction count.
 func (p *Pipeline) step(pc, addr uint32, kind trace.Kind, flags trace.Flags) {
 	st := &p.stats
-
-	// Instruction fetch: every instruction consults the iTLB and L1I,
-	// except that a fetch from the memoised page or line is a known hit.
-	if page := uint64(pc >> p.itlb.pageShift); page != p.iPage {
-		p.iPage = page
-		if !p.itlb.Access(pc) {
-			st.ITLBMisses++
-			p.stall(CauseITLB, p.cfg.TLBMiss)
-		}
-	}
-	if line := uint64(pc >> p.icache.lineShift); line != p.iLine {
-		p.iLine = line
-		if !p.icache.Access(pc) {
-			st.IMisses1++
-			p.stall(CauseIMiss, p.cfg.L1Miss)
-			level := 1
-			if !p.l2.Access(pc) {
-				st.IMisses2++
-				p.stall(CauseIMiss, p.cfg.L2Miss)
-				level = 2
-			}
-			if p.missObs != nil {
-				p.missObs.IMiss(trace.Event{PC: pc, Addr: addr, Kind: kind, Flags: flags}, level)
-			}
-		}
-	}
-
-	// Result-latency stalls: charged when this instruction consumes the
-	// previous instruction's result.
+	p.fetch(pc)
 	if flags&trace.FlagDep != 0 {
-		switch p.prevKind {
-		case trace.Load:
-			if p.prevHit {
-				p.stall(CauseLoadDelay, p.cfg.LoadDelay)
-			}
-		case trace.ShortInt:
-			p.stall(CauseShortInt, p.cfg.ShortIntDelay)
-		case trace.Mul, trace.Float:
-			p.stall(CauseOther, p.cfg.LongOpDelay)
-		}
+		p.depStall()
 	}
 
 	switch kind {
@@ -395,18 +370,11 @@ func (p *Pipeline) step(pc, addr uint32, kind trace.Kind, flags trace.Flags) {
 				level = 2
 			}
 			if p.missObs != nil {
-				p.missObs.DMiss(trace.Event{PC: pc, Addr: addr, Kind: kind, Flags: flags}, level)
+				p.missObs.DMiss(level)
 			}
 		}
 	case trace.Branch:
-		st.Branches++
-		mis, btcMiss := p.pred.Cond(pc, addr, flags&trace.FlagTaken != 0)
-		if mis {
-			st.Mispredicts++
-			p.stall(CauseMispredict, p.cfg.Mispredict)
-		} else if btcMiss {
-			p.stall(CauseOther, p.cfg.BTCBubble)
-		}
+		p.branch(pc, addr, flags)
 	case trace.Jump:
 		if flags&trace.FlagCall != 0 {
 			p.pred.Call(pc + 4)
@@ -419,6 +387,121 @@ func (p *Pipeline) step(pc, addr uint32, kind trace.Kind, flags trace.Flags) {
 		}
 	}
 	p.prevKind = kind
+}
+
+// stretch simulates a stretch row: n instructions from pc, ShortInt where
+// short has a bit, FlagDep where dep has one, and, when kind is Branch,
+// the last a conditional branch to target.  It costs a step per line or
+// page the fetches enter, not per instruction:
+//
+//   - Fetch: the first instruction of each line and page the stretch
+//     enters is looked up as step looks it up, and the rest repeat the
+//     memoised line and page.  The iTLB and L1I only see their own
+//     streams, so taking one's lookups before the other's changes nothing.
+//   - Dependences: only the first instruction can depend on a load or a
+//     long-latency op, the row before.  Inside the stretch the producer is
+//     an Int, which never stalls, or a ShortInt, so the short-int stalls
+//     are the dependent instructions that follow one: dep & short<<1.
+//   - The closing branch goes through the predictor as in step.
+func (p *Pipeline) stretch(pc uint32, n int, short, dep, target uint32, kind trace.Kind, flags trace.Flags) {
+	last := pc + uint32(n-1)*4
+	for a := pc; ; {
+		p.fetch(a)
+		next := nextUnit(a, p.fetchShift)
+		if last-a < next {
+			break
+		}
+		a += next
+	}
+	if dep&1 != 0 {
+		p.depStall()
+	}
+	if k := bits.OnesCount32(dep & (short << 1)); k != 0 {
+		p.stall(CauseShortInt, k*p.cfg.ShortIntDelay)
+	}
+	switch {
+	case kind == trace.Branch:
+		p.branch(last, target, flags)
+		p.prevKind = trace.Branch
+	case short>>(n-1)&1 != 0:
+		p.prevKind = trace.ShortInt
+	default:
+		p.prevKind = trace.Int
+	}
+}
+
+// nextUnit returns the distance from the instruction at a to the first
+// instruction of a straight-line run, 4 bytes apart, that lies past a's
+// aligned 1<<shift-byte unit (a line or a page).  A unit wider than 2^31
+// bytes is taken as 2^31: a run may then stop at a boundary inside it,
+// where the memo makes the lookup a known hit.
+func nextUnit(a uint32, shift uint) uint32 {
+	size := uint32(1) << min(shift, 31)
+	gap := size - a&(size-1)
+	return (gap + 3) &^ 3
+}
+
+// fetch consults the iTLB and L1I for the instruction at pc, except that a
+// fetch from the memoised page or line is a known hit.
+func (p *Pipeline) fetch(pc uint32) {
+	if uint64(pc>>p.itlb.pageShift) != p.iPage || uint64(pc>>p.icache.lineShift) != p.iLine {
+		p.lookup(pc)
+	}
+}
+
+// lookup is fetch past its fast path: the page or the line is new.
+func (p *Pipeline) lookup(pc uint32) {
+	st := &p.stats
+	if page := uint64(pc >> p.itlb.pageShift); page != p.iPage {
+		p.iPage = page
+		if !p.itlb.Access(pc) {
+			st.ITLBMisses++
+			p.stall(CauseITLB, p.cfg.TLBMiss)
+		}
+	}
+	if line := uint64(pc >> p.icache.lineShift); line != p.iLine {
+		p.iLine = line
+		if !p.icache.Access(pc) {
+			st.IMisses1++
+			p.stall(CauseIMiss, p.cfg.L1Miss)
+			level := 1
+			if !p.l2.Access(pc) {
+				st.IMisses2++
+				p.stall(CauseIMiss, p.cfg.L2Miss)
+				level = 2
+			}
+			if p.missObs != nil {
+				p.missObs.IMiss(level)
+			}
+		}
+	}
+}
+
+// depStall charges the result-latency stall of an instruction that
+// consumes the previous instruction's result.
+func (p *Pipeline) depStall() {
+	switch p.prevKind {
+	case trace.Load:
+		if p.prevHit {
+			p.stall(CauseLoadDelay, p.cfg.LoadDelay)
+		}
+	case trace.ShortInt:
+		p.stall(CauseShortInt, p.cfg.ShortIntDelay)
+	case trace.Mul, trace.Float:
+		p.stall(CauseOther, p.cfg.LongOpDelay)
+	}
+}
+
+// branch runs the conditional branch at pc through the predictor.
+func (p *Pipeline) branch(pc, target uint32, flags trace.Flags) {
+	p.stats.Branches++
+	mis, btcMiss := p.pred.Cond(pc, target, flags&trace.FlagTaken != 0)
+	if mis {
+		p.stats.Mispredicts++
+		p.stall(CauseMispredict, p.cfg.Mispredict)
+	} else if btcMiss {
+		p.stall(CauseOther, p.cfg.BTCBubble)
+	}
 }
 
 // Stats returns the accumulated statistics.  Every instruction is one

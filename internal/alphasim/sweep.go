@@ -61,8 +61,14 @@ type ICacheSweep struct {
 	// last is the tag (line+1) of the previous fetch; 0 before the first.
 	last uint32
 	// tags is EmitBlock's scratch column: the block's fetches still to
-	// simulate, same-line repeats dropped.
+	// simulate, same-line repeats dropped.  It holds rowTags per row.
 	tags []uint32
+}
+
+// rowTags bounds the lines one block row fetches from: a plain row's one,
+// or the lines a MaxStretch-instruction stretch can span.
+func rowTags(lineShift uint) int {
+	return min(trace.MaxStretch, (trace.MaxStretch-1)*4>>lineShift+2)
 }
 
 // lruStack is one Mattson LRU stack per set for one set count.
@@ -115,10 +121,11 @@ func (st *lruStack) charge(points []SweepPoint) {
 // line size and every set count must be powers of two; NewICacheSweep
 // panics on a set count that is not.
 func NewICacheSweep(sizesKB, assocs []int, lineSize int) *ICacheSweep {
-	s := &ICacheSweep{lineSize: lineSize, tags: make([]uint32, trace.BlockCap)}
+	s := &ICacheSweep{lineSize: lineSize}
 	for 1<<s.lineShift < lineSize {
 		s.lineShift++
 	}
+	s.tags = make([]uint32, trace.BlockCap*rowTags(s.lineShift))
 	bySets := make(map[int]*lruStack)
 	for _, kb := range sizesKB {
 		for _, a := range assocs {
@@ -151,20 +158,34 @@ func DefaultICacheSweep() *ICacheSweep {
 	return NewICacheSweep([]int{8, 16, 32, 64}, []int{1, 2, 4}, 32)
 }
 
-// EmitBlock simulates a whole batch.  It first compacts the block's PC
-// column into line tags, dropping same-line repeats, then streams that
-// column through one LRU stack at a time, so each stack's state stays hot
-// while the tags arrive as a sequential array scan.  Each stack drops the
-// tags it found on top before handing the column to the next.  The
-// per-point counters are updated once per block instead of once per event.
+// EmitBlock simulates a whole batch.  It first compacts the block's
+// fetches into line tags, dropping same-line repeats: a plain row fetches
+// from its PC, and a stretch row from every line between its first
+// instruction and its last.  It then streams that column through one LRU
+// stack at a time, so each stack's state stays hot while the tags arrive
+// as a sequential array scan.  Each stack drops the tags it found on top
+// before handing the column to the next.  The per-point counters are
+// updated once per block instead of once per event.
 func (s *ICacheSweep) EmitBlock(b *trace.Block) {
 	tags, last, n := s.tags, s.last, 0
-	for _, pc := range b.PC[:b.N] {
-		tag := pc>>s.lineShift + 1
-		if tag != last {
-			tags[n] = tag
-			n++
-			last = tag
+	lens := b.Len[:b.N]
+	for i, pc := range b.PC[:b.N] {
+		end := pc
+		if l := lens[i]; l > 1 {
+			end += uint32(l-1) * 4
+		}
+		for a := pc; ; {
+			tag := a>>s.lineShift + 1
+			if tag != last {
+				tags[n] = tag
+				n++
+				last = tag
+			}
+			next := nextUnit(a, s.lineShift)
+			if end-a < next {
+				break
+			}
+			a += next
 		}
 	}
 	s.last = last
@@ -183,7 +204,7 @@ func (s *ICacheSweep) EmitBlock(b *trace.Block) {
 		st.charge(s.points)
 	}
 	for i := range s.points {
-		s.points[i].Instructions += uint64(b.N)
+		s.points[i].Instructions += uint64(b.Insts)
 	}
 }
 

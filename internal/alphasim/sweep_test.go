@@ -39,31 +39,37 @@ var sweepGrids = []sweepGrid{
 	{"64B-lines", []int{8, 16, 32, 64}, []int{1, 2, 4}, 64},
 }
 
-// checkSweep feeds pcs to three ICacheSweeps over grid — in blocks cut
+// checkSweep feeds events to five ICacheSweeps over grid — in blocks cut
 // after each index in cuts (and wherever a block fills), in blocks of one
-// event, and alternating the two between cuts — and reports any point
-// that differs from the per-geometry reference.
-func checkSweep(t *testing.T, g sweepGrid, pcs []uint32, cuts map[int]bool) {
+// event, alternating the two between cuts, and packed into stretch rows
+// (packStretches) one row per block and in blocks cut as above — and
+// reports any point that differs from the per-geometry reference.
+func checkSweep(t *testing.T, g sweepGrid, events []trace.Event, cuts map[int]bool) {
 	t.Helper()
+	pcs := make([]uint32, len(events))
+	for i, e := range events {
+		pcs[i] = e.PC
+	}
 	want := referenceSweep(g.sizesKB, g.assocs, g.lineSize, pcs)
 	blocked := NewICacheSweep(g.sizesKB, g.assocs, g.lineSize)
 	oneEvent := NewICacheSweep(g.sizesKB, g.assocs, g.lineSize)
 	mixed := NewICacheSweep(g.sizesKB, g.assocs, g.lineSize)
+	stretchRows := NewICacheSweep(g.sizesKB, g.assocs, g.lineSize)
+	stretchBlocks := NewICacheSweep(g.sizesKB, g.assocs, g.lineSize)
 	b, one, segment := new(trace.Block), new(trace.Block), 0
 	flush := func() {
 		blocked.EmitBlock(b)
 		if segment%2 == 0 {
 			mixed.EmitBlock(b)
 		} else {
-			for i := 0; i < b.N; i++ {
-				emitOne(mixed, one, b.Event(i))
+			for _, e := range b.AppendEvents(nil) {
+				emitOne(mixed, one, e)
 			}
 		}
 		segment++
 		b.Reset()
 	}
-	for i, pc := range pcs {
-		e := trace.Event{PC: pc, Kind: trace.Int}
+	for i, e := range events {
 		emitOne(oneEvent, one, e)
 		b.Append(e)
 		if b.Full() || cuts[i] {
@@ -71,10 +77,14 @@ func checkSweep(t *testing.T, g sweepGrid, pcs []uint32, cuts map[int]bool) {
 		}
 	}
 	flush()
+	rows := packStretches(events, cuts)
+	emitRows(stretchRows, rows, cuts, true)
+	emitRows(stretchBlocks, rows, cuts, false)
 	for _, s := range []struct {
 		path  string
 		sweep *ICacheSweep
-	}{{"blocks", blocked}, {"one-event", oneEvent}, {"mixed", mixed}} {
+	}{{"blocks", blocked}, {"one-event", oneEvent}, {"mixed", mixed},
+		{"stretch-rows", stretchRows}, {"stretch-blocks", stretchBlocks}} {
 		got := s.sweep.Points()
 		if len(got) != len(want) {
 			t.Fatalf("%s/%s: %d points, want %d", g.name, s.path, len(got), len(want))
@@ -119,27 +129,27 @@ func TestICacheSweepMatchesPerGeometryLRU(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ws := (4 << 10) << rng.Intn(6) // 4 KB .. 128 KB
 		pcs, cuts := loopyStream(rng, 30000, ws, 4+rng.Intn(40), 1+rng.Intn(3000))
+		events := make([]trace.Event, len(pcs))
+		for i, pc := range pcs {
+			events[i] = trace.Event{PC: pc, Kind: trace.Int}
+		}
 		for _, g := range sweepGrids {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, g.name), func(t *testing.T) {
-				checkSweep(t, g, pcs, cuts)
+				checkSweep(t, g, events, cuts)
 			})
 		}
 	}
 }
 
-// decodeSweepInput turns fuzz bytes into a grid, a fetch stream and block
-// cuts.  The first byte picks the grid; the rest is a decodeStream stream,
-// of which the sweep sees the fetches.
-func decodeSweepInput(data []byte) (sweepGrid, []uint32, map[int]bool) {
+// decodeSweepInput turns fuzz bytes into a grid, an event stream and
+// block cuts.  The first byte picks the grid; the rest is a decodeStream
+// stream, of which the sweep sees the fetches.
+func decodeSweepInput(data []byte) (sweepGrid, []trace.Event, map[int]bool) {
 	if len(data) == 0 {
 		return sweepGrids[0], nil, nil
 	}
 	events, cuts := decodeStream(data[1:])
-	pcs := make([]uint32, len(events))
-	for i, e := range events {
-		pcs[i] = e.PC
-	}
-	return sweepGrids[int(data[0])%len(sweepGrids)], pcs, cuts
+	return sweepGrids[int(data[0])%len(sweepGrids)], events, cuts
 }
 
 // Windows of decodeStream's two-byte operands: 64K words each.
@@ -226,7 +236,8 @@ func decodeStream(data []byte) ([]trace.Event, map[int]bool) {
 }
 
 // FuzzICacheSweep checks the one-pass sweep against the per-geometry
-// reference on arbitrary streams of sequential runs, jumps and block cuts.
+// reference on arbitrary streams of sequential runs, jumps and block cuts,
+// fed one row per event and in stretch rows.
 func FuzzICacheSweep(f *testing.F) {
 	f.Add([]byte{})
 	// A 64-fetch loop, cut mid-run.
@@ -243,8 +254,8 @@ func FuzzICacheSweep(f *testing.F) {
 	// Jumps over the whole window in the 64-byte-line grid.
 	f.Add([]byte{3, 0x80, 0xff, 0xff, 0x03, 0x80, 0x40, 0x01, 0x43, 0x80, 0x00, 0x10, 0x03, 0x80, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, pcs, cuts := decodeSweepInput(data)
-		checkSweep(t, g, pcs, cuts)
+		g, events, cuts := decodeSweepInput(data)
+		checkSweep(t, g, events, cuts)
 	})
 }
 

@@ -91,8 +91,8 @@ func TestExecStaysInRoutine(t *testing.T) {
 type recountSink struct{ trace.Counter }
 
 func (r *recountSink) EmitBlock(b *trace.Block) {
-	for i := 0; i < b.N; i++ {
-		r.Emit(b.Event(i))
+	for _, e := range b.AppendEvents(nil) {
+		r.Emit(e)
 	}
 }
 

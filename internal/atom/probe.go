@@ -424,20 +424,48 @@ func (p *Probe) emit(e trace.Event) {
 	p.batch.Append(e)
 }
 
-// fillInt appends k Int rows at pc, pc+4, ... — what k emits of Int
-// events would append.  An Int ends the dependence chain, so only the
-// first row can depend on the row before it, and the generator is drawn
-// at most once.
-func (p *Probe) fillInt(pc uint32, k int) {
-	if k == 0 {
-		return
+// stretch writes one walk step as stretch rows: m plain instructions from
+// pc, short-ints at positions s, s+every, ... below m, then, when br, the
+// conditional branch that closes the step, to target and taken when
+// taken.  A row holds at most trace.MaxStretch instructions, so a longer
+// step (a routine with sparse branches) splits into rows that no branch
+// closes.  The dependence flags are drawn in stream order, as emit draws
+// them: for the first instruction after a load, short-int or multiply.
+func (p *Probe) stretch(pc uint32, m, s, every int, br bool, target uint32, taken bool) {
+	for {
+		plain := min(m, trace.MaxStretch)
+		closes := br && plain < trace.MaxStretch
+		l := plain
+		if closes {
+			l++
+		}
+		if l == 0 {
+			return
+		}
+		var short uint32
+		for ; s < plain; s += every {
+			short |= 1 << s
+		}
+		s -= plain
+		draw := short << 1 & (uint32(1)<<l - 1)
+		if p.lastDep {
+			draw |= 1
+		}
+		var dep uint32
+		for ; draw != 0; draw &= draw - 1 {
+			if p.depFlag() != 0 {
+				dep |= draw & -draw
+			}
+		}
+		p.lastDep = !closes && short>>(l-1)&1 != 0
+		p.batch.AppendStretch(trace.Stretch{PC: pc, Len: l, Short: short, Dep: dep,
+			Branch: closes, Target: target, Taken: taken})
+		if closes {
+			return
+		}
+		m -= plain
+		pc += uint32(plain) * 4
 	}
-	var f trace.Flags
-	if p.lastDep {
-		f = p.depFlag()
-	}
-	p.lastDep = false
-	p.batch.AppendInts(pc, k, f)
 }
 
 // depFlag draws the dependence flag of an instruction that follows a load
@@ -468,8 +496,8 @@ func (p *Probe) depFlag() trace.Flags {
 // slots at fixed spacing, the first at max(1, shortEvery−sinceSh).  So a
 // step costs O(1) plus one loop turn per short slot, and a probe that
 // only counts pays per branch, not per instruction.  A streaming probe
-// walks the same steps and writes each run of Int rows into the block in
-// one call.
+// walks the same steps and writes each as one stretch row: the plain
+// instructions and the branch that ends them.
 func (p *Probe) Exec(r *Routine, n int) {
 	if n <= 0 {
 		return
@@ -483,21 +511,17 @@ func (p *Probe) Exec(r *Routine, n int) {
 	total := uint64(n)
 	for {
 		// m plain instructions precede the next branch or wrap, or the
-		// call ends among them.
-		if m := min(brEvery-sinceBr, size-cursor, n+1) - 1; m > 0 {
+		// call ends among them; s is the 0-based position of their first
+		// short-int slot.
+		m, s := min(brEvery-sinceBr, size-cursor, n+1)-1, 0
+		if m > 0 {
+			s = max(1, shEvery-sinceSh) - 1
 			// j is the 1-based position of a short-int slot in the
 			// stretch, done the position of the last one walked.
 			done := 0
-			for j := max(1, shEvery-sinceSh); j <= m; j += shEvery {
-				if stream {
-					p.fillInt(base+uint32(cursor+done)*4, j-1-done)
-					p.emit(trace.Event{PC: base + uint32(cursor+j-1)*4, Kind: trace.ShortInt})
-				}
+			for j := s + 1; j <= m; j += shEvery {
 				short++
 				done = j
-			}
-			if stream {
-				p.fillInt(base+uint32(cursor+done)*4, m-done)
 			}
 			if done > 0 {
 				sinceSh = m - done
@@ -509,6 +533,9 @@ func (p *Probe) Exec(r *Routine, n int) {
 			n -= m
 		}
 		if n == 0 {
+			if stream {
+				p.stretch(base+uint32(cursor-m)*4, m, s, shEvery, false, 0, false)
+			}
 			break
 		}
 		pc := base + uint32(cursor)*4
@@ -522,7 +549,7 @@ func (p *Probe) Exec(r *Routine, n int) {
 			cursor = 0
 			taken++
 			if stream {
-				p.emit(trace.Event{PC: pc, Addr: base, Kind: trace.Branch, Flags: trace.FlagTaken})
+				p.stretch(pc-uint32(m)*4, m, s, shEvery, true, base, true)
 			}
 			continue
 		}
@@ -541,11 +568,11 @@ func (p *Probe) Exec(r *Routine, n int) {
 		taken += uint64(t)
 		cursor -= min(int(r.modBranch(site/16))+1, cursor) * int(t)
 		if stream {
-			if t == 0 {
-				p.emit(trace.Event{PC: pc, Addr: pc + 16, Kind: trace.Branch})
-			} else {
-				p.emit(trace.Event{PC: pc, Addr: base + uint32(cursor)*4, Kind: trace.Branch, Flags: trace.FlagTaken})
+			target := pc + 16
+			if t != 0 {
+				target = base + uint32(cursor)*4
 			}
+			p.stretch(pc-uint32(m)*4, m, s, shEvery, true, target, t != 0)
 		}
 	}
 	r.cursor, r.sinceBr, r.sinceSh = cursor, sinceBr, sinceSh

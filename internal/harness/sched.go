@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +39,10 @@ import (
 // On failure the first error in submission order is returned and nothing
 // after it is recorded (workers stop claiming jobs once any job has
 // failed, so later jobs may simply never run).
+//
+// Each job runs under pprof labels naming its experiment, kind, program
+// and variant, so a Go CPU profile of a run (interp-lab -cpuprofile)
+// splits host time by job: go tool pprof -tagfocus=program=MIPSI/li.
 
 // job is one schedulable measurement.
 type job struct {
@@ -143,7 +149,7 @@ func (b *batch) runJobs(workers int) {
 	cost := labstats.GlobalCostModel()
 	ests := make([]float64, len(b.jobs))
 	for i, j := range b.jobs {
-		est, src := cost.Estimate(j.kind, j.prog.ID(), scale)
+		est, src := cost.Estimate(j.kind, j.prog.ID(), j.prog.Variant, scale)
 		ests[i] = est
 		b.led.SetEstimate(j.lidx, est, src)
 	}
@@ -228,20 +234,23 @@ func (b *batch) exec(j *job, lane int) {
 	}
 	start := time.Now()
 	b.led.Start(j.lidx)
-	switch j.kind {
-	case "measure":
-		j.res, j.err = core.Measure(j.prog, opts...)
-	case "pipeline":
-		j.res, j.err = core.MeasureWithPipelineAndSweep(j.prog, j.cfg, j.sweep, opts...)
-	case "sweep":
-		j.res, j.err = core.MeasureWithSweep(j.prog, j.sweep, opts...)
-	}
+	labels := pprof.Labels("experiment", o.experiment, "kind", j.kind, "program", id, "variant", j.prog.Variant)
+	pprof.Do(context.Background(), labels, func(context.Context) {
+		switch j.kind {
+		case "measure":
+			j.res, j.err = core.Measure(j.prog, opts...)
+		case "pipeline":
+			j.res, j.err = core.MeasureWithPipelineAndSweep(j.prog, j.cfg, j.sweep, opts...)
+		case "sweep":
+			j.res, j.err = core.MeasureWithSweep(j.prog, j.sweep, opts...)
+		}
+	})
 	b.led.Finish(j.lidx, j.err != nil)
 	j.dur = time.Since(start)
 	j.ran = true
 	if j.err == nil {
 		labstats.GlobalCostModel().Observe(
-			j.kind, id, b.opt.scale(), float64(j.dur)/float64(time.Microsecond))
+			j.kind, id, j.prog.Variant, b.opt.scale(), float64(j.dur)/float64(time.Microsecond))
 	}
 }
 

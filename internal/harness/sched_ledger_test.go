@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -236,5 +237,42 @@ func TestClaimInstantsOnWorkerLanes(t *testing.T) {
 	}
 	if claims == 0 {
 		t.Error("no claim instants recorded on a traced parallel run")
+	}
+}
+
+// TestJobsRunUnderProfilerLabels: every job runs under pprof labels
+// naming its experiment, kind, program and variant, serially and on
+// parallel workers, so a CPU profile of a run splits host time by job.
+// Each job's program finds its own labels on its goroutine in the
+// goroutine profile.
+func TestJobsRunUnderProfilerLabels(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		opt := Options{Parallelism: par, Out: io.Discard, experiment: "labels"}
+		b := opt.newBatch()
+		seen := make([]string, 2)
+		for i, v := range []string{"tier-a", "tier-b"} {
+			i, v := i, v
+			b.measure(core.Program{
+				System: "X", Name: "p", Variant: v,
+				Run: func(ctx *core.Ctx) error {
+					var buf strings.Builder
+					if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+						return err
+					}
+					want := fmt.Sprintf(`"experiment":"labels", "kind":"measure", "program":"X/p", "variant":%q`, v)
+					if !strings.Contains(buf.String(), want) {
+						return fmt.Errorf("no goroutine carries {%s}:\n%s", want, buf.String())
+					}
+					seen[i] = v
+					return nil
+				},
+			})
+		}
+		if err := b.run(); err != nil {
+			t.Fatalf("parallel %d: %v", par, err)
+		}
+		if seen[0] != "tier-a" || seen[1] != "tier-b" {
+			t.Errorf("parallel %d: jobs ran %q", par, seen)
+		}
 	}
 }

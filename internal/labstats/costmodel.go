@@ -25,14 +25,15 @@ func kindWeight(kind string) float64 {
 }
 
 // CostModel estimates job durations from observed history.  Estimates are
-// keyed by the job's ledger identity — kind, program, scale — and refined
+// keyed by the job's shape — kind, program, variant, scale — and refined
 // with an exponentially weighted moving average as batches drain, so the
 // second run of an experiment orders its claims by what the first run
 // actually measured.  The zero value is unusable; use NewCostModel.  All
 // methods are safe for concurrent use.
 type CostModel struct {
 	mu sync.Mutex
-	// ewma maps "kind|program|scale" to the smoothed observed duration.
+	// ewma maps "kind|program|variant|scale" to the smoothed observed
+	// duration.
 	ewma map[string]float64
 	// meanUS is the smoothed duration across all observations, used to
 	// give static estimates a realistic absolute magnitude.
@@ -63,18 +64,21 @@ var globalCostModel = NewCostModel()
 // GlobalCostModel returns the process-wide shared model.
 func GlobalCostModel() *CostModel { return globalCostModel }
 
-func costKey(kind, program string, scale float64) string {
-	return fmt.Sprintf("%s|%s|%g", kind, program, scale)
+// costKey names a job shape.  The variant is part of it: an interpreter's
+// optimization tiers and ablation arms run one program at different
+// costs.
+func costKey(kind, program, variant string, scale float64) string {
+	return fmt.Sprintf("%s|%s|%s|%g", kind, program, variant, scale)
 }
 
 // Observe feeds one finished job's measured duration back into the model.
-func (m *CostModel) Observe(kind, program string, scale, durUS float64) {
+func (m *CostModel) Observe(kind, program, variant string, scale, durUS float64) {
 	if m == nil || durUS <= 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := costKey(kind, program, scale)
+	key := costKey(kind, program, variant, scale)
 	if prev, ok := m.ewma[key]; ok {
 		m.ewma[key] = prev + ewmaAlpha*(durUS-prev)
 	} else if len(m.ewma) < costModelMaxEntries {
@@ -92,12 +96,12 @@ func (m *CostModel) Observe(kind, program string, scale, durUS float64) {
 }
 
 // Estimate returns the model's cost estimate for a job and the estimate's
-// provenance: EstPrior when history for this exact (kind, program, scale)
-// exists, EstStatic otherwise.  Static estimates are the kind weight
+// provenance: EstPrior when history for this exact (kind, program,
+// variant, scale) exists, EstStatic otherwise.  Static estimates are the kind weight
 // scaled by the scale factor and the observed global mean (or 1µs-units
 // when the model is empty) — crude, but they order a cold batch sensibly:
 // pipelines before sweeps before measures.
-func (m *CostModel) Estimate(kind, program string, scale float64) (us float64, source string) {
+func (m *CostModel) Estimate(kind, program, variant string, scale float64) (us float64, source string) {
 	w := kindWeight(kind)
 	if scale > 0 {
 		w *= scale
@@ -107,7 +111,7 @@ func (m *CostModel) Estimate(kind, program string, scale float64) (us float64, s
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if est, ok := m.ewma[costKey(kind, program, scale)]; ok {
+	if est, ok := m.ewma[costKey(kind, program, variant, scale)]; ok {
 		return est, EstPrior
 	}
 	if m.n > 0 {

@@ -249,7 +249,7 @@ func TestCostModelProvenanceAndConvergence(t *testing.T) {
 	kinds := []string{"pipeline", "sweep", "measure"}
 	var prev float64
 	for i, kind := range kinds {
-		est, src := m.Estimate(kind, "p", 1)
+		est, src := m.Estimate(kind, "p", "", 1)
 		if src != EstStatic {
 			t.Errorf("cold %s estimate source = %q, want %q", kind, src, EstStatic)
 		}
@@ -258,47 +258,69 @@ func TestCostModelProvenanceAndConvergence(t *testing.T) {
 		}
 		prev = est
 	}
-	full, _ := m.Estimate("measure", "p", 1)
-	half, _ := m.Estimate("measure", "p", 0.5)
+	full, _ := m.Estimate("measure", "p", "", 1)
+	half, _ := m.Estimate("measure", "p", "", 0.5)
 	eq(t, "scale halves the static estimate", half, full/2)
 
 	// One observation: the exact key becomes a prior at the observed value.
-	m.Observe("measure", "p", 1, 2000)
-	est, src := m.Estimate("measure", "p", 1)
+	m.Observe("measure", "p", "", 1, 2000)
+	est, src := m.Estimate("measure", "p", "", 1)
 	if src != EstPrior {
 		t.Fatalf("post-observe source = %q, want %q", src, EstPrior)
 	}
 	eq(t, "first prior is the observation", est, 2000)
 
 	// Second observation: EWMA with alpha 0.4.
-	m.Observe("measure", "p", 1, 1000)
-	est, _ = m.Estimate("measure", "p", 1)
+	m.Observe("measure", "p", "", 1, 1000)
+	est, _ = m.Estimate("measure", "p", "", 1)
 	eq(t, "ewma after second observation", est, 2000+ewmaAlpha*(1000-2000))
 
 	// An unseen program of the same kind stays static but is now scaled by
 	// the observed global mean (2000, then EWMA'd to 1600 in weight-1
 	// units), not the bare weight.
-	other, src := m.Estimate("measure", "q", 1)
+	other, src := m.Estimate("measure", "q", "", 1)
 	if src != EstStatic {
 		t.Errorf("unseen program source = %q, want %q", src, EstStatic)
 	}
 	eq(t, "static scaled by observed mean", other, 1600)
-	pipe, _ := m.Estimate("pipeline", "q", 1)
+	pipe, _ := m.Estimate("pipeline", "q", "", 1)
 	eq(t, "unseen kind keeps its weight ratio", pipe, 3*1600)
 
 	// A different scale is a different key: still static.
-	_, src = m.Estimate("measure", "p", 0.5)
+	_, src = m.Estimate("measure", "p", "", 0.5)
 	if src != EstStatic {
 		t.Errorf("different scale should miss the prior, got %q", src)
 	}
 
 	// Nil model degrades to bare weights.
 	var nilModel *CostModel
-	est, src = nilModel.Estimate("sweep", "p", 1)
+	est, src = nilModel.Estimate("sweep", "p", "", 1)
 	if est != 2 || src != EstStatic {
 		t.Errorf("nil model estimate = %v/%q, want 2/static", est, src)
 	}
-	nilModel.Observe("measure", "p", 1, 100) // must not panic
+	nilModel.Observe("measure", "p", "", 1, 100) // must not panic
+}
+
+// TestCostModelKeysVariants: two variants of one program — an
+// interpreter's optimization tiers, or ablation arms — keep separate
+// estimates, so longest-job-first does not claim one at the other's cost.
+func TestCostModelKeysVariants(t *testing.T) {
+	m := NewCostModel()
+	m.Observe("pipeline", "MIPSI/des", "tier-baseline", 1, 1000)
+	m.Observe("pipeline", "MIPSI/des", "tier-super", 1, 400)
+	for _, c := range []struct {
+		variant string
+		want    float64
+	}{{"tier-baseline", 1000}, {"tier-super", 400}} {
+		est, src := m.Estimate("pipeline", "MIPSI/des", c.variant, 1)
+		if src != EstPrior {
+			t.Errorf("%s: source = %q, want %q", c.variant, src, EstPrior)
+		}
+		eq(t, c.variant+" estimate", est, c.want)
+	}
+	if _, src := m.Estimate("pipeline", "MIPSI/des", "", 1); src != EstStatic {
+		t.Errorf("unobserved variant source = %q, want %q", src, EstStatic)
+	}
 }
 
 // TestCostModelEntryBound: the per-process model stops admitting new keys
@@ -307,7 +329,7 @@ func TestCostModelProvenanceAndConvergence(t *testing.T) {
 func TestCostModelEntryBound(t *testing.T) {
 	m := NewCostModel()
 	for i := 0; i < costModelMaxEntries+100; i++ {
-		m.Observe("measure", fmt.Sprintf("p%d", i), 1, 100)
+		m.Observe("measure", fmt.Sprintf("p%d", i), "", 1, 100)
 	}
 	m.mu.Lock()
 	n := len(m.ewma)
@@ -316,13 +338,13 @@ func TestCostModelEntryBound(t *testing.T) {
 		t.Errorf("model holds %d entries, want the %d cap", n, costModelMaxEntries)
 	}
 	// A key past the cap was never admitted.
-	_, src := m.Estimate("measure", fmt.Sprintf("p%d", costModelMaxEntries+50), 1)
+	_, src := m.Estimate("measure", fmt.Sprintf("p%d", costModelMaxEntries+50), "", 1)
 	if src != EstStatic {
 		t.Errorf("overflow key source = %q, want %q", src, EstStatic)
 	}
 	// An admitted key still updates at the cap.
-	m.Observe("measure", "p0", 1, 200)
-	est, src := m.Estimate("measure", "p0", 1)
+	m.Observe("measure", "p0", "", 1, 200)
+	est, src := m.Estimate("measure", "p0", "", 1)
 	if src != EstPrior {
 		t.Fatalf("admitted key source = %q, want %q", src, EstPrior)
 	}

@@ -215,16 +215,16 @@ func (c *Collector) table(frames uint64, ri int) []*node {
 }
 
 // IMiss attributes one instruction-cache miss (alphasim.MissObserver).  The
-// pipeline calls it synchronously while processing an event of the block
-// in flight, which was emitted under the probe's current state — provided
-// the run flushes per attribution transition (Probe.RequireAttrSync, which
+// pipeline calls it synchronously while processing the block in flight,
+// which was emitted under the probe's current state — provided the run
+// flushes per attribution transition (Probe.RequireAttrSync, which
 // core.run engages whenever it registers this observer).
-func (c *Collector) IMiss(e trace.Event, level int) {
+func (c *Collector) IMiss(level int) {
 	c.cur().values[SampleIMiss]++
 }
 
 // DMiss attributes one data-cache miss (alphasim.MissObserver).
-func (c *Collector) DMiss(e trace.Event, level int) {
+func (c *Collector) DMiss(level int) {
 	c.cur().values[SampleDMiss]++
 }
 

@@ -50,10 +50,10 @@ func (r *RefCollector) Emit(e trace.Event) {
 }
 
 // IMiss attributes one instruction-cache miss.
-func (r *RefCollector) IMiss(e trace.Event, level int) { r.node().values[SampleIMiss]++ }
+func (r *RefCollector) IMiss(level int) { r.node().values[SampleIMiss]++ }
 
 // DMiss attributes one data-cache miss.
-func (r *RefCollector) DMiss(e trace.Event, level int) { r.node().values[SampleDMiss]++ }
+func (r *RefCollector) DMiss(level int) { r.node().values[SampleDMiss]++ }
 
 // Profile renders the samples attributed so far.
 func (r *RefCollector) Profile(program string) *Profile { return r.c.snapshot(program) }

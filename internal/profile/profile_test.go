@@ -333,8 +333,8 @@ func foldAll(t *testing.T, prof *profile.Profile) []byte {
 type refSink struct{ ref *profile.RefCollector }
 
 func (s *refSink) EmitBlock(b *trace.Block) {
-	for i := 0; i < b.N; i++ {
-		s.ref.Emit(b.Event(i))
+	for _, e := range b.AppendEvents(nil) {
+		s.ref.Emit(e)
 	}
 }
 

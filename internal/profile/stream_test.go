@@ -46,8 +46,7 @@ type rebuild struct {
 type perEventSink struct{ r *rebuild }
 
 func (s perEventSink) EmitBlock(b *trace.Block) {
-	for i := 0; i < b.N; i++ {
-		e := b.Event(i)
+	for _, e := range b.AppendEvents(nil) {
 		s.r.counter.Emit(e)
 		s.r.ref.Emit(e)
 	}

@@ -6,7 +6,7 @@ package trace
 // still sees intact data while the producer fills the next one.
 const batchRing = 4
 
-// Batcher accumulates events into a reusable ring of Blocks and delivers
+// Batcher accumulates rows into a reusable ring of Blocks and delivers
 // full blocks to its sink.  It is the shared engine behind
 // the batching producers (atom.Probe, mipsi.Native).  Blocks are allocated
 // lazily, so an idle producer pays nothing.
@@ -26,16 +26,35 @@ func NewBatcher(sink Sink) *Batcher {
 	return &Batcher{sink: sink}
 }
 
-// Append buffers e, flushing with FlushFill when the block fills.
+// Append buffers e as a plain row.
 func (t *Batcher) Append(e Event) {
 	b := t.blk
-	if b == nil {
-		b = t.next()
+	if b == nil || b.N == BlockCap {
+		b = t.room()
 	}
 	b.Append(e)
-	if b.N == BlockCap {
-		t.Flush(FlushFill)
+}
+
+// AppendStretch buffers s as one stretch row (see Block).
+func (t *Batcher) AppendStretch(s Stretch) {
+	b := t.blk
+	if b == nil || b.N == BlockCap {
+		b = t.room()
 	}
+	b.AppendStretch(s)
+}
+
+// room is the appends' slow path: it allocates the first block, or
+// delivers the full one with FlushFill, and returns the block to fill.  A
+// full block waits for the next row, so an attr or final flush that comes
+// first takes it: those cuts then fall at the same instruction wherever
+// the rows split the stream.
+func (t *Batcher) room() *Block {
+	if t.blk == nil {
+		return t.next()
+	}
+	t.Flush(FlushFill)
+	return t.blk
 }
 
 // Pending reports whether buffered events await a flush.
@@ -69,32 +88,3 @@ func (t *Batcher) next() *Block {
 
 // Stats returns the accumulated batch accounting.
 func (t *Batcher) Stats() BatchStats { return t.stats }
-
-// AppendInts buffers k Int events at pc, pc+4, ... with Addr 0, the first
-// carrying flags and the rest none: the events k Appends would buffer,
-// split at BlockCap and flushed with FlushFill where those would flush.
-func (t *Batcher) AppendInts(pc uint32, k int, flags Flags) {
-	for k > 0 {
-		b := t.blk
-		if b == nil {
-			b = t.next()
-		}
-		lo := b.N
-		hi := min(lo+k, BlockCap)
-		// Blocks are reused: every column of every row is written.
-		for i := lo; i < hi; i++ {
-			b.PC[i] = pc
-			b.Addr[i] = 0
-			b.Kind[i] = Int
-			b.Flags[i] = 0
-			pc += 4
-		}
-		b.Flags[lo] = flags
-		flags = 0
-		b.N = hi
-		k -= hi - lo
-		if hi == BlockCap {
-			t.Flush(FlushFill)
-		}
-	}
-}

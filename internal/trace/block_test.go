@@ -27,20 +27,20 @@ func TestBlockAppendRoundTrip(t *testing.T) {
 	for _, e := range evs {
 		b.Append(e)
 	}
-	if b.N != len(evs) {
-		t.Fatalf("N = %d, want %d", b.N, len(evs))
+	if b.N != len(evs) || b.Insts != len(evs) {
+		t.Fatalf("N = %d, Insts = %d, want %d", b.N, b.Insts, len(evs))
 	}
-	for i, e := range evs {
-		if b.Event(i) != e {
-			t.Errorf("event %d = %+v, want %+v", i, b.Event(i), e)
+	for i, e := range b.AppendEvents(nil) {
+		if e != evs[i] {
+			t.Errorf("event %d = %+v, want %+v", i, e, evs[i])
 		}
 	}
 	if b.Full() {
 		t.Error("block of 6 events must not be full")
 	}
 	b.Reset()
-	if b.N != 0 {
-		t.Errorf("Reset left N = %d", b.N)
+	if b.N != 0 || b.Insts != 0 {
+		t.Errorf("Reset left N = %d, Insts = %d", b.N, b.Insts)
 	}
 }
 
@@ -138,42 +138,111 @@ func TestBatcherFlushReasons(t *testing.T) {
 	}
 }
 
-func TestBatcherAppendIntsMatchesAppends(t *testing.T) {
-	var bulk, each Recorder
-	a, b := NewBatcher(&bulk), NewBatcher(&each)
-	// Dirty every ring slot first, so a column left unwritten would show.
+// TestBatcherFullBlockWaitsForNextRow: a full block is delivered as a
+// fill only when another row comes; a flush of another reason first takes
+// it, so that cut lands at the same instruction however the rows fill.
+func TestBatcherFullBlockWaitsForNextRow(t *testing.T) {
+	var rec Recorder
+	ba := NewBatcher(&rec)
+	for i := 0; i < BlockCap; i++ {
+		ba.Append(Event{PC: uint32(i)})
+	}
+	if len(rec.Events) != 0 {
+		t.Fatalf("a full block was delivered before the next row")
+	}
+	ba.Flush(FlushAttr)
+	want := BatchStats{Events: BlockCap, Blocks: 1, FlushAttr: 1}
+	if st := ba.Stats(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+}
+
+// stretchEvents is the documented meaning of a stretch row (see Block),
+// written out instruction by instruction.
+func stretchEvents(s Stretch) []Event {
+	evs := make([]Event, s.Len)
+	for k := range evs {
+		e := Event{PC: s.PC + uint32(k)*4, Kind: Int}
+		if s.Short>>k&1 != 0 {
+			e.Kind = ShortInt
+		}
+		if s.Dep>>k&1 != 0 {
+			e.Flags = FlagDep
+		}
+		if s.Branch && k == s.Len-1 {
+			e.Kind, e.Addr = Branch, s.Target
+			if s.Taken {
+				e.Flags |= FlagTaken
+			}
+		}
+		evs[k] = e
+	}
+	return evs
+}
+
+// TestBatcherAppendStretchMatchesAppends: stretch rows deliver, expanded,
+// the events per-instruction Appends deliver, in the same order and
+// instruction count, through block fills and on ring blocks dirtied with
+// rows of both shapes first.  Only the rows and the blocks are fewer.
+func TestBatcherAppendStretchMatchesAppends(t *testing.T) {
+	var rows, each Recorder
+	a, b := NewBatcher(&rows), NewBatcher(&each)
 	seed := make([]byte, batchRing*BlockCap)
 	for i := range seed {
 		seed[i] = byte(i*37 + 1)
 	}
-	for _, e := range mkEvents(seed) {
+	for i, e := range mkEvents(seed) {
+		if i%3 == 0 {
+			s := Stretch{PC: e.PC, Len: i%MaxStretch + 1, Short: uint32(i) * 0x9e3779b9,
+				Dep: uint32(i) * 0x85ebca6b, Branch: i%2 == 0, Target: e.Addr, Taken: i%4 == 0}
+			if s.Branch {
+				s.Short &^= 1 << (s.Len - 1)
+			}
+			s.Short &= 1<<s.Len - 1
+			s.Dep &= 1<<s.Len - 1
+			a.AppendStretch(s)
+			for _, e := range stretchEvents(s) {
+				b.Append(e)
+			}
+			continue
+		}
 		a.Append(e)
 		b.Append(e)
 	}
 	pc := uint32(0x40_0000)
-	for i, k := range []int{1, 7, BlockCap - 3, 2*BlockCap + 5, 0, 3} {
-		f := Flags(i % 4)
-		a.AppendInts(pc, k, f)
-		for j := 0; j < k; j++ {
-			e := Event{PC: pc + uint32(j)*4, Kind: Int}
-			if j == 0 {
-				e.Flags = f
-			}
+	for i := 0; i < 3*BlockCap; i++ {
+		n := i%MaxStretch + 1
+		s := Stretch{PC: pc, Len: n, Short: uint32(i*0x45d9f3b) & (1<<n - 1)}
+		s.Dep = s.Short << 1 & (1<<n - 1)
+		if i%5 != 0 {
+			s.Short &^= 1 << (n - 1)
+			s.Branch, s.Target, s.Taken = true, pc-uint32(i%7)*4, i%3 == 0
+		}
+		a.AppendStretch(s)
+		for _, e := range stretchEvents(s) {
 			b.Append(e)
 		}
-		pc += uint32(k) * 4
+		if i%1000 == 999 {
+			a.Append(Event{PC: 0x1000, Addr: 0x2000, Kind: Load, Flags: FlagDep})
+			b.Append(Event{PC: 0x1000, Addr: 0x2000, Kind: Load, Flags: FlagDep})
+		}
+		pc += uint32(n) * 4
 	}
 	a.Flush(FlushFinal)
 	b.Flush(FlushFinal)
-	if got, want := a.Stats(), b.Stats(); got != want {
-		t.Fatalf("AppendInts stats %+v, Appends %+v", got, want)
+	sa, sb := a.Stats(), b.Stats()
+	if sa.Events != sb.Events || sa.FlushFinal != 1 || sb.FlushFinal != 1 || sa.FlushAttr != 0 {
+		t.Fatalf("AppendStretch stats %+v, Appends %+v", sa, sb)
 	}
-	if len(bulk.Events) != len(each.Events) {
-		t.Fatalf("AppendInts delivered %d events, Appends %d", len(bulk.Events), len(each.Events))
+	if sa.Blocks >= sb.Blocks {
+		t.Errorf("stretch rows took %d blocks, per-instruction rows %d", sa.Blocks, sb.Blocks)
 	}
-	for i := range bulk.Events {
-		if bulk.Events[i] != each.Events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, bulk.Events[i], each.Events[i])
+	if len(rows.Events) != len(each.Events) {
+		t.Fatalf("AppendStretch delivered %d events, Appends %d", len(rows.Events), len(each.Events))
+	}
+	for i := range rows.Events {
+		if rows.Events[i] != each.Events[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, rows.Events[i], each.Events[i])
 		}
 	}
 }

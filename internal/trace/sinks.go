@@ -68,9 +68,5 @@ type Recorder struct {
 	Events []Event
 }
 
-// EmitBlock appends every event of the block.
-func (r *Recorder) EmitBlock(b *Block) {
-	for i := 0; i < b.N; i++ {
-		r.Events = append(r.Events, b.Event(i))
-	}
-}
+// EmitBlock appends every event of the block, stretch rows expanded.
+func (r *Recorder) EmitBlock(b *Block) { r.Events = b.AppendEvents(r.Events) }

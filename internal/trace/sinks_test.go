@@ -12,8 +12,8 @@ type tap struct {
 }
 
 func (s tap) EmitBlock(b *Block) {
-	for i := 0; i < b.N; i++ {
-		*s.log = append(*s.log, fmt.Sprintf("%s:%d", s.name, b.PC[i]))
+	for _, e := range b.AppendEvents(nil) {
+		*s.log = append(*s.log, fmt.Sprintf("%s:%d", s.name, e.PC))
 	}
 }
 

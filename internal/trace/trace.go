@@ -10,7 +10,11 @@
 // Interpreters never construct Events directly; they drive an *atom.Probe*,
 // which synthesizes the stream and counts it in a Counter as it goes.
 // Only the simulators need the events themselves: a producer hands them
-// to its Sink in Blocks, which a Batcher fills.
+// to its Sink in Blocks, which a Batcher fills.  A block row is either one
+// event or a stretch: a run of straight-line integer instructions and the
+// conditional branch that ends it, which the probe walks in one step and
+// the simulators charge in one step.  Block.AppendEvents expands a block
+// into its events, for any consumer that wants them one by one.
 package trace
 
 // Kind classifies a native instruction.  The categories mirror the stall
@@ -96,9 +100,10 @@ func (e Event) Dep() bool { return e.Flags&FlagDep != 0 }
 func (e Event) Call() bool { return e.Flags&FlagCall != 0 }
 
 // Sink consumes a native-instruction stream in blocks: EmitBlock is
-// called once per Block, blocks arrive in stream order, and the events of
-// a block are in program order.  Producers reuse their blocks, so a sink
-// must finish with b before EmitBlock returns and must not retain it.
+// called once per Block, blocks arrive in stream order, and the rows of a
+// block are in program order, any of them a stretch of several
+// instructions (see Block).  Producers reuse their blocks, so a sink must
+// finish with b before EmitBlock returns and must not retain it.
 // The simulators (the pipeline and the cache sweep) are the sinks;
 // producers count the stream themselves (see Counter).
 type Sink interface {
