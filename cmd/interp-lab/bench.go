@@ -315,7 +315,6 @@ type schedLedgerSummary struct {
 	SerialFraction    float64   `json:"serial_fraction"`
 	ImbalancePct      float64   `json:"imbalance_pct"`
 	OverlapX          float64   `json:"overlap_x"`
-	ContentionWaitUS  float64   `json:"contention_wait_us"`
 	// ClaimPolicy, CPUs/GOMAXPROCS, and DilationX qualify the headline:
 	// how claims were ordered, how much hardware parallelism the arm
 	// really had, and how far concurrent execution stretched jobs past
@@ -338,7 +337,6 @@ func summarizeLedger(s *labstats.SchedStats) *schedLedgerSummary {
 		SerialFraction:   s.SerialFraction,
 		ImbalancePct:     s.ImbalancePct,
 		OverlapX:         s.OverlapX,
-		ContentionWaitUS: s.ContentionWaitUS,
 		ClaimPolicy:      s.ClaimPolicy,
 		CPUs:             s.CPUs,
 		GOMAXPROCS:       s.GOMAXPROCS,

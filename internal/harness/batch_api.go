@@ -9,9 +9,9 @@ import (
 
 // This file is the scheduler's exported face for callers outside the
 // experiment set: today perfbench, which times the scheduler on batches of
-// its own.  An exported Batch has the experiments' error contract: workers
-// stop claiming jobs at the first failure, and Run returns the first error
-// in submission order.
+// its own.  An exported Batch has the experiments' error contract: Run
+// returns the first error in submission order, every job before that one
+// runs, and jobs after it are abandoned once a worker has seen it fail.
 
 // BatchJob describes one measurement submitted to an exported Batch.
 type BatchJob struct {
@@ -54,7 +54,7 @@ func (b *Batch) Submit(bj BatchJob) (*Job, error) {
 	return &Job{j: j}, nil
 }
 
-// Run executes every submitted job and returns the first error in
+// Run executes the submitted jobs and returns the first error in
 // submission order; jobs after a failure may never run.
 func (b *Batch) Run() error {
 	return b.b.run()

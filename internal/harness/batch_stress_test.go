@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"interplab/internal/alphasim"
 	"interplab/internal/core"
@@ -17,11 +18,15 @@ import (
 const stressEmits = 50 * 64
 
 // stressProgram builds a cheap deterministic workload that emits real
-// instruction events, so sweeps accumulate counts.
+// instruction events, so sweeps accumulate counts.  It also blocks for a
+// millisecond, so other workers claim jobs while it runs: the walk alone
+// takes about 10 µs once a process is warm, and one worker could drain
+// the whole batch before a second one started.
 func stressProgram(name string) core.Program {
 	return core.Program{
 		System: "X", Name: name,
 		Run: func(ctx *core.Ctx) error {
+			time.Sleep(time.Millisecond)
 			r := ctx.Image.Routine("loop", 256)
 			for k := 0; k < 50; k++ {
 				ctx.Probe.Exec(r, 64)

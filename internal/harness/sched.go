@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -33,12 +34,17 @@ import (
 // Parallel workers claim jobs longest-job-first: jobs are ordered by a
 // cost estimate (static kind weights, refined by the process-global
 // labstats cost model as batches drain), so critical-path jobs start
-// first and the batch's tail stays short.  With uniform estimates the
-// order degenerates to submission order — exactly the old FIFO cursor.
+// first and the batch's tail stays short.
 //
 // On failure the first error in submission order is returned and nothing
-// after it is recorded (workers stop claiming jobs once any job has
-// failed, so later jobs may simply never run).
+// after it is recorded, whatever order the jobs were claimed in: workers
+// keep running every job before the earliest failure so far and abandon
+// the ones after it, so the returned error and the recorded prefix are the
+// serial path's.
+//
+// Each job fills its own ledger row as it is claimed and run; once the
+// batch drains, recordSched folds the rows into the manifest's sched
+// block.
 //
 // Each job runs under pprof labels naming its experiment, kind, program
 // and variant, so a Go CPU profile of a run (interp-lab -cpuprofile)
@@ -50,12 +56,13 @@ type job struct {
 	prog  core.Program
 	cfg   alphasim.Config       // pipeline jobs
 	sweep *alphasim.ICacheSweep // sweep jobs, and pipeline jobs that also sweep
-	lidx  int                   // this job's index in the batch ledger
 
 	res core.Result
 	err error
 	dur time.Duration
-	ran bool
+	// row is the job's ledger row, written only by the worker that claims
+	// the job and read once the batch drains.
+	row labstats.JobRecord
 }
 
 // batch accumulates an experiment's measurement jobs and runs them.
@@ -63,19 +70,28 @@ type batch struct {
 	opt Options
 	// jobs holds the measurement jobs in submission (= record) order.
 	jobs []*job
-	// led is the batch's scheduling ledger: per-job
-	// enqueue/claim/start/finish timestamps, cost estimates, worker
-	// assignment, and bracketing runtime snapshots, folded into the
-	// manifest's sched block after the batch drains.
-	led *labstats.Ledger
+	// created is the origin of every ledger row's timestamps.
+	created time.Time
 }
 
 // newBatch starts an empty batch carrying the experiment's options.
-func (o Options) newBatch() *batch { return &batch{opt: o, led: labstats.NewLedger()} }
+func (o Options) newBatch() *batch { return &batch{opt: o, created: time.Now()} }
+
+// sinceUS returns t in microseconds since the batch was created.
+func (b *batch) sinceUS(t time.Time) float64 {
+	return float64(t.Sub(b.created)) / float64(time.Microsecond)
+}
 
 // addJob appends one measurement job in submission order.
 func (b *batch) addJob(j *job) *job {
-	j.lidx = b.led.Enqueue(j.kind, j.prog.ID())
+	j.row = labstats.JobRecord{
+		Index:     len(b.jobs),
+		Kind:      j.kind,
+		Program:   j.prog.ID(),
+		Worker:    -1,
+		EnqueueUS: b.sinceUS(time.Now()),
+		Outcome:   labstats.OutcomeUnclaimed,
+	}
 	b.jobs = append(b.jobs, j)
 	return j
 }
@@ -117,23 +133,12 @@ func (b *batch) run() error {
 	if workers < 1 {
 		workers = 1
 	}
-	if requested > 1 {
-		b.led.SetPolicy(labstats.PolicyLJF)
-	} else {
-		b.led.SetPolicy(labstats.PolicyFIFO)
-	}
-	b.led.Begin(requested, workers)
+	beginUS := b.sinceUS(time.Now())
 	b.runJobs(workers)
-	b.led.End()
-	b.recordSched()
+	b.recordSched(requested, workers, beginUS, b.sinceUS(time.Now()))
 	for _, j := range b.jobs {
 		if j.err != nil {
 			return j.err
-		}
-		if !j.ran {
-			// Only reachable when another job failed; stop recording where
-			// the serial path would have stopped.
-			continue
 		}
 		b.opt.record(j.kind, j.res, j.dur, j.sweep)
 	}
@@ -149,14 +154,13 @@ func (b *batch) runJobs(workers int) {
 	cost := labstats.GlobalCostModel()
 	ests := make([]float64, len(b.jobs))
 	for i, j := range b.jobs {
-		est, src := cost.Estimate(j.kind, j.prog.ID(), j.prog.Variant, scale)
-		ests[i] = est
-		b.led.SetEstimate(j.lidx, est, src)
+		ests[i], j.row.EstSource = cost.Estimate(j.kind, j.prog.ID(), j.prog.Variant, scale)
+		j.row.EstUS = ests[i]
 	}
 
 	if workers <= 1 {
 		for _, j := range b.jobs {
-			b.led.Claim(j.lidx, 0)
+			b.claim(j, 0, labstats.OutcomeClaimed)
 			b.exec(j, 0)
 			if j.err != nil {
 				return
@@ -166,15 +170,17 @@ func (b *batch) runJobs(workers int) {
 	}
 
 	// Jobs are claimed longest-first via an atomic cursor over the LJF
-	// permutation; once any job fails, workers stop executing — each live
-	// worker abandons at most the one job it claims after the failure,
-	// and everything beyond stays unclaimed.
+	// permutation.  firstErr is the submission index of the earliest job
+	// that has failed (len(jobs) while none has): a job after it is
+	// abandoned when claimed, and every job before it still runs, because
+	// the serial path would have recorded it.
 	order := labstats.LJFOrder(ests)
 	var (
-		cursor atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
+		cursor   atomic.Int64
+		firstErr atomic.Int64
+		wg       sync.WaitGroup
 	)
+	firstErr.Store(int64(len(b.jobs)))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		// Lane 1 is the experiment's main line; workers get 2..n+1.
@@ -186,13 +192,14 @@ func (b *batch) runJobs(workers int) {
 				if n >= len(order) {
 					return
 				}
-				j := b.jobs[order[n]]
-				if failed.Load() {
-					b.led.Abandon(j.lidx, w)
-					return
+				i := order[n]
+				j := b.jobs[i]
+				if int64(i) > firstErr.Load() {
+					b.claim(j, w, labstats.OutcomeAbandoned)
+					continue
 				}
-				b.led.Claim(j.lidx, w)
-				b.opt.Tracer.InstantOn(lane, "claim "+j.prog.ID(), "job", order[n], "worker", w)
+				b.claim(j, w, labstats.OutcomeClaimed)
+				b.opt.Tracer.InstantOn(lane, "claim "+j.prog.ID(), "job", i, "worker", w)
 				if !lastFinish.IsZero() {
 					if gap := time.Since(lastFinish); gap > 0 {
 						b.opt.Tracer.InstantOn(lane, "idle", "worker", w,
@@ -201,14 +208,23 @@ func (b *batch) runJobs(workers int) {
 				}
 				b.exec(j, lane)
 				lastFinish = time.Now()
-				if j.err != nil {
-					failed.Store(true)
-					return
+				// A failure lowers firstErr to i unless an earlier job's
+				// failure already holds it.
+				for f := firstErr.Load(); j.err != nil && int64(i) < f; f = firstErr.Load() {
+					if firstErr.CompareAndSwap(f, int64(i)) {
+						break
+					}
 				}
 			}
 		}(w, w+2)
 	}
 	wg.Wait()
+}
+
+// claim charges job j to worker w now, to run (OutcomeClaimed) or as
+// abandoned after an earlier job failed (OutcomeAbandoned).
+func (b *batch) claim(j *job, w int, outcome string) {
+	j.row.Worker, j.row.ClaimUS, j.row.Outcome = w, b.sinceUS(time.Now()), outcome
 }
 
 // exec performs one job on the given trace lane (0 = main lane).
@@ -233,7 +249,6 @@ func (b *batch) exec(j *job, lane int) {
 		opts = append(opts, core.WithTraceLane(lane))
 	}
 	start := time.Now()
-	b.led.Start(j.lidx)
 	labels := pprof.Labels("experiment", o.experiment, "kind", j.kind, "program", id, "variant", j.prog.Variant)
 	pprof.Do(context.Background(), labels, func(context.Context) {
 		switch j.kind {
@@ -245,25 +260,38 @@ func (b *batch) exec(j *job, lane int) {
 			j.res, j.err = core.MeasureWithSweep(j.prog, j.sweep, opts...)
 		}
 	})
-	b.led.Finish(j.lidx, j.err != nil)
-	j.dur = time.Since(start)
-	j.ran = true
-	if j.err == nil {
-		labstats.GlobalCostModel().Observe(
-			j.kind, id, j.prog.Variant, b.opt.scale(), float64(j.dur)/float64(time.Microsecond))
-	}
-}
-
-// recordSched folds the drained batch's ledger into the run record: the
-// manifest entry's sched block (even for failed batches — the ledger must
-// balance exactly when something went wrong) and the cumulative sched.*
-// registry instruments.  Per-batch numbers (utilization, serial fraction,
-// speedup) live only in the sched block.
-func (b *batch) recordSched() {
-	s := b.led.Stats()
-	if s == nil {
+	finish := time.Now()
+	j.dur = finish.Sub(start)
+	j.row.StartUS, j.row.FinishUS = b.sinceUS(start), b.sinceUS(finish)
+	j.row.DurUS = j.row.FinishUS - j.row.StartUS
+	if j.err != nil {
+		j.row.Outcome = labstats.OutcomeError
 		return
 	}
+	j.row.Outcome = labstats.OutcomeOK
+	labstats.GlobalCostModel().Observe(
+		j.kind, id, j.prog.Variant, b.opt.scale(), float64(j.dur)/float64(time.Microsecond))
+}
+
+// recordSched folds the drained batch's ledger rows into the run record:
+// the manifest entry's sched block (even for failed batches — the ledger
+// must balance exactly when something went wrong) and the cumulative
+// sched.* registry instruments.  Per-batch numbers (utilization, serial
+// fraction, overlap) live only in the sched block.
+func (b *batch) recordSched(requested, workers int, beginUS, endUS float64) {
+	if len(b.jobs) == 0 {
+		return
+	}
+	rows := make([]labstats.JobRecord, len(b.jobs))
+	for i, j := range b.jobs {
+		rows[i] = j.row
+	}
+	s := labstats.Compute(rows, requested, workers, beginUS, endUS)
+	s.ClaimPolicy = labstats.PolicyFIFO
+	if requested > 1 {
+		s.ClaimPolicy = labstats.PolicyLJF
+	}
+	s.CPUs, s.GOMAXPROCS = runtime.NumCPU(), runtime.GOMAXPROCS(0)
 	b.opt.rec.AddSched(s)
 	reg := b.opt.Telemetry
 	if reg == nil {

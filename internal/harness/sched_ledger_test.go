@@ -16,9 +16,9 @@ import (
 )
 
 // TestStopAtFirstErrorLedgerBalance pins the scheduler's stop-at-first-
-// error contract under parallelism > 1, now with the ledger watching: the
-// returned error is the first in submission order, nothing after it is
-// recorded in the manifest, every unrecorded job is either unrun
+// error contract under parallelism > 1, with the ledger watching: the
+// returned error is the first in submission order, exactly the jobs before
+// it are recorded in the manifest, every job after it is either unrun
 // (abandoned/unclaimed in ledger terms) or ran-but-uncollected, and the
 // ledger balances exactly — enqueued = claimed + unclaimed and claimed =
 // finished + abandoned — even though the batch died mid-flight.
@@ -79,28 +79,86 @@ func TestStopAtFirstErrorLedgerBalance(t *testing.T) {
 	if s.Jobs.Errors < 1 {
 		t.Errorf("errors = %d, want >= 1", s.Jobs.Errors)
 	}
-	// The prefix through the failing job was claimed in cursor order and
-	// fully executed before collect.
+	// Every job through the failing one ran, whatever the claim order.
 	if s.Jobs.Finished <= failAt {
 		t.Errorf("finished = %d, want > %d (the prefix plus the failing job)", s.Jobs.Finished, failAt)
 	}
 
-	// Cross-check the ledger against the jobs themselves: every job after
-	// the first error is either unrecorded (not in the manifest, checked
-	// above) or unrun, and every unrun job is abandoned or unclaimed.
-	outcomes := make(map[int]string, n)
-	for _, jr := range s.Ledger {
-		outcomes[jr.Index] = jr.Outcome
-	}
-	for i, j := range b.jobs {
-		if j.ran {
-			if out := outcomes[j.lidx]; out != labstats.OutcomeOK && out != labstats.OutcomeError {
-				t.Errorf("job %d ran but ledger says %q", i, out)
-			}
-			continue
+	// Cross-check the rows against submission order: every job before the
+	// first error ran to success, that job ran to its error, and each job
+	// after it either ran uncollected or was never run.
+	for i, jr := range s.Ledger {
+		if jr.Index != i {
+			t.Errorf("ledger row %d has index %d", i, jr.Index)
 		}
-		if out := outcomes[j.lidx]; out != labstats.OutcomeAbandoned && out != labstats.OutcomeUnclaimed {
-			t.Errorf("job %d never ran but ledger says %q", i, out)
+		switch {
+		case i < failAt:
+			if jr.Outcome != labstats.OutcomeOK {
+				t.Errorf("job %d before the first error: outcome %q, want %q", i, jr.Outcome, labstats.OutcomeOK)
+			}
+		case i == failAt:
+			if jr.Outcome != labstats.OutcomeError {
+				t.Errorf("failing job %d: outcome %q, want %q", i, jr.Outcome, labstats.OutcomeError)
+			}
+		case jr.Outcome == labstats.OutcomeClaimed:
+			t.Errorf("job %d still claimed after the batch drained", i)
+		}
+	}
+}
+
+// TestStopAtFirstErrorIgnoresClaimOrder: priors make longest-job-first
+// claim the failing job first and a later failing job second, and both
+// fail at once while the jobs claimed beside them sleep.  The workers must
+// still run every job before the first failure in submission order, so the
+// batch records exactly those and returns that failure's error, as the
+// serial path does.
+func TestStopAtFirstErrorIgnoresClaimOrder(t *testing.T) {
+	const n, failAt, failLater = 12, 5, 9
+	rec := telemetry.NewManifest(1).StartRun("claim-order")
+	opt := Options{Parallelism: 4, Out: io.Discard, rec: rec}
+	b := opt.newBatch()
+	for i := 0; i < n; i++ {
+		i := i
+		p := core.Program{
+			System: "X", Name: fmt.Sprintf("claim-order-%02d", i),
+			Run: func(*core.Ctx) error {
+				if i == failAt || i == failLater {
+					return fmt.Errorf("boom at %d", i)
+				}
+				time.Sleep(20 * time.Millisecond)
+				return nil
+			},
+		}
+		// Every job gets a prior, so no estimate hangs on the global mean
+		// other tests leave behind; a sleeping job's prior stays near its
+		// 20 ms, far below the failing jobs'.
+		est := 1.0
+		switch i {
+		case failAt:
+			est = 1e6
+		case failLater:
+			est = 5e5
+		}
+		labstats.GlobalCostModel().Observe("measure", p.ID(), "", opt.scale(), est)
+		b.measure(p)
+	}
+	err := b.run()
+	if err == nil || !strings.Contains(err.Error(), "boom at 5") {
+		t.Fatalf("run() = %v, want the submission-order-first error (boom at 5)", err)
+	}
+	if got := len(rec.Measurements); got != failAt {
+		t.Errorf("recorded %d measurements, want the %d before the first error", got, failAt)
+	}
+	for i, mm := range rec.Measurements {
+		if want := fmt.Sprintf("X/claim-order-%02d", i); mm.Program != want {
+			t.Errorf("measurement %d = %q, want %q", i, mm.Program, want)
+		}
+	}
+	rows := rec.Sched[0].Ledger
+	for i, jr := range rows {
+		if i != failAt && jr.EstUS >= rows[failAt].EstUS {
+			t.Fatalf("job %d estimate %v does not rank below the failing job's %v; "+
+				"longest-job-first would not claim the failing job first", i, jr.EstUS, rows[failAt].EstUS)
 		}
 	}
 }
@@ -175,11 +233,24 @@ func TestSchedBlockOnParallelRun(t *testing.T) {
 	if s.CriticalPathUS <= 0 || s.CriticalPathUS > s.WallUS {
 		t.Errorf("critical path = %v with wall %v", s.CriticalPathUS, s.WallUS)
 	}
-	if s.Runtime == nil || s.Runtime.AllocBytes == 0 {
-		t.Error("runtime snapshot delta missing or empty")
-	}
 	if len(s.Ledger) != s.Jobs.Enqueued {
 		t.Errorf("ledger has %d records for %d jobs", len(s.Ledger), s.Jobs.Enqueued)
+	}
+	// Each job's row: row i is job i (the i-th recorded measurement), its
+	// worker is one of the batch's, and it starts no later than it ends.
+	for i, jr := range s.Ledger {
+		if i < len(man.Runs[0].Measurements) {
+			if m := man.Runs[0].Measurements[i]; jr.Index != i || jr.Kind != m.Kind || jr.Program != m.Program {
+				t.Errorf("ledger row %d is %d %s %s, want job %d: %s %s",
+					i, jr.Index, jr.Kind, jr.Program, i, m.Kind, m.Program)
+			}
+		}
+		if jr.Outcome == labstats.OutcomeOK && (jr.Worker < 0 || jr.Worker >= s.WorkersEffective) {
+			t.Errorf("finished row %d ran on worker %d, want one of [0, %d)", i, jr.Worker, s.WorkersEffective)
+		}
+		if jr.StartUS > jr.FinishUS {
+			t.Errorf("row %d starts at %v us, after it finishes at %v us", i, jr.StartUS, jr.FinishUS)
+		}
 	}
 
 	// Registry surface: the cumulative batch counters.

@@ -16,9 +16,10 @@ import (
 
 // Request is the JSON body of POST /measure: one measurement, identified
 // by the same fields the measurement cache keys on (experiment scope,
-// kind, program, variant, processor config, scale, profiling).  A request
-// whose fields match a measurement a CLI run already cached is served from
-// that entry; see docs/SERVING.md.
+// kind, program, processor config, scale, profiling).  A request whose
+// fields match a measurement a CLI run already cached is served from that
+// entry; see docs/SERVING.md.  A body field Request does not name is a
+// 400, so a misspelt one is never dropped in favour of a default.
 type Request struct {
 	// Experiment scopes the cache key ("" means the server's own "serve"
 	// scope).  Naming a real experiment id lets the request share cache
@@ -29,11 +30,6 @@ type Request struct {
 	// Program is the workload id, "System/name" (e.g. "Perl/des"); see
 	// the suites in internal/workloads.
 	Program string `json:"program"`
-	// Variant must be empty: variant programs are experiment-internal
-	// (ablation arms construct them with private interpreter knobs), so
-	// they cannot be resolved by name.  The field exists so a future
-	// variant registry slots into the same key.
-	Variant string `json:"variant,omitempty"`
 	// Config is the simulated-processor configuration for pipeline
 	// requests; nil means alphasim.DefaultConfig().  A config that fails
 	// alphasim.Config.Validate is a 400.
@@ -106,9 +102,6 @@ func errBadRequest(format string, args ...any) *httpError {
 func resolve(req Request) (*resolved, *httpError) {
 	if req.Program == "" {
 		return nil, errBadRequest("missing program (want \"System/name\", e.g. \"Perl/des\")")
-	}
-	if req.Variant != "" {
-		return nil, errBadRequest("variant programs are experiment-internal and not servable (got variant %q)", req.Variant)
 	}
 	scale := req.Scale
 	if scale == 0 {

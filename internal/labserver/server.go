@@ -188,7 +188,9 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	s.reg.Counter("server.requests").Inc()
 	var req Request
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		s.reg.Counter("server.bad_requests").Inc()
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return

@@ -499,17 +499,19 @@ func TestBadRequests(t *testing.T) {
 		method string
 		body   string
 		status int
+		says   string // the error must contain this ("" for any)
 	}{
-		{"get", http.MethodGet, "", http.StatusMethodNotAllowed},
-		{"garbage body", http.MethodPost, "{not json", http.StatusBadRequest},
-		{"missing program", http.MethodPost, `{"kind":"measure"}`, http.StatusBadRequest},
-		{"unknown program", http.MethodPost, `{"kind":"measure","program":"Perl/nonesuch"}`, http.StatusNotFound},
-		{"unknown kind", http.MethodPost, `{"kind":"frobnicate","program":"Perl/micro-if"}`, http.StatusBadRequest},
-		{"variant", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","variant":"x"}`, http.StatusBadRequest},
-		{"config on measure", http.MethodPost, string(cfgJSON), http.StatusBadRequest},
-		{"scale too large", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","scale":100}`, http.StatusBadRequest},
-		{"negative scale", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","scale":-1}`, http.StatusBadRequest},
-		{"invalid config", http.MethodPost, `{"kind":"pipeline","program":"Perl/micro-if","config":{"Width":2}}`, http.StatusBadRequest},
+		{"get", http.MethodGet, "", http.StatusMethodNotAllowed, ""},
+		{"garbage body", http.MethodPost, "{not json", http.StatusBadRequest, "bad request body"},
+		{"missing program", http.MethodPost, `{"kind":"measure"}`, http.StatusBadRequest, "missing program"},
+		{"unknown program", http.MethodPost, `{"kind":"measure","program":"Perl/nonesuch"}`, http.StatusNotFound, "Perl/nonesuch"},
+		{"unknown kind", http.MethodPost, `{"kind":"frobnicate","program":"Perl/micro-if"}`, http.StatusBadRequest, "frobnicate"},
+		{"variant", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","variant":"x"}`, http.StatusBadRequest, `unknown field "variant"`},
+		{"config on measure", http.MethodPost, string(cfgJSON), http.StatusBadRequest, "config only applies"},
+		{"scale too large", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","scale":100}`, http.StatusBadRequest, "scale"},
+		{"negative scale", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","scale":-1}`, http.StatusBadRequest, "scale"},
+		{"invalid config", http.MethodPost, `{"kind":"pipeline","program":"Perl/micro-if","config":{"Width":2}}`, http.StatusBadRequest, "invalid config"},
+		{"misspelt field", http.MethodPost, `{"kind":"pipeline","program":"Perl/des","scale":0.05,"confg":{"Width":2}}`, http.StatusBadRequest, `unknown field "confg"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -529,6 +531,9 @@ func TestBadRequests(t *testing.T) {
 			var eb errorBody
 			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 				t.Errorf("error body did not decode: %s", body)
+			}
+			if !strings.Contains(eb.Error, tc.says) {
+				t.Errorf("error %q does not say %q", eb.Error, tc.says)
 			}
 			if tc.method == http.MethodGet && resp.Header.Get("Allow") != http.MethodPost {
 				t.Errorf("405 without Allow: POST header")

@@ -123,8 +123,7 @@ func (m *CostModel) Estimate(kind, program, variant string, scale float64) (us f
 // LJFOrder returns the longest-job-first claim permutation for the given
 // estimates: indices sorted by descending cost, ties broken by submission
 // order (stable).  With equal estimates throughout, the permutation is
-// the identity — FIFO — which keeps stop-at-first-error prefix semantics
-// intact for uniform batches.
+// the identity — FIFO.
 func LJFOrder(ests []float64) []int {
 	order := make([]int, len(ests))
 	for i := range order {

@@ -1,23 +1,18 @@
-// Package labstats turns the lab's own scheduler and runtime into a
-// measured subject.  The paper's method is attributing interpreter cost to
-// its structural sources; this package applies the same treatment to the
-// measurement harness: a per-batch job ledger (who ran what, when, on
-// which worker) plus bracketing runtime snapshots (GC, allocation, mutex
-// wait), folded into a speedup ledger that decomposes where parallel wall
-// time went — serial fraction, per-worker utilization, imbalance, critical
-// path, contention.
+// Package labstats turns the lab's own scheduler into a measured subject.
+// The paper's method is attributing interpreter cost to its structural
+// sources; this package applies the same treatment to the measurement
+// harness: each job of a batch carries its own record (who ran what, when,
+// on which worker, at what estimated cost), and Compute folds a drained
+// batch's records into a speedup ledger that decomposes where parallel
+// wall time went — serial fraction, per-worker utilization, imbalance,
+// critical path.  The package also holds the cost model and the
+// longest-job-first order the scheduler claims jobs by.
 //
-// The ledger is pure bookkeeping over timestamps from an injectable clock;
-// every derived number in SchedStats is computed by Compute, a pure
-// function of the job records, so the arithmetic is testable with
-// synthetic timelines and no wall-clock dependence.
+// Compute is a pure function of the job records: no clock is consulted,
+// so the arithmetic is testable with synthetic timelines.
 package labstats
 
-import (
-	"runtime"
-	"sort"
-	"time"
-)
+import "sort"
 
 // Job outcomes, in ledger-balance terms: every enqueued job is either
 // claimed or unclaimed, and every claimed job is either finished (ok or
@@ -49,7 +44,7 @@ const (
 )
 
 // JobRecord is one job's line in the ledger.  Timestamps are microseconds
-// from the ledger's epoch (batch creation); DurUS is Finish minus Start.
+// since the batch was created; DurUS is Finish minus Start.
 type JobRecord struct {
 	Index   int    `json:"index"`
 	Kind    string `json:"kind"`
@@ -65,8 +60,8 @@ type JobRecord struct {
 	Outcome   string  `json:"outcome"`
 	// EstUS is the scheduler's pre-run cost estimate for the job — the
 	// number longest-job-first claiming ordered it by — and EstSource says
-	// where it came from (EstStatic or EstPrior).  Zero/empty when the
-	// scheduler ran without estimates (FIFO claiming).
+	// where it came from (EstStatic or EstPrior).  Serial batches record
+	// one too, though they claim in submission order.
 	EstUS     float64 `json:"est_us,omitempty"`
 	EstSource string  `json:"est_source,omitempty"`
 }
@@ -74,183 +69,6 @@ type JobRecord struct {
 // executed reports whether the job actually ran (to success or error).
 func (j JobRecord) executed() bool {
 	return j.Outcome == OutcomeOK || j.Outcome == OutcomeError
-}
-
-// Ledger records one batch's scheduling history.  Usage contract: Enqueue
-// every job (single goroutine), then Begin, then concurrent
-// Claim/Start/Finish/Abandon on distinct job indices from the workers,
-// then End and Stats.  A nil Ledger is the disabled state: every method
-// no-ops and Stats returns nil.
-type Ledger struct {
-	now   func() time.Time
-	epoch time.Time
-
-	jobs []JobRecord
-
-	workersRequested int
-	workersEffective int
-	beginUS, endUS   float64
-	ended            bool
-	claimPolicy      string
-
-	snapBegin RuntimeSnapshot
-	snapValid bool
-}
-
-// NewLedger starts an empty ledger whose epoch is now.
-func NewLedger() *Ledger {
-	l := &Ledger{now: time.Now}
-	l.epoch = l.now()
-	return l
-}
-
-// SetClock replaces the ledger's clock (test seam) and resets the epoch to
-// the new clock's current time.  Call before any Enqueue.
-func (l *Ledger) SetClock(now func() time.Time) {
-	if l == nil {
-		return
-	}
-	l.now = now
-	l.epoch = now()
-}
-
-// stamp returns microseconds since the epoch.
-func (l *Ledger) stamp() float64 {
-	return float64(l.now().Sub(l.epoch)) / float64(time.Microsecond)
-}
-
-// Enqueue registers one job and returns its ledger index.
-func (l *Ledger) Enqueue(kind, program string) int {
-	if l == nil {
-		return -1
-	}
-	i := len(l.jobs)
-	l.jobs = append(l.jobs, JobRecord{
-		Index:     i,
-		Kind:      kind,
-		Program:   program,
-		Worker:    -1,
-		EnqueueUS: l.stamp(),
-		Outcome:   OutcomeUnclaimed,
-	})
-	return i
-}
-
-// SetEstimate records the scheduler's pre-run cost estimate for job i and
-// its provenance (EstStatic or EstPrior).  Call between Enqueue and the
-// job's Claim.
-func (l *Ledger) SetEstimate(i int, estUS float64, source string) {
-	if l == nil || i < 0 || i >= len(l.jobs) {
-		return
-	}
-	l.jobs[i].EstUS = estUS
-	l.jobs[i].EstSource = source
-}
-
-// SetPolicy records the claim policy the batch ran under (e.g. PolicyFIFO,
-// PolicyLJF); Stats copies it into the speedup ledger.
-func (l *Ledger) SetPolicy(policy string) {
-	if l == nil {
-		return
-	}
-	l.claimPolicy = policy
-}
-
-// Begin marks the start of scheduling: the requested worker count, the
-// effective one (after capping at the job count), the wall-clock origin
-// utilization is measured against, and the opening runtime snapshot.
-func (l *Ledger) Begin(requested, effective int) {
-	if l == nil {
-		return
-	}
-	l.workersRequested = requested
-	l.workersEffective = effective
-	l.beginUS = l.stamp()
-	l.snapBegin = ReadRuntimeSnapshot()
-	l.snapBegin.AtUS = l.beginUS
-	l.snapValid = true
-}
-
-// Claim records worker taking job i.
-func (l *Ledger) Claim(i, worker int) {
-	if l == nil || i < 0 || i >= len(l.jobs) {
-		return
-	}
-	j := &l.jobs[i]
-	j.Worker = worker
-	j.ClaimUS = l.stamp()
-	j.Outcome = OutcomeClaimed
-}
-
-// Start records job i beginning execution.
-func (l *Ledger) Start(i int) {
-	if l == nil || i < 0 || i >= len(l.jobs) {
-		return
-	}
-	l.jobs[i].StartUS = l.stamp()
-}
-
-// Finish records job i completing, successfully or with an error.
-func (l *Ledger) Finish(i int, failed bool) {
-	if l == nil || i < 0 || i >= len(l.jobs) {
-		return
-	}
-	j := &l.jobs[i]
-	j.FinishUS = l.stamp()
-	j.DurUS = j.FinishUS - j.StartUS
-	if failed {
-		j.Outcome = OutcomeError
-	} else {
-		j.Outcome = OutcomeOK
-	}
-}
-
-// Abandon records worker claiming job i after a failure stopped the batch:
-// the job is charged to the worker but never executed.
-func (l *Ledger) Abandon(i, worker int) {
-	if l == nil || i < 0 || i >= len(l.jobs) {
-		return
-	}
-	j := &l.jobs[i]
-	j.Worker = worker
-	j.ClaimUS = l.stamp()
-	j.Outcome = OutcomeAbandoned
-}
-
-// End marks the batch drained: wall time stops here.
-func (l *Ledger) End() {
-	if l == nil {
-		return
-	}
-	l.endUS = l.stamp()
-	l.ended = true
-}
-
-// Stats folds the ledger into the speedup ledger.  Returns nil for a nil
-// ledger or one that never registered a job.
-func (l *Ledger) Stats() *SchedStats {
-	if l == nil || len(l.jobs) == 0 {
-		return nil
-	}
-	end := l.endUS
-	if !l.ended {
-		end = l.stamp()
-	}
-	s := Compute(l.jobs, l.workersRequested, l.workersEffective, l.beginUS, end)
-	s.ClaimPolicy = l.claimPolicy
-	s.CPUs = runtime.NumCPU()
-	s.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	if l.snapValid {
-		after := ReadRuntimeSnapshot()
-		after.AtUS = end
-		d := l.snapBegin.DeltaTo(after)
-		s.Runtime = &d
-		if s.Jobs.Finished > 0 {
-			s.Runtime.AllocBytesPerJob = float64(s.Runtime.AllocBytes) / float64(s.Jobs.Finished)
-		}
-		s.ContentionWaitUS = float64(d.MutexWaitNS) / float64(time.Microsecond/time.Nanosecond)
-	}
-	return s
 }
 
 // JobCounts is the ledger balance: Enqueued = Claimed + Unclaimed, and
@@ -327,13 +145,7 @@ type SchedStats struct {
 	// estimates were recorded.
 	DilationX float64 `json:"dilation_x,omitempty"`
 
-	// ContentionWaitUS is the runtime's cumulative sync.Mutex wait time
-	// across the batch (from runtime/metrics), an estimate of lock
-	// contention inside the workers.
-	ContentionWaitUS float64 `json:"contention_wait_us"`
-
 	Workers []WorkerStats `json:"workers"`
-	Runtime *RuntimeDelta `json:"runtime,omitempty"`
 	Ledger  []JobRecord   `json:"ledger,omitempty"`
 }
 

@@ -4,17 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
-
-// fakeClock is a hand-advanced clock: the ledger arithmetic must depend
-// only on recorded timestamps, never on the wall clock.
-type fakeClock struct{ at time.Time }
-
-func newFakeClock() *fakeClock { return &fakeClock{at: time.Unix(1000, 0)} }
-
-func (c *fakeClock) now() time.Time          { return c.at }
-func (c *fakeClock) advance(d time.Duration) { c.at = c.at.Add(d) }
 
 // eq asserts exact-to-epsilon agreement: every number below is determined
 // by the synthetic timeline, so tolerance is rounding only.
@@ -25,7 +15,16 @@ func eq(t *testing.T, name string, got, want float64) {
 	}
 }
 
-// TestLedgerArithmeticTwoWorkers scripts this timeline (ms) on 2 workers:
+// ran is the ledger row of job i run to completion on worker w over
+// [startMS, finishMS), claimed as it started.
+func ran(i, w int, startMS, finishMS float64) JobRecord {
+	j := JobRecord{Index: i, Kind: "measure", Program: "Sys/prog", Worker: w,
+		ClaimUS: 1000 * startMS, StartUS: 1000 * startMS, FinishUS: 1000 * finishMS, Outcome: OutcomeOK}
+	j.DurUS = j.FinishUS - j.StartUS
+	return j
+}
+
+// TestLedgerArithmeticTwoWorkers folds this timeline (ms) on 2 workers:
 //
 //	worker 0: j0 [0,100)               j2 [100,200)
 //	worker 1: j1 [0,50)  j3 [50,250)
@@ -33,33 +32,8 @@ func eq(t *testing.T, name string, got, want float64) {
 // Known answers: wall 250, work 450, serial window [200,250) (only j3 in
 // flight) so serial fraction = 50/450 = 1/9 and overlap 450/250 = 1.8.
 func TestLedgerArithmeticTwoWorkers(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLedger()
-	l.SetClock(clk.now)
-	jobs := make([]int, 4)
-	for i := range jobs {
-		jobs[i] = l.Enqueue("measure", "Sys/prog")
-	}
-	l.Begin(2, 2)
-
-	run := func(i, worker int, start, finish time.Duration) {
-		clk.at = time.Unix(1000, 0).Add(start)
-		l.Claim(jobs[i], worker)
-		l.Start(jobs[i])
-		clk.at = time.Unix(1000, 0).Add(finish)
-		l.Finish(jobs[i], false)
-	}
-	run(0, 0, 0, 100*time.Millisecond)
-	run(1, 1, 0, 50*time.Millisecond)
-	run(2, 0, 100*time.Millisecond, 200*time.Millisecond)
-	run(3, 1, 50*time.Millisecond, 250*time.Millisecond)
-	clk.at = time.Unix(1000, 0).Add(250 * time.Millisecond)
-	l.End()
-
-	s := l.Stats()
-	if s == nil {
-		t.Fatal("Stats returned nil")
-	}
+	jobs := []JobRecord{ran(0, 0, 0, 100), ran(1, 1, 0, 50), ran(2, 0, 100, 200), ran(3, 1, 50, 250)}
+	s := Compute(jobs, 2, 2, 0, 250_000)
 	eq(t, "WallUS", s.WallUS, 250_000)
 	eq(t, "TotalBusyUS", s.TotalBusyUS, 450_000)
 	eq(t, "SerialUS", s.SerialUS, 50_000)
@@ -92,23 +66,9 @@ func TestLedgerArithmeticTwoWorkers(t *testing.T) {
 // TestLedgerArithmeticSerial pins the degenerate single-worker shape:
 // serial fraction 1, overlap 1, zero imbalance.
 func TestLedgerArithmeticSerial(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLedger()
-	l.SetClock(clk.now)
-	a := l.Enqueue("measure", "A/a")
-	b := l.Enqueue("pipeline", "B/b")
-	l.Begin(1, 1)
-	l.Claim(a, 0)
-	l.Start(a)
-	clk.advance(30 * time.Millisecond)
-	l.Finish(a, false)
-	l.Claim(b, 0)
-	l.Start(b)
-	clk.advance(70 * time.Millisecond)
-	l.Finish(b, false)
-	l.End()
-
-	s := l.Stats()
+	a, b := ran(0, 0, 0, 30), ran(1, 0, 30, 100)
+	b.Kind = "pipeline"
+	s := Compute([]JobRecord{a, b}, 1, 1, 0, 100_000)
 	eq(t, "WallUS", s.WallUS, 100_000)
 	eq(t, "TotalBusyUS", s.TotalBusyUS, 100_000)
 	eq(t, "SerialFraction", s.SerialFraction, 1)
@@ -121,28 +81,19 @@ func TestLedgerArithmeticSerial(t *testing.T) {
 // path: enqueued = claimed + unclaimed and claimed = finished + abandoned,
 // with the error counted among the finished.
 func TestLedgerBalanceWithAbandonment(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLedger()
-	l.SetClock(clk.now)
-	idx := make([]int, 6)
-	for i := range idx {
-		idx[i] = l.Enqueue("measure", "Sys/prog")
-	}
-	l.Begin(2, 2)
 	// j0 succeeds, j1 fails, j2 is claimed-then-abandoned, j3..j5 never
 	// claimed.
-	l.Claim(idx[0], 0)
-	l.Start(idx[0])
-	clk.advance(10 * time.Millisecond)
-	l.Finish(idx[0], false)
-	l.Claim(idx[1], 1)
-	l.Start(idx[1])
-	clk.advance(5 * time.Millisecond)
-	l.Finish(idx[1], true)
-	l.Abandon(idx[2], 0)
-	l.End()
-
-	s := l.Stats()
+	failed := ran(1, 1, 10, 15)
+	failed.Outcome = OutcomeError
+	jobs := []JobRecord{
+		ran(0, 0, 0, 10),
+		failed,
+		{Index: 2, Worker: 0, ClaimUS: 15_000, Outcome: OutcomeAbandoned},
+		{Index: 3, Worker: -1, Outcome: OutcomeUnclaimed},
+		{Index: 4, Worker: -1, Outcome: OutcomeUnclaimed},
+		{Index: 5, Worker: -1, Outcome: OutcomeUnclaimed},
+	}
+	s := Compute(jobs, 2, 2, 0, 15_000)
 	want := JobCounts{Enqueued: 6, Claimed: 3, Finished: 2, Errors: 1, Abandoned: 1, Unclaimed: 3}
 	if s.Jobs != want {
 		t.Errorf("job counts = %+v, want %+v", s.Jobs, want)
@@ -166,43 +117,6 @@ func TestConcurrencyProfileHandoff(t *testing.T) {
 	eq(t, "SerialFraction", s.SerialFraction, 1)
 	eq(t, "SerialUS", s.SerialUS, 200)
 	eq(t, "OverlapX", s.OverlapX, 1)
-}
-
-// TestNilLedgerIsDisabled: the nil ledger is the disabled path, as
-// everywhere in this lab.
-func TestNilLedgerIsDisabled(t *testing.T) {
-	var l *Ledger
-	if i := l.Enqueue("measure", "x"); i != -1 {
-		t.Errorf("nil Enqueue = %d, want -1", i)
-	}
-	l.Begin(2, 2)
-	l.Claim(0, 0)
-	l.Start(0)
-	l.Finish(0, false)
-	l.Abandon(0, 0)
-	l.End()
-	if l.Stats() != nil {
-		t.Error("nil ledger Stats should be nil")
-	}
-}
-
-// TestRuntimeSnapshotDelta: snapshots move monotonically and the delta
-// attributes allocation to the interval.
-func TestRuntimeSnapshotDelta(t *testing.T) {
-	before := ReadRuntimeSnapshot()
-	waste := make([][]byte, 0, 1024)
-	for i := 0; i < 1024; i++ {
-		waste = append(waste, make([]byte, 4096))
-	}
-	_ = waste
-	after := ReadRuntimeSnapshot()
-	d := before.DeltaTo(after)
-	if d.AllocBytes < 1<<20 {
-		t.Errorf("AllocBytes = %d, want >= 4MB-ish of tracked allocation", d.AllocBytes)
-	}
-	if d.GoroutinesBefore <= 0 || d.GoroutinesAfter <= 0 {
-		t.Errorf("goroutine counts not captured: %+v", d)
-	}
 }
 
 // TestWriteReportShape: the text report carries the headline numbers and

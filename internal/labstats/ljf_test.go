@@ -33,34 +33,18 @@ func listSchedule(durs []time.Duration, order []int, workers int) []slot {
 	return slots
 }
 
-// replayTimeline drives a real Ledger through a simulated schedule on a
-// fake clock and folds it into stats.  Claim and start coincide (the
-// simulator has no claim-to-start gap), and End lands at the makespan.
+// replayTimeline folds a simulated schedule into stats.  Claim and start
+// coincide (the simulator has no claim-to-start gap), and the batch ends
+// at the makespan.
 func replayTimeline(durs []time.Duration, order []int, workers int) *SchedStats {
-	clk := newFakeClock()
-	epoch := clk.at
-	l := NewLedger()
-	l.SetClock(clk.now)
-	l.SetPolicy(PolicyLJF)
-	for i := range durs {
-		l.Enqueue("measure", fmt.Sprintf("sim/j%d", i))
-	}
-	l.Begin(workers, workers)
-	slots := listSchedule(durs, order, workers)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	jobs := make([]JobRecord, len(durs))
 	var makespan time.Duration
-	for i, s := range slots {
-		clk.at = epoch.Add(s.start)
-		l.Claim(i, s.worker)
-		l.Start(i)
-		clk.at = epoch.Add(s.finish)
-		l.Finish(i, false)
-		if s.finish > makespan {
-			makespan = s.finish
-		}
+	for i, s := range listSchedule(durs, order, workers) {
+		jobs[i] = ran(i, s.worker, ms(s.start), ms(s.finish))
+		makespan = max(makespan, s.finish)
 	}
-	clk.at = epoch.Add(makespan)
-	l.End()
-	return l.Stats()
+	return Compute(jobs, workers, workers, 0, 1000*ms(makespan))
 }
 
 // fifoOrder is the identity permutation — submission-order claiming.
@@ -85,8 +69,8 @@ func estimates(durs []time.Duration) []float64 {
 // TestLJFBeatsFIFOOnImbalance is the claim-policy's existence proof: with
 // one long job submitted last, FIFO claiming strands it on a worker after
 // the short jobs have already balanced out, while LJF starts it first and
-// packs the short jobs around it.  The ledgers — real Ledger arithmetic
-// over both simulated timelines — must show LJF with a strictly shorter
+// packs the short jobs around it.  The ledgers — Compute over both
+// simulated timelines — must show LJF with a strictly shorter
 // wall and zero imbalance where FIFO pays 33%.
 func TestLJFBeatsFIFOOnImbalance(t *testing.T) {
 	ms := time.Millisecond
@@ -132,8 +116,7 @@ func TestLJFAchievesCriticalPath(t *testing.T) {
 
 // TestLJFOrderPermutation pins the sort itself: descending by estimate,
 // ties stable in submission order, and uniform estimates degenerating to
-// the identity — the property stop-at-first-error prefix semantics lean
-// on for uniform batches.
+// the identity.
 func TestLJFOrderPermutation(t *testing.T) {
 	got := LJFOrder([]float64{1, 5, 3, 5, 2})
 	want := []int{1, 3, 2, 4, 0}
@@ -153,57 +136,28 @@ func TestLJFOrderPermutation(t *testing.T) {
 	}
 }
 
-// TestLedgerPolicyEstimateAndAbandonAccounting exercises the ledger's
-// bookkeeping end to end on a synthetic timeline: the claim policy and
-// worker counts pass through to the stats, per-job estimates land in the
-// ledger records, dilation is measured-over-estimated across prior-backed
-// jobs only, and the balance equations hold with an abandoned and an
-// unclaimed job in the books.
-func TestLedgerPolicyEstimateAndAbandonAccounting(t *testing.T) {
-	ms := time.Millisecond
-	clk := newFakeClock()
-	epoch := clk.at
-	l := NewLedger()
-	l.SetClock(clk.now)
-	l.SetPolicy(PolicyLJF)
-
-	l.Enqueue("pipeline", "sim/p") // 0
-	l.Enqueue("measure", "sim/a")  // 1
-	l.Enqueue("measure", "sim/b")  // 2
-	l.Enqueue("sweep", "sim/s")    // 3
-	l.Enqueue("measure", "sim/c")  // 4: abandoned mid-batch
-	l.Enqueue("measure", "sim/d")  // 5: never claimed
-	l.SetEstimate(0, 10, EstStatic)
-	l.SetEstimate(1, 1000, EstPrior)
-	l.SetEstimate(2, 500, EstPrior)
-	l.Begin(2, 2)
-
-	run := func(i, worker int, start, finish time.Duration) {
-		clk.at = epoch.Add(start)
-		l.Claim(i, worker)
-		l.Start(i)
-		clk.at = epoch.Add(finish)
-		l.Finish(i, false)
+// TestLedgerEstimateAndAbandonAccounting folds a synthetic timeline with
+// every bookkeeping case in it: worker counts pass through to the stats,
+// per-job estimates stay in the ledger records, dilation is
+// measured-over-estimated across prior-backed jobs only, and the balance
+// equations hold with an abandoned and an unclaimed job in the books.
+func TestLedgerEstimateAndAbandonAccounting(t *testing.T) {
+	jobs := []JobRecord{
+		ran(0, 0, 0, 1), // static estimate
+		ran(1, 0, 1, 3), // 2000us against a 1000us prior
+		ran(2, 1, 1, 2), // 1000us against a 500us prior
+		ran(3, 0, 3, 4), // no estimate
+		{Index: 4, Worker: 1, ClaimUS: 3000, Outcome: OutcomeAbandoned},
+		{Index: 5, Worker: -1, Outcome: OutcomeUnclaimed},
 	}
-	run(0, 0, 0, 1*ms)    // pipeline p: static estimate
-	run(1, 0, 1*ms, 3*ms) // measure a: 2000us against a 1000us prior
-	run(2, 1, 1*ms, 2*ms) // measure b: 1000us against a 500us prior
-	clk.at = epoch.Add(3 * ms)
-	l.Abandon(4, 1)
-	run(3, 0, 3*ms, 4*ms) // sweep s: no estimate
-	clk.at = epoch.Add(4 * ms)
-	l.End()
+	jobs[0].EstUS, jobs[0].EstSource = 10, EstStatic
+	jobs[1].EstUS, jobs[1].EstSource = 1000, EstPrior
+	jobs[2].EstUS, jobs[2].EstSource = 500, EstPrior
+	s := Compute(jobs, 2, 2, 0, 4000)
 
-	s := l.Stats()
-	if s.ClaimPolicy != PolicyLJF {
-		t.Errorf("claim policy = %q, want %q", s.ClaimPolicy, PolicyLJF)
-	}
 	if s.WorkersRequested != 2 || s.WorkersEffective != 2 || len(s.Workers) != 2 {
 		t.Errorf("workers = %d requested / %d effective / %d rows, want 2/2/2",
 			s.WorkersRequested, s.WorkersEffective, len(s.Workers))
-	}
-	if s.CPUs <= 0 || s.GOMAXPROCS <= 0 {
-		t.Errorf("cpu accounting missing: cpus=%d gomaxprocs=%d", s.CPUs, s.GOMAXPROCS)
 	}
 
 	// Balance with an abandoned and an unclaimed job in the books.
@@ -217,8 +171,8 @@ func TestLedgerPolicyEstimateAndAbandonAccounting(t *testing.T) {
 	}
 
 	// Dilation counts only the prior-backed finished jobs: (2000 + 1000)
-	// measured over (1000 + 500) estimated.  The static pipeline estimate
-	// and the abandoned job must not contaminate it.
+	// measured over (1000 + 500) estimated.  The static estimate and the
+	// abandoned job must not contaminate it.
 	eq(t, "dilation", s.DilationX, 2)
 
 	// Estimates pass through to the ledger records verbatim.

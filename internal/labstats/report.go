@@ -18,8 +18,8 @@ func fmtUS(us float64) string {
 }
 
 // WriteReport renders one batch's speedup ledger as text: the headline
-// speedup decomposition, the per-worker utilization table, the runtime's
-// GC/allocation account, and the job balance.
+// speedup decomposition, the per-worker utilization table, and the job
+// balance.
 func (s *SchedStats) WriteReport(w io.Writer, id string) error {
 	if s == nil {
 		_, err := fmt.Fprintf(w, "%s: no scheduler ledger recorded\n", id)
@@ -32,19 +32,14 @@ func (s *SchedStats) WriteReport(w io.Writer, id string) error {
 	fmt.Fprintf(w, "  overlap %.2fx (busy/wall)\n", s.OverlapX)
 	fmt.Fprintf(w, "  serial fraction %.3f, serial wall %s of %s\n",
 		s.SerialFraction, fmtUS(s.SerialUS), fmtUS(s.WallUS))
-	fmt.Fprintf(w, "  work %s, critical path %s, imbalance %.1f%%, mutex wait %s\n",
-		fmtUS(s.TotalBusyUS), fmtUS(s.CriticalPathUS), s.ImbalancePct, fmtUS(s.ContentionWaitUS))
+	fmt.Fprintf(w, "  work %s, critical path %s, imbalance %.1f%%\n",
+		fmtUS(s.TotalBusyUS), fmtUS(s.CriticalPathUS), s.ImbalancePct)
 	if s.ClaimPolicy != "" {
 		fmt.Fprintf(w, "  claims %s over %d cpus (gomaxprocs %d)", s.ClaimPolicy, s.CPUs, s.GOMAXPROCS)
 		if s.DilationX > 0 {
 			fmt.Fprintf(w, ", dilation %.2fx vs prior estimates", s.DilationX)
 		}
 		fmt.Fprintln(w)
-	}
-	if r := s.Runtime; r != nil {
-		fmt.Fprintf(w, "  runtime: %s alloc (%s/job), %d mallocs, %d gc cycles (%s pause), goroutines %d -> %d\n",
-			fmtBytes(r.AllocBytes), fmtBytes(uint64(r.AllocBytesPerJob)), r.Mallocs,
-			r.GCCycles, fmtUS(float64(r.GCPauseNS)/1e3), r.GoroutinesBefore, r.GoroutinesAfter)
 	}
 	fmt.Fprintf(w, "  %-8s %6s %12s %12s %6s\n", "worker", "jobs", "busy", "idle", "util")
 	for _, ws := range s.Workers {
@@ -54,18 +49,4 @@ func (s *SchedStats) WriteReport(w io.Writer, id string) error {
 	_, err := fmt.Fprintf(w, "  jobs: %d enqueued, %d claimed, %d finished, %d errors, %d abandoned, %d unclaimed\n",
 		s.Jobs.Enqueued, s.Jobs.Claimed, s.Jobs.Finished, s.Jobs.Errors, s.Jobs.Abandoned, s.Jobs.Unclaimed)
 	return err
-}
-
-// fmtBytes renders a byte quantity at human scale.
-func fmtBytes(b uint64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.2fGB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", b)
-	}
 }

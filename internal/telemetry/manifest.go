@@ -74,9 +74,9 @@ type RunEntry struct {
 	// ledger per measurement batch (schema v1 additive field; every
 	// current experiment runs exactly one batch).  Unlike every other
 	// entry field it legitimately differs between two runs of the same
-	// experiment — it records timing, worker assignment, and runtime
-	// behavior, not measured results — so determinism comparisons null it
-	// the way they zero wall times.  `interp-lab sched-report` renders it.
+	// experiment — it records timing and worker assignment, not measured
+	// results — so determinism comparisons null it the way they zero wall
+	// times.  `interp-lab sched-report` renders it.
 	Sched []*labstats.SchedStats `json:"sched,omitempty"`
 }
 

@@ -50,28 +50,6 @@ func Tiers(sys core.System) []Tier {
 	return []Tier{TierBaseline}
 }
 
-// tierBlocks returns the des problem size for a system at a scale,
-// matching Suite's sizing.
-func tierBlocks(sys core.System, scale float64) int {
-	if scale <= 0 {
-		scale = 1
-	}
-	base := 150
-	switch sys {
-	case core.SysJava:
-		base = 260
-	case core.SysPerl:
-		base = 18
-	case core.SysTcl:
-		base = 6
-	}
-	n := int(float64(base) * scale)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // DESTiered returns the des workload for sys with the tier's knobs set.
 // Guest-visible behavior is identical across tiers (the interpreters'
 // differential tests pin this); only the cost signature moves.  The
@@ -80,7 +58,7 @@ func tierBlocks(sys core.System, scale float64) int {
 // superinstruction tables were selected from.  Counting is host-side
 // bookkeeping and emits no native instructions.
 func DESTiered(sys core.System, scale float64, t Tier) core.Program {
-	blocks := tierBlocks(sys, scale)
+	blocks := desBlocks(sys, scale)
 	p := core.Program{
 		System:  sys,
 		Name:    "des",

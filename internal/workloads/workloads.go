@@ -129,25 +129,37 @@ func runTcl(ctx *core.Ctx, src string, withTk bool) error {
 	return nil
 }
 
+// desBlocks returns the des problem size for a system at a scale (1 =
+// the Table 2 default): that system's default block count times the
+// scale, at least one block.
+func desBlocks(sys core.System, scale float64) int {
+	if scale <= 0 {
+		scale = 1
+	}
+	base := 150 // compiled C and MIPSI
+	switch sys {
+	case core.SysJava:
+		base = 260
+	case core.SysPerl:
+		base = 18
+	case core.SysTcl:
+		base = 6
+	}
+	return max(int(float64(base)*scale), 1)
+}
+
 // Suite returns the Table 2 macro programs for all systems at the given
 // scale (1 = default sizes).
 func Suite(scale float64) []core.Program {
 	if scale <= 0 {
 		scale = 1
 	}
-	n := func(base int) int {
-		v := int(float64(base) * scale)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
 	progs := []core.Program{
-		DESNative(n(150)),
-		DESMIPSI(n(150)),
-		DESJava(n(260)),
-		DESPerl(n(18)),
-		DESTcl(n(6)),
+		DESNative(desBlocks(core.SysC, scale)),
+		DESMIPSI(desBlocks(core.SysMIPSI, scale)),
+		DESJava(desBlocks(core.SysJava, scale)),
+		DESPerl(desBlocks(core.SysPerl, scale)),
+		DESTcl(desBlocks(core.SysTcl, scale)),
 	}
 	progs = append(progs, MIPSISuite(scale)...)
 	progs = append(progs, JavaSuite(scale)...)
