@@ -2,14 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"interplab/internal/alphasim"
 	"interplab/internal/core"
-	"interplab/internal/jvm"
-	"interplab/internal/minicc"
-	"interplab/internal/mipsi"
-	"interplab/internal/tcl"
 	"interplab/internal/workloads"
 )
 
@@ -37,12 +32,14 @@ func Ablation(opt Options) error {
 			tkdiff = p
 		}
 	}
-	blocks := int(150 * scale)
-	if blocks < 8 {
-		blocks = 8
-	}
-	desSrc := workloads.DESMiniCSource(blocks)
 	b := opt.newBatch()
+	des := func(sys core.System, blocks int, variant string, k workloads.Knobs) *job {
+		return b.measure(workloads.DESWith(sys, blocks, variant, k))
+	}
+	type arm struct {
+		label string
+		job   *job
+	}
 
 	// Section 1: iTLB size sweep on Tcl/Tk tkdiff.
 	itlbSizes := []int{8, 32}
@@ -53,27 +50,39 @@ func Ablation(opt Options) error {
 		itlbJobs[i] = b.measurePipeline(tkdiff, cfg)
 	}
 
-	// MIPSI des with every knob at its default is Section 2's page-tables
-	// arm, Section 3's switch-dispatch arm and Section 4's MIPSI row: one
-	// run feeds all three.
-	mipsiDES := b.measure(workloads.DESMIPSI(blocks))
+	// Ablation sizes des by rules of its own, which perfbench's golden
+	// ablation.txt pins: MIPSI at least 8 blocks everywhere, Java and Tcl
+	// at least 16 and 2 in Section 3 only, and Perl unfloored.  MIPSI des with every knob at its default is Section
+	// 2's page-tables arm, Section 3's switch-dispatch arm and Section 4's
+	// MIPSI row: one run feeds all three.
+	mblocks := max(int(150*scale), 8)
+	jblocks, tblocks := max(int(260*scale), 16), max(int(6*scale), 2)
+	mipsiDES := des(core.SysMIPSI, mblocks, "", workloads.Knobs{})
 
 	// Section 2: MIPSI page tables vs flat memory.
-	flatModes := []bool{false, true}
-	flatJobs := []*job{
-		mipsiDES,
-		b.measure(ablationMIPSI(desSrc, "flat-memory", func(ip *mipsi.Interp) { ip.FlatMemory = true })),
+	memArms := []arm{
+		{"page tables", mipsiDES},
+		{"flat memory", des(core.SysMIPSI, mblocks, "flat-memory", workloads.Knobs{FlatMemory: true})},
 	}
 
-	// Section 3: dispatch implementations (§5).
-	da := enqueueDispatchAblation(b, mipsiDES, desSrc, scale)
+	// Section 3: dispatch implementations (§5) — threaded dispatch for the
+	// low-level VMs, and parse caching (the Tcl 8 direction) for Tcl.
+	// Each label pads to align the rows; Tcl's fd/cmd prints no decimals.
+	dispatchArms := []arm{
+		{"MIPSI switch   dispatch:", mipsiDES},
+		{"MIPSI threaded dispatch:", des(core.SysMIPSI, mblocks, "threaded-dispatch", workloads.Knobs{Threaded: true})},
+		{"Java  switch   dispatch:", des(core.SysJava, jblocks, "switch-dispatch", workloads.Knobs{})},
+		{"Java  threaded dispatch:", des(core.SysJava, jblocks, "threaded-dispatch", workloads.Knobs{Threaded: true})},
+		{"Tcl   re-parse bodies:  ", des(core.SysTcl, tblocks, "re-parse", workloads.Knobs{})},
+		{"Tcl   cached   bodies:  ", des(core.SysTcl, tblocks, "cached-parse", workloads.Knobs{CachedParse: true})},
+	}
 
 	// Section 4: fetch/decode share per interpreter.
 	fdJobs := []*job{
 		mipsiDES,
-		b.measure(workloads.DESJava(int(260 * scale))),
-		b.measure(workloads.DESPerl(int(18 * scale))),
-		b.measure(workloads.DESTcl(int(6 * scale))),
+		des(core.SysJava, int(260*scale), "", workloads.Knobs{}),
+		des(core.SysPerl, int(18*scale), "", workloads.Knobs{}),
+		des(core.SysTcl, int(6*scale), "", workloads.Knobs{}),
 	}
 
 	if err := b.run(); err != nil {
@@ -88,21 +97,26 @@ func Ablation(opt Options) error {
 	}
 
 	fmt.Fprintf(w, "\nAblation 2: MIPSI simulated page tables vs flat memory (des)\n")
-	for i, flat := range flatModes {
-		res := flatJobs[i].res
+	for _, a := range memArms {
+		res := a.job.res
 		fd, ex := res.PerCommand()
 		mm, _ := res.Stats.Region("memmodel")
-		label := "page tables"
-		if flat {
-			label = "flat memory"
-		}
 		fmt.Fprintf(w, "  %-12s: %8s native instr, fd/cmd %.0f, ex/cmd %.1f, memmodel %4.1f%%\n",
-			label, fmtK(res.NativeInstructions()), fd, ex,
+			a.label, fmtK(res.NativeInstructions()), fd, ex,
 			100*float64(mm.Instructions)/float64(res.NativeInstructions()))
 	}
 
 	fmt.Fprintf(w, "\nAblation 3: dispatch implementation (§5: threaded code, bytecode caching)\n")
-	da.render(w)
+	for _, a := range dispatchArms {
+		res := a.job.res
+		fd, _ := res.PerCommand()
+		digits := 1
+		if res.Program.System == core.SysTcl {
+			digits = 0
+		}
+		fmt.Fprintf(w, "  %s fd/cmd %5.*f, total %s native instr\n",
+			a.label, digits, fd, fmtK(res.NativeInstructions()))
+	}
 
 	fmt.Fprintf(w, "\nAblation 4: fetch/decode share (the dispatch-optimization bound, §5)\n")
 	for _, j := range fdJobs {
@@ -112,157 +126,4 @@ func Ablation(opt Options) error {
 			res.Program.System, 100*fdShare)
 	}
 	return nil
-}
-
-// ablationMIPSI is the mini-C program src interpreted by MIPSI with knob
-// applied to the interpreter.  Like the suite's MIPSI runs it fails when
-// the guest exits nonzero — des's main returns its round-trip error count,
-// so a knob that broke the guest cannot render numbers.
-func ablationMIPSI(src, variant string, knob func(*mipsi.Interp)) core.Program {
-	return core.Program{
-		System: core.SysMIPSI, Name: "des", Variant: variant,
-		Run: func(ctx *core.Ctx) error {
-			prog, err := minicc.CompileMIPS("des", minicc.WithStdlib(src))
-			if err != nil {
-				return err
-			}
-			ip, err := mipsi.New(prog, ctx.OS, ctx.Image, ctx.Probe)
-			if err != nil {
-				return err
-			}
-			knob(ip)
-			if err := ip.Run(0); err != nil {
-				return err
-			}
-			if ip.M.ExitCode != 0 {
-				return fmt.Errorf("guest exited with %d", ip.M.ExitCode)
-			}
-			return nil
-		},
-	}
-}
-
-// ablationJava is the mini-C program src compiled to bytecode and run by
-// the JVM with knob applied; it fails when main returns nonzero.
-func ablationJava(src, variant string, knob func(*jvm.VM)) core.Program {
-	return core.Program{
-		System: core.SysJava, Name: "des", Variant: variant,
-		Run: func(ctx *core.Ctx) error {
-			mod, err := minicc.CompileJVM("des", minicc.WithStdlibJVM(src))
-			if err != nil {
-				return err
-			}
-			if err := mod.Bind(jvm.OSNatives(ctx.OS)); err != nil {
-				return err
-			}
-			vm, err := jvm.New(mod, ctx.Image, ctx.Probe)
-			if err != nil {
-				return err
-			}
-			knob(vm)
-			ret, err := vm.Run("main", 0)
-			if err != nil {
-				return err
-			}
-			if ret != 0 {
-				return fmt.Errorf("main returned %d", ret)
-			}
-			return nil
-		},
-	}
-}
-
-// ablationTcl is the Tcl script src run with knob applied; it fails when
-// the script exits nonzero.
-func ablationTcl(src, variant string, knob func(*tcl.Interp)) core.Program {
-	return core.Program{
-		System: core.SysTcl, Name: "des", Variant: variant,
-		Run: func(ctx *core.Ctx) error {
-			i := tcl.New(ctx.OS, ctx.Image, ctx.Probe)
-			knob(i)
-			if _, err := i.Eval(src); err != nil {
-				return err
-			}
-			if i.ExitCode() != 0 {
-				return fmt.Errorf("script exited with %d", i.ExitCode())
-			}
-			return nil
-		},
-	}
-}
-
-// dispatchAblationJobs holds Section 3's enqueued measurements: the §5
-// software optimizations as implemented knobs — threaded dispatch for the
-// low-level VMs, and parse caching (the Tcl 8 direction) for Tcl.
-type dispatchAblationJobs struct {
-	mipsi, java, tcl [2]*job // index 0 = baseline, 1 = optimized
-}
-
-// enqueueDispatchAblation adds Section 3's measurements to the batch.  Its
-// MIPSI baseline is mipsiDES, the shared default-knob run of the mini-C
-// des source src.
-func enqueueDispatchAblation(b *batch, mipsiDES *job, src string, scale float64) *dispatchAblationJobs {
-	da := &dispatchAblationJobs{}
-	// MIPSI: switch vs. threaded dispatch.
-	da.mipsi = [2]*job{
-		mipsiDES,
-		b.measure(ablationMIPSI(src, "threaded-dispatch", func(ip *mipsi.Interp) { ip.Threaded = true })),
-	}
-
-	// Java: switch vs. threaded dispatch.
-	jblocks := int(260 * scale)
-	if jblocks < 16 {
-		jblocks = 16
-	}
-	jsrc := workloads.DESMiniCSource(jblocks)
-	for i, threaded := range []bool{false, true} {
-		variant := map[bool]string{false: "switch-dispatch", true: "threaded-dispatch"}[threaded]
-		da.java[i] = b.measure(ablationJava(jsrc, variant, func(vm *jvm.VM) { vm.Threaded = threaded }))
-	}
-
-	// Tcl: direct string interpretation vs. cached parse (Tcl 8 model).
-	tblocks := int(6 * scale)
-	if tblocks < 2 {
-		tblocks = 2
-	}
-	tsrc := workloads.DESTclSource(tblocks)
-	for i, cached := range []bool{false, true} {
-		variant := map[bool]string{false: "re-parse", true: "cached-parse"}[cached]
-		da.tcl[i] = b.measure(ablationTcl(tsrc, variant, func(ip *tcl.Interp) { ip.CachedParse = cached }))
-	}
-	return da
-}
-
-// render prints Section 3 from the collected results.
-func (da *dispatchAblationJobs) render(w io.Writer) {
-	for i, threaded := range []bool{false, true} {
-		res := da.mipsi[i].res
-		fd, _ := res.PerCommand()
-		label := "switch  "
-		if threaded {
-			label = "threaded"
-		}
-		fmt.Fprintf(w, "  MIPSI %s dispatch: fd/cmd %5.1f, total %s native instr\n",
-			label, fd, fmtK(res.NativeInstructions()))
-	}
-	for i, threaded := range []bool{false, true} {
-		res := da.java[i].res
-		fd, _ := res.PerCommand()
-		label := "switch  "
-		if threaded {
-			label = "threaded"
-		}
-		fmt.Fprintf(w, "  Java  %s dispatch: fd/cmd %5.1f, total %s native instr\n",
-			label, fd, fmtK(res.NativeInstructions()))
-	}
-	for i, cached := range []bool{false, true} {
-		res := da.tcl[i].res
-		fd, _ := res.PerCommand()
-		label := "re-parse"
-		if cached {
-			label = "cached  "
-		}
-		fmt.Fprintf(w, "  Tcl   %s bodies:   fd/cmd %5.0f, total %s native instr\n",
-			label, fd, fmtK(res.NativeInstructions()))
-	}
 }

@@ -87,7 +87,8 @@ func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache) det
 // The cold benchmark's experiments run each distinct program once, so
 // their guest-run counts are pinned exactly: an opt-matrix cell is one
 // pipeline run that also fills its 12-point sweep, and ablation's
-// default-knob MIPSI des is one run shared by three sections.
+// default-knob MIPSI des is one run shared by three sections.  Every
+// record carries its program's size, knob arms included.
 func TestParallelOutputIsByteIdentical(t *testing.T) {
 	wantGuestRuns := map[string]uint64{"table1": 30, "ablation": 12, "opt-matrix": 10}
 	for _, id := range Experiments {
@@ -104,11 +105,12 @@ func TestParallelOutputIsByteIdentical(t *testing.T) {
 				if want, ok := wantGuestRuns[id]; ok && out.guestRuns != want {
 					t.Errorf("parallelism %d ran the guest %d times, want %d", parallelism, out.guestRuns, want)
 				}
-				if id != "opt-matrix" {
-					continue
-				}
 				for _, m := range out.records {
-					if m.Kind == "sweep" || len(m.Sweep) != 12 {
+					if m.SizeBytes <= 0 {
+						t.Errorf("parallelism %d: record %s %s has size_bytes %d, want the program's size",
+							parallelism, m.Program, m.Variant, m.SizeBytes)
+					}
+					if id == "opt-matrix" && (m.Kind == "sweep" || len(m.Sweep) != 12) {
 						t.Errorf("parallelism %d: opt-matrix record %s %s is kind %q with %d sweep points, want a fused record with 12",
 							parallelism, m.Program, m.Variant, m.Kind, len(m.Sweep))
 					}

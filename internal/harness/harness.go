@@ -449,13 +449,6 @@ func Fig1(opt Options) error {
 	return nil
 }
 
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Fig2 regenerates the per-command histograms: for each benchmark, the
 // top virtual commands with their share of commands and of execute
 // instructions.

@@ -18,8 +18,9 @@ import (
 // harness determinism tests' scale.
 var streamScale = 0.1
 
-// streamPrograms is every program of the Table 2 suite plus every
-// optimization-tier cell of des.
+// streamPrograms is every program of the Table 2 suite, every
+// optimization-tier cell of des, and ablation's flat-memory,
+// threaded-dispatch and cached-parse arms at a few blocks each.
 func streamPrograms() []core.Program {
 	progs := workloads.Suite(streamScale)
 	for _, sys := range []core.System{core.SysMIPSI, core.SysJava, core.SysPerl, core.SysTcl} {
@@ -27,7 +28,11 @@ func streamPrograms() []core.Program {
 			progs = append(progs, workloads.DESTiered(sys, streamScale, tier))
 		}
 	}
-	return progs
+	return append(progs,
+		workloads.DESWith(core.SysMIPSI, 4, "flat-memory", workloads.Knobs{FlatMemory: true}),
+		workloads.DESWith(core.SysMIPSI, 4, "threaded-dispatch", workloads.Knobs{Threaded: true}),
+		workloads.DESWith(core.SysJava, 4, "threaded-dispatch", workloads.Knobs{Threaded: true}),
+		workloads.DESWith(core.SysTcl, 1, "cached-parse", workloads.Knobs{CachedParse: true}))
 }
 
 // rebuild is one run's stream counted and attributed event by event.

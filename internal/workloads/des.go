@@ -212,56 +212,42 @@ func DESNative(blocks int) core.Program {
 	}
 }
 
-// DESMIPSI is des interpreted by the binary emulator.
-func DESMIPSI(blocks int) core.Program {
-	return core.Program{
-		System: core.SysMIPSI, Name: "des",
-		Desc: "DES encryption and decryption",
-		Run: func(ctx *core.Ctx) error {
-			return runMIPS(ctx, "des", minicc.WithStdlib(desMiniC(blocks)))
-		},
+// DESWith is des on one interpreted system at a block count, run with k
+// set and recorded under variant (empty for the default program).  Every
+// interpreted des the experiments measure is built here.
+func DESWith(sys core.System, blocks int, variant string, k Knobs) core.Program {
+	p := core.Program{System: sys, Name: "des", Desc: "DES encryption and decryption", Variant: variant}
+	switch sys {
+	case core.SysMIPSI:
+		p.Run = func(ctx *core.Ctx) error { return runMIPS(ctx, k, "des", minicc.WithStdlib(desMiniC(blocks))) }
+	case core.SysJava:
+		p.Run = func(ctx *core.Ctx) error { return runJava(ctx, k, "des", minicc.WithStdlibJVM(desMiniC(blocks))) }
+	case core.SysPerl:
+		p.Run = func(ctx *core.Ctx) error { return runPerl(ctx, k, desPerlSrc(blocks)) }
+	case core.SysTcl:
+		p.Run = func(ctx *core.Ctx) error { return runTcl(ctx, k, desTclSrc(blocks), false) }
+	default:
+		p.Run = func(*core.Ctx) error { return fmt.Errorf("workloads: no interpreted des for system %s", sys) }
 	}
+	return p
 }
+
+// DESMIPSI is des interpreted by the binary emulator.
+func DESMIPSI(blocks int) core.Program { return DESWith(core.SysMIPSI, blocks, "", Knobs{}) }
 
 // DESJava is des compiled to bytecode and interpreted by the JVM analog.
-func DESJava(blocks int) core.Program {
-	return core.Program{
-		System: core.SysJava, Name: "des",
-		Desc: "DES encryption and decryption",
-		Run: func(ctx *core.Ctx) error {
-			return runJava(ctx, "des", minicc.WithStdlibJVM(desMiniC(blocks)))
-		},
-	}
-}
+func DESJava(blocks int) core.Program { return DESWith(core.SysJava, blocks, "", Knobs{}) }
 
 // DESPerl is the Perl des.
-func DESPerl(blocks int) core.Program {
-	return core.Program{
-		System: core.SysPerl, Name: "des",
-		Desc: "DES encryption and decryption",
-		Run: func(ctx *core.Ctx) error {
-			return runPerl(ctx, desPerlSrc(blocks))
-		},
-	}
-}
+func DESPerl(blocks int) core.Program { return DESWith(core.SysPerl, blocks, "", Knobs{}) }
 
 // DESTcl is the Tcl des.
-func DESTcl(blocks int) core.Program {
-	return core.Program{
-		System: core.SysTcl, Name: "des",
-		Desc: "DES encryption and decryption",
-		Run: func(ctx *core.Ctx) error {
-			return runTcl(ctx, desTclSrc(blocks), false)
-		},
-	}
-}
+func DESTcl(blocks int) core.Program { return DESWith(core.SysTcl, blocks, "", Knobs{}) }
 
-// DESMiniCSource exposes the shared mini-C des source for ablations.
+// DESMiniCSource exposes the shared mini-C des source to other packages'
+// tests and benchmarks.
 func DESMiniCSource(blocks int) string { return desMiniC(blocks) }
 
 // SpecMiniCSources exposes the mini-C sources of the SPEC workalikes (the
 // MIPSI and native suites), by name, as the assembler's fuzz seeds.
 func SpecMiniCSources(scale float64) map[string]string { return specSources(scale) }
-
-// DESTclSource exposes the Tcl des script for ablations.
-func DESTclSource(blocks int) string { return desTclSrc(blocks) }

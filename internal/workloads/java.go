@@ -322,7 +322,7 @@ func javaProg(name, desc, src string, needGfx bool) core.Program {
 			if needGfx {
 				extra = append(extra, jvm.GfxNatives(ctx.Display(320, 200)))
 			}
-			return runJava(ctx, name, minicc.WithStdlibJVM(src), extra...)
+			return runJava(ctx, Knobs{}, name, minicc.WithStdlibJVM(src), extra...)
 		},
 	}
 }

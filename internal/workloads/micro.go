@@ -30,19 +30,19 @@ func mkMicro(name, desc string, iters int, cSrc string, perlSrc, tclSrc string) 
 	})
 	m.Progs[core.SysMIPSI] = microProg(core.SysMIPSI, name, func(ctx *core.Ctx) error {
 		installInputs(ctx)
-		return runMIPS(ctx, name, minicc.WithStdlib(cSrc))
+		return runMIPS(ctx, Knobs{}, name, minicc.WithStdlib(cSrc))
 	})
 	m.Progs[core.SysJava] = microProg(core.SysJava, name, func(ctx *core.Ctx) error {
 		installInputs(ctx)
-		return runJava(ctx, name, minicc.WithStdlibJVM(cSrc))
+		return runJava(ctx, Knobs{}, name, minicc.WithStdlibJVM(cSrc))
 	})
 	m.Progs[core.SysPerl] = microProg(core.SysPerl, name, func(ctx *core.Ctx) error {
 		installInputs(ctx)
-		return runPerl(ctx, perlSrc)
+		return runPerl(ctx, Knobs{}, perlSrc)
 	})
 	m.Progs[core.SysTcl] = microProg(core.SysTcl, name, func(ctx *core.Ctx) error {
 		installInputs(ctx)
-		return runTcl(ctx, tclSrc, false)
+		return runTcl(ctx, Knobs{}, tclSrc, false)
 	})
 	return m
 }

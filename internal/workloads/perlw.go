@@ -194,7 +194,7 @@ func perlProg(name, desc, src string) core.Program {
 		System: core.SysPerl, Name: name, Desc: desc,
 		Run: func(ctx *core.Ctx) error {
 			installInputs(ctx)
-			return runPerl(ctx, src)
+			return runPerl(ctx, Knobs{}, src)
 		},
 	}
 }

@@ -376,7 +376,7 @@ func mipsiProg(name, desc, src string) core.Program {
 		System: core.SysMIPSI, Name: name, Desc: desc,
 		Run: func(ctx *core.Ctx) error {
 			installInputs(ctx)
-			return runMIPS(ctx, name, minicc.WithStdlib(src))
+			return runMIPS(ctx, Knobs{}, name, minicc.WithStdlib(src))
 		},
 	}
 }

@@ -297,7 +297,7 @@ func tclProg(name, desc, src string, withTk bool) core.Program {
 		System: core.SysTcl, Name: name, Desc: desc,
 		Run: func(ctx *core.Ctx) error {
 			installInputs(ctx)
-			return runTcl(ctx, src, withTk)
+			return runTcl(ctx, Knobs{}, src, withTk)
 		},
 	}
 }

@@ -22,8 +22,34 @@ import (
 	"interplab/internal/tk"
 )
 
-// runMIPS compiles mini-C and interprets the binary under MIPSI.
-func runMIPS(ctx *core.Ctx, name, src string) error {
+// Knobs are the interpreter and probe settings the experiments vary on
+// one program: ablation's §5 arms and opt-matrix's tier cells.  The zero
+// Knobs is the default 1996-level interpreter.  The runners set them after
+// building the interpreter and before running it; a knob that a system's
+// interpreter lacks has no effect on it.
+type Knobs struct {
+	// FlatMemory collapses MIPSI's guest-memory translation to a bounds
+	// check instead of a simulated page-table walk.
+	FlatMemory bool
+	// Threaded dispatches MIPSI and Java commands through an indirect
+	// jump instead of a switch.
+	Threaded bool
+	// CachedParse re-executes Tcl bodies from precompiled words (the Tcl 8
+	// direction).
+	CachedParse bool
+	// Quicken specializes operands at first execution (Java, Perl, Tcl).
+	Quicken bool
+	// Super fuses hot opcode pairs into superinstructions (MIPSI, Java).
+	Super bool
+	// CountPairs makes the probe count consecutive-dispatch pairs
+	// (Stats.Pairs).  Counting is host-side bookkeeping and emits no
+	// native instructions.
+	CountPairs bool
+}
+
+// runMIPS compiles mini-C and interprets the binary under MIPSI with k
+// set.
+func runMIPS(ctx *core.Ctx, k Knobs, name, src string) error {
 	prog, err := minicc.CompileMIPS(name, src)
 	if err != nil {
 		return err
@@ -33,6 +59,8 @@ func runMIPS(ctx *core.Ctx, name, src string) error {
 	if err != nil {
 		return err
 	}
+	ip.FlatMemory, ip.Threaded, ip.Superinstructions = k.FlatMemory, k.Threaded, k.Super
+	ctx.Probe.CountPairs(k.CountPairs)
 	if err := ip.Run(0); err != nil {
 		return err
 	}
@@ -64,9 +92,9 @@ func runNative(ctx *core.Ctx, name, src string) error {
 	return nil
 }
 
-// runJava compiles mini-C for the JVM and interprets the bytecode, binding
-// the OS natives plus any extra native library.
-func runJava(ctx *core.Ctx, name, src string, extraNatives ...[]*jvm.NativeFn) error {
+// runJava compiles mini-C for the JVM and interprets the bytecode with k
+// set, binding the OS natives plus any extra native library.
+func runJava(ctx *core.Ctx, k Knobs, name, src string, extraNatives ...[]*jvm.NativeFn) error {
 	mod, err := minicc.CompileJVM(name, src)
 	if err != nil {
 		return err
@@ -87,6 +115,8 @@ func runJava(ctx *core.Ctx, name, src string, extraNatives ...[]*jvm.NativeFn) e
 	if err != nil {
 		return err
 	}
+	vm.Threaded, vm.Quicken, vm.Superinstructions = k.Threaded, k.Quicken, k.Super
+	ctx.Probe.CountPairs(k.CountPairs)
 	ret, err := vm.Run("main", 0)
 	if err != nil {
 		return err
@@ -97,13 +127,15 @@ func runJava(ctx *core.Ctx, name, src string, extraNatives ...[]*jvm.NativeFn) e
 	return nil
 }
 
-// runPerl interprets a script.
-func runPerl(ctx *core.Ctx, src string) error {
+// runPerl interprets a script with k set.
+func runPerl(ctx *core.Ctx, k Knobs, src string) error {
 	ctx.SetProgramSize(len(src))
 	ip, err := perl.New(src, ctx.OS, ctx.Image, ctx.Probe)
 	if err != nil {
 		return err
 	}
+	ip.Quicken = k.Quicken
+	ctx.Probe.CountPairs(k.CountPairs)
 	if err := ip.Run(); err != nil {
 		return err
 	}
@@ -113,13 +145,16 @@ func runPerl(ctx *core.Ctx, src string) error {
 	return nil
 }
 
-// runTcl interprets a script; withTk attaches the widget toolkit.
-func runTcl(ctx *core.Ctx, src string, withTk bool) error {
+// runTcl interprets a script with k set; withTk attaches the widget
+// toolkit.
+func runTcl(ctx *core.Ctx, k Knobs, src string, withTk bool) error {
 	ctx.SetProgramSize(len(src))
 	i := tcl.New(ctx.OS, ctx.Image, ctx.Probe)
 	if withTk {
 		tk.Attach(i, ctx.Display(320, 240))
 	}
+	i.CachedParse, i.Quicken = k.CachedParse, k.Quicken
+	ctx.Probe.CountPairs(k.CountPairs)
 	if _, err := i.Eval(src); err != nil {
 		return err
 	}
