@@ -160,7 +160,7 @@ func (b *batch) runJobs(workers int) {
 
 	if workers <= 1 {
 		for _, j := range b.jobs {
-			b.claim(j, 0, labstats.OutcomeClaimed)
+			b.claim(j, 0)
 			b.exec(j, 0)
 			if j.err != nil {
 				return
@@ -194,11 +194,11 @@ func (b *batch) runJobs(workers int) {
 				}
 				i := order[n]
 				j := b.jobs[i]
+				b.claim(j, w)
 				if int64(i) > firstErr.Load() {
-					b.claim(j, w, labstats.OutcomeAbandoned)
+					j.row.Outcome = labstats.OutcomeAbandoned
 					continue
 				}
-				b.claim(j, w, labstats.OutcomeClaimed)
 				b.opt.Tracer.InstantOn(lane, "claim "+j.prog.ID(), "job", i, "worker", w)
 				if !lastFinish.IsZero() {
 					if gap := time.Since(lastFinish); gap > 0 {
@@ -221,10 +221,10 @@ func (b *batch) runJobs(workers int) {
 	wg.Wait()
 }
 
-// claim charges job j to worker w now, to run (OutcomeClaimed) or as
-// abandoned after an earlier job failed (OutcomeAbandoned).
-func (b *batch) claim(j *job, w int, outcome string) {
-	j.row.Worker, j.row.ClaimUS, j.row.Outcome = w, b.sinceUS(time.Now()), outcome
+// claim charges job j to worker w now.  Its outcome is written once, when
+// it finishes or is abandoned.
+func (b *batch) claim(j *job, w int) {
+	j.row.Worker, j.row.ClaimUS = w, b.sinceUS(time.Now())
 }
 
 // exec performs one job on the given trace lane (0 = main lane).

@@ -85,8 +85,9 @@ func TestStopAtFirstErrorLedgerBalance(t *testing.T) {
 	}
 
 	// Cross-check the rows against submission order: every job before the
-	// first error ran to success, that job ran to its error, and each job
-	// after it either ran uncollected or was never run.
+	// first error ran to success, that job ran to its error, and every row
+	// ends in a final outcome — each job after the failing one either ran
+	// uncollected or was never run.
 	for i, jr := range s.Ledger {
 		if jr.Index != i {
 			t.Errorf("ledger row %d has index %d", i, jr.Index)
@@ -100,8 +101,11 @@ func TestStopAtFirstErrorLedgerBalance(t *testing.T) {
 			if jr.Outcome != labstats.OutcomeError {
 				t.Errorf("failing job %d: outcome %q, want %q", i, jr.Outcome, labstats.OutcomeError)
 			}
-		case jr.Outcome == labstats.OutcomeClaimed:
-			t.Errorf("job %d still claimed after the batch drained", i)
+		}
+		switch jr.Outcome {
+		case labstats.OutcomeUnclaimed, labstats.OutcomeOK, labstats.OutcomeError, labstats.OutcomeAbandoned:
+		default:
+			t.Errorf("job %d ended with outcome %q after the batch drained", i, jr.Outcome)
 		}
 	}
 }

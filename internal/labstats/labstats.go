@@ -17,10 +17,10 @@ import "sort"
 // Job outcomes, in ledger-balance terms: every enqueued job is either
 // claimed or unclaimed, and every claimed job is either finished (ok or
 // error) or abandoned (claimed after a failure stopped the batch, never
-// executed).
+// executed).  A job's outcome is final: rows are read once the batch
+// drains.
 const (
 	OutcomeUnclaimed = "unclaimed" // enqueued, never taken by a worker
-	OutcomeClaimed   = "claimed"   // taken by a worker, still in flight
 	OutcomeOK        = "ok"        // executed successfully
 	OutcomeError     = "error"     // executed, returned an error
 	OutcomeAbandoned = "abandoned" // claimed after a failure; never executed
@@ -72,8 +72,7 @@ func (j JobRecord) executed() bool {
 }
 
 // JobCounts is the ledger balance: Enqueued = Claimed + Unclaimed, and
-// Claimed = Finished + Abandoned (claimed-but-in-flight jobs only appear
-// while the batch is still running).  Errors counts the Finished jobs that
+// Claimed = Finished + Abandoned.  Errors counts the Finished jobs that
 // returned one.
 type JobCounts struct {
 	Enqueued  int `json:"enqueued"`
@@ -177,9 +176,6 @@ func Compute(jobs []JobRecord, requested, effective int, beginUS, endUS float64)
 		case OutcomeAbandoned:
 			s.Jobs.Claimed++
 			s.Jobs.Abandoned++
-			continue
-		case OutcomeClaimed:
-			s.Jobs.Claimed++
 			continue
 		}
 		s.Jobs.Claimed++
