@@ -22,6 +22,8 @@ import (
 
 // benchResult is one arm of the telemetry overhead measurement.
 type benchResult struct {
+	// Events is the native events of one run: on the overhead arms, of
+	// all its back-to-back measurements.
 	Events       uint64  `json:"events"`
 	BestSeconds  float64 `json:"best_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -55,10 +57,13 @@ type benchHost struct {
 // count at emit, and the profiler reads their tallies.  The telemetry_on
 // arm prices WithTelemetry's registry updates alone.
 type benchReport struct {
-	Benchmark          string      `json:"benchmark"`
-	Workload           string      `json:"workload"`
-	Host               benchHost   `json:"host"`
-	Runs               int         `json:"runs"`
+	Benchmark string    `json:"benchmark"`
+	Workload  string    `json:"workload"`
+	Host      benchHost `json:"host"`
+	Runs      int       `json:"runs"`
+	// RunMeasurements is how many back-to-back measurements one timed
+	// overhead run makes, enough for the run to last overheadRunTarget.
+	RunMeasurements    int         `json:"run_measurements"`
 	Off                benchResult `json:"telemetry_off"`
 	On                 benchResult `json:"telemetry_on"`
 	Profiling          benchResult `json:"profiling_on"`
@@ -79,6 +84,11 @@ type benchReport struct {
 	SchedSerial               benchResult `json:"sched_serial"`
 	SchedParallel             benchResult `json:"sched_parallel"`
 	SchedSpeedupX             float64     `json:"sched_speedup_x"`
+	// SchedSpeedupMinX and SchedSpeedupMaxX bound the speedup of each
+	// interleaved round (its serial over its parallel time): the spread
+	// the best-of ratio above does not show.
+	SchedSpeedupMinX float64 `json:"sched_speedup_min_x"`
+	SchedSpeedupMaxX float64 `json:"sched_speedup_max_x"`
 
 	// SchedLedger is the speedup ledger of the parallel arm's best run —
 	// why SchedSpeedupX is what it is (per-worker utilization, serial
@@ -129,14 +139,18 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 		blocks = 2
 	}
 	mk := func() core.Program { return workloads.DESMIPSI(blocks) }
-	// The overhead arms run for tens of milliseconds each, so they take
-	// the best of more runs than the second-long scheduler arms.
+	// The overhead arms take the best of more runs than the second-long
+	// scheduler arms.
 	const overheadRuns, runs = 15, 5
 
-	// The three overhead arms run in interleaved rounds (off, on,
-	// profiling, repeated), so a host noise episode is spread across every
-	// arm instead of sinking whichever one it lands on.
-	arms, results := benchArms(overheadRuns, mk, [][]core.MeasureOption{
+	// One measurement of the workload lasts a few milliseconds, too short
+	// to resolve an overhead of a percent, so each timed run makes enough
+	// back-to-back measurements to last overheadRunTarget.  The three
+	// overhead arms run in interleaved rounds (off, on, profiling,
+	// repeated), so a host noise episode is spread across every arm
+	// instead of sinking whichever one it lands on.
+	perRun := runMeasurements(mk)
+	arms, results := benchArms(overheadRuns, perRun, mk, [][]core.MeasureOption{
 		{},
 		{core.WithTelemetry(telemetry.NewRegistry())},
 		{core.WithProfiling()},
@@ -152,10 +166,11 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 			GoVersion:   runtime.Version(),
 			Fingerprint: rescache.Fingerprint(),
 		},
-		Runs:      overheadRuns,
-		Off:       off,
-		On:        on,
-		Profiling: prof,
+		Runs:            overheadRuns,
+		RunMeasurements: perRun,
+		Off:             off,
+		On:              on,
+		Profiling:       prof,
 	}
 	if off.EventsPerSec > 0 {
 		rep.OverheadPct = 100 * (off.EventsPerSec - on.EventsPerSec) / off.EventsPerSec
@@ -191,11 +206,18 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 	// parallel, serial, parallel, ...) so a host noise episode degrades
 	// both arms instead of sinking whichever one it lands on — the speedup
 	// ratio stays honest even on a noisy runner.
-	schedRes, schedStats := schedArms(runs, rep.SchedExperiment, scale, []int{1, rep.Parallelism})
+	schedRes, schedStats, walls := schedArms(runs, rep.SchedExperiment, scale, []int{1, rep.Parallelism})
 	rep.SchedSerial, rep.SchedParallel = schedRes[0], schedRes[1]
 	parSched := schedStats[1]
 	if rep.SchedParallel.BestSeconds > 0 {
 		rep.SchedSpeedupX = rep.SchedSerial.BestSeconds / rep.SchedParallel.BestSeconds
+	}
+	for i := range walls[0] {
+		x := walls[0][i].Seconds() / walls[1][i].Seconds()
+		if i == 0 || x < rep.SchedSpeedupMinX {
+			rep.SchedSpeedupMinX = x
+		}
+		rep.SchedSpeedupMaxX = max(rep.SchedSpeedupMaxX, x)
 	}
 	rep.SchedLedger = summarizeLedger(parSched)
 	if parSched != nil {
@@ -206,7 +228,7 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 	} else {
 		// One run suffices: the fixed two-worker point is ledger data, not
 		// a best-of timing.
-		_, p2 := schedArms(1, rep.SchedExperiment, scale, []int{2})
+		_, p2, _ := schedArms(1, rep.SchedExperiment, scale, []int{2})
 		rep.SchedLedgerP2 = summarizeLedger(p2[0])
 	}
 
@@ -232,10 +254,10 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 		off.NsPerEvent, on.NsPerEvent, rep.OverheadPct, prof.NsPerEvent, rep.ProfileOverheadPct, out)
 	fmt.Printf("host: %d cpus, GOMAXPROCS %d, %s, %s\n",
 		rep.Host.CPUs, rep.Host.GOMAXPROCS, rep.Host.GoVersion, rep.Host.Fingerprint)
-	fmt.Printf("scheduler %s: serial %.2fs, %.2f cpu-s (round %d), parallel(%d) %.2fs, %.2f cpu-s (round %d) -> %.2fx\n",
+	fmt.Printf("scheduler %s: serial %.2fs, %.2f cpu-s (round %d), parallel(%d) %.2fs, %.2f cpu-s (round %d) -> %.2fx (rounds %.2f-%.2fx)\n",
 		rep.SchedExperiment, rep.SchedSerial.BestSeconds, rep.SchedSerial.CPUSeconds, rep.SchedSerial.WinningRound,
 		rep.Parallelism, rep.SchedParallel.BestSeconds, rep.SchedParallel.CPUSeconds, rep.SchedParallel.WinningRound,
-		rep.SchedSpeedupX)
+		rep.SchedSpeedupX, rep.SchedSpeedupMinX, rep.SchedSpeedupMaxX)
 	if l := rep.SchedLedger; l != nil {
 		fmt.Printf("scheduler ledger (%d workers, %s, %d cpus): serial fraction %.3f, imbalance %.1f%%, dilation %.2fx, overlap %.2fx\n",
 			l.EffectiveWorkers, l.ClaimPolicy, l.CPUs, l.SerialFraction,
@@ -354,25 +376,27 @@ func summarizeLedger(s *labstats.SchedStats) *schedLedgerSummary {
 // the experiment's measurements, taken from each run's registry; the
 // returned SchedStats are each arm's best-timed run's speedup ledger, and
 // each result records which round won and the process CPU time of that
-// run.
-func schedArms(n int, id string, scale float64, parallelisms []int) ([]benchResult, []*labstats.SchedStats) {
+// run.  walls holds every run's wall time, by arm and round.
+func schedArms(n int, id string, scale float64, parallelisms []int) (_ []benchResult, _ []*labstats.SchedStats, walls [][]time.Duration) {
 	best := make([]time.Duration, len(parallelisms))
 	cpu := make([]time.Duration, len(parallelisms))
 	rounds := make([]int, len(parallelisms))
 	events := make([]uint64, len(parallelisms))
 	scheds := make([]*labstats.SchedStats, len(parallelisms))
+	walls = make([][]time.Duration, len(parallelisms))
 	for i := 0; i < n; i++ {
 		for a, p := range parallelisms {
 			reg := telemetry.NewRegistry()
 			man := telemetry.NewManifest(scale)
 			opt := harness.Options{Scale: scale, Out: io.Discard, Parallelism: p, Telemetry: reg, Manifest: man}
 			runtime.GC() // collect the previous run's garbage outside the timing
-			start, startCPU := time.Now(), processCPU()
+			start, startCPU := time.Now(), telemetry.ProcessCPU()
 			if err := harness.Run(id, opt); err != nil {
 				fatalf("bench %s: %v", id, err)
 			}
-			el, elCPU := time.Since(start), processCPU()-startCPU
+			el, elCPU := time.Since(start), telemetry.ProcessCPU()-startCPU
 			events[a] = reg.Counter("core.events").Value()
+			walls[a] = append(walls[a], el)
 			if best[a] == 0 || el < best[a] {
 				best[a], cpu[a] = el, elCPU
 				rounds[a] = i + 1
@@ -389,15 +413,36 @@ func schedArms(n int, id string, scale float64, parallelisms []int) ([]benchResu
 			out[a].EventsPerSec = float64(events[a]) / best[a].Seconds()
 		}
 	}
-	return out, scheds
+	return out, scheds, walls
+}
+
+// overheadRunTarget is the least wall time of one timed overhead run on
+// the host that sizes it.
+const overheadRunTarget = 100 * time.Millisecond
+
+// runMeasurements returns how many back-to-back measurements of mk's
+// program one overhead run makes: enough that the fastest of three
+// untimed single measurements, repeated, lasts overheadRunTarget.
+func runMeasurements(mk func() core.Program) int {
+	var fastest time.Duration
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := core.Measure(mk()); err != nil {
+			fatalf("bench workload: %v", err)
+		}
+		if el := time.Since(start); i == 0 || el < fastest {
+			fastest = el
+		}
+	}
+	return max(1, int((overheadRunTarget+fastest-1)/fastest))
 }
 
 // benchArms measures several configurations of the same workload in n
-// interleaved rounds — arm 0, 1, 2, ..., then all arms again — keeping
-// each arm's best wall time.  It returns the per-arm timings and each
-// arm's last Result (runs are deterministic, so any run's Result stands
-// for all of that arm's).
-func benchArms(n int, mk func() core.Program, arms [][]core.MeasureOption) ([]benchResult, []core.Result) {
+// interleaved rounds — arm 0, 1, 2, ..., then all arms again — each run
+// making perRun back-to-back measurements, and keeps each arm's best wall
+// time.  It returns the per-arm timings and each arm's last Result (runs
+// are deterministic, so any run's Result stands for all of that arm's).
+func benchArms(n, perRun int, mk func() core.Program, arms [][]core.MeasureOption) ([]benchResult, []core.Result) {
 	best := make([]time.Duration, len(arms))
 	rounds := make([]int, len(arms))
 	last := make([]core.Result, len(arms))
@@ -405,12 +450,14 @@ func benchArms(n int, mk func() core.Program, arms [][]core.MeasureOption) ([]be
 		for a, opts := range arms {
 			runtime.GC() // collect the previous arm's garbage outside the timing
 			start := time.Now()
-			res, err := core.Measure(mk(), opts...)
-			el := time.Since(start)
-			if err != nil {
-				fatalf("bench workload: %v", err)
+			for k := 0; k < perRun; k++ {
+				res, err := core.Measure(mk(), opts...)
+				if err != nil {
+					fatalf("bench workload: %v", err)
+				}
+				last[a] = res
 			}
-			last[a] = res
+			el := time.Since(start)
 			if best[a] == 0 || el < best[a] {
 				best[a] = el
 				rounds[a] = i + 1
@@ -419,7 +466,7 @@ func benchArms(n int, mk func() core.Program, arms [][]core.MeasureOption) ([]be
 	}
 	out := make([]benchResult, len(arms))
 	for a := range arms {
-		out[a] = benchResult{Events: last[a].Counter.Total, BestSeconds: best[a].Seconds(), WinningRound: rounds[a]}
+		out[a] = benchResult{Events: uint64(perRun) * last[a].Counter.Total, BestSeconds: best[a].Seconds(), WinningRound: rounds[a]}
 		if best[a] > 0 {
 			out[a].EventsPerSec = float64(out[a].Events) / best[a].Seconds()
 		}

@@ -48,6 +48,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
 	"interplab/internal/harness"
 	"interplab/internal/labserver"
@@ -241,6 +242,7 @@ func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string,
 	if traceOut != "" {
 		opt.Tracer = telemetry.NewTracer()
 	}
+	start, startCPU := time.Now(), telemetry.ProcessCPU()
 	for k, id := range ids {
 		if k > 0 {
 			fmt.Println()
@@ -250,6 +252,7 @@ func cmdRun(ids []string, scale float64, parallel int, jsonOut, traceOut string,
 		}
 	}
 	if man != nil {
+		man.AchievedParallelism = (telemetry.ProcessCPU() - startCPU).Seconds() / time.Since(start).Seconds()
 		man.Config.Cache = cacheInfo(cache)
 		man.AttachMetrics(reg)
 		writeFileVia(jsonOut, man.Write)

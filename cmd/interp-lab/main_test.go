@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -173,6 +174,43 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if rendered.String() != direct.String() {
 		t.Errorf("report output differs from direct run:\n%q\nvs\n%q", rendered.String(), direct.String())
+	}
+}
+
+// TestRunManifestRecordsParallelism: a -json run records its achieved
+// parallelism, the process CPU time over the wall time of its experiments,
+// and each experiment's CPU time beside its wall time.
+func TestRunManifestRecordsParallelism(t *testing.T) {
+	if telemetry.ProcessCPU() == 0 {
+		t.Skip("the platform reports no process CPU time")
+	}
+	path := filepath.Join(t.TempDir(), "run.json")
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	stdout := os.Stdout
+	os.Stdout = devnull
+	err = cmdRun([]string{"table1"}, 0.05, 2, path, "", nil)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	man, err := telemetry.ReadManifest(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := man.AchievedParallelism; p <= 0 || p > 1.1*float64(runtime.NumCPU()) {
+		t.Errorf("achieved_parallelism = %g, want in (0, %d]", p, runtime.NumCPU())
+	}
+	if r := man.Runs[0]; r.CPUUS <= 0 || r.DurationUS <= 0 {
+		t.Errorf("table1 records cpu_us %g and duration_us %g, want both > 0", r.CPUUS, r.DurationUS)
 	}
 }
 

@@ -244,9 +244,12 @@ func (s Stats) IMissPer100() float64 {
 // MissObserver receives cache-miss notifications from the pipeline, so
 // that a miss can be attributed back to the interpreter routine and
 // virtual command that caused it (the profiling layer's join).  Level 1 is
-// an L1 miss that hit L2; level 2 also missed L2.  Calls arrive
-// synchronously inside EmitBlock, in stream order, while the issuing
-// probe's attribution state is still current for the block.
+// an L1 miss that hit L2; level 2 also missed L2.  Calls arrive inside
+// EmitBlock, in stream order, on whatever goroutine runs it.  An observer
+// that reads the issuing probe's attribution state needs that state still
+// current for the block: the probe must deliver inline and cut a block at
+// each attribution change (atom.Probe.RequireAttrSync, which keeps its
+// blocks off a delivery goroutine).
 type MissObserver interface {
 	IMiss(level int)
 	DMiss(level int)

@@ -177,7 +177,20 @@ func (p *Probe) Tally() *trace.Counter { return &p.tally }
 // need it — the pipeline's cache-miss observer attributes a miss to the
 // profiling collector's current node, which is coherent only when the
 // whole in-flight block shares one state.
-func (p *Probe) RequireAttrSync() { p.attrSync = true }
+func (p *Probe) RequireAttrSync() {
+	p.attrSync = true
+	p.batch.BorrowFrom(nil)
+}
+
+// BorrowSlots lets the probe hand its blocks to a delivery goroutine on a
+// slot borrowed from s (trace.Batcher.BorrowFrom).  The sinks then run
+// beside the guest, so a probe under RequireAttrSync, whose sinks join
+// the probe's attribution state, ignores it.
+func (p *Probe) BorrowSlots(s *trace.Slots) {
+	if !p.attrSync {
+		p.batch.BorrowFrom(s)
+	}
+}
 
 // OnAttrChange registers fn to run at every attribution change (command
 // begin/end, phase switch, call/return, routine switch), just before the
@@ -187,9 +200,11 @@ func (p *Probe) RequireAttrSync() { p.attrSync = true }
 // change there.  A later registration replaces an earlier one.
 func (p *Probe) OnAttrChange(fn func()) { p.onAttr = fn }
 
-// FlushEvents delivers any buffered events to the sink.  Call it before
-// reading sink-side state (recorders, simulators); measurements do this
-// once at collect time.  A probe without a sink buffers nothing.
+// FlushEvents delivers any buffered events to the sink and waits until
+// the sink has consumed them all.  Call it before reading sink-side state
+// (recorders, simulators), and on every way out of a run, so a delivery
+// goroutine (BorrowSlots) ends with it.  A probe without a sink buffers
+// nothing.
 func (p *Probe) FlushEvents() { p.batch.Flush(trace.FlushFinal) }
 
 // BatchStats returns the probe's batching account: events and blocks

@@ -45,6 +45,10 @@ type Ctx struct {
 	Probe *atom.Probe
 	Sink  trace.Sink
 	OS    *vfs.OS
+	// Slots, when non-nil, is the pool a producer the workload builds
+	// itself (the compiled-C path's mipsi.Native) borrows a delivery
+	// goroutine's slot from (WithSlots).
+	Slots *trace.Slots
 
 	display *gfx.Display
 	size    int
@@ -182,6 +186,7 @@ type measureConfig struct {
 	reg       *telemetry.Registry
 	profiling bool
 	lane      int
+	slots     *trace.Slots
 
 	cache      *rescache.Cache
 	cacheScope rescache.Scope
@@ -231,6 +236,16 @@ func WithTraceLane(lane int) MeasureOption {
 // readonly).  A nil cache is allowed and disables caching.
 func WithCache(c *rescache.Cache, scope rescache.Scope) MeasureOption {
 	return func(mc *measureConfig) { mc.cache = c; mc.cacheScope = scope }
+}
+
+// WithSlots lets the run's simulators take its blocks on a delivery
+// goroutine, beside the guest, while the producer holds a slot borrowed
+// from s: a slot an idle worker of the caller's pool lent (see
+// trace.Slots).  Results do not change.  A nil pool, and a profiled
+// pipeline run, whose miss join reads the probe's attribution state,
+// deliver inline.
+func WithSlots(s *trace.Slots) MeasureOption {
+	return func(c *measureConfig) { c.slots = s }
 }
 
 // WithProfiling attaches an attribution-profile collector to the run: the
@@ -362,6 +377,10 @@ func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 		osys.Instrument(img, probe)
 	}
 	ctx := &Ctx{Image: img, Probe: probe, Sink: fanned, OS: osys}
+	// Every way out of the run, a guest error or panic included, ends
+	// with a final flush, which ends a delivery goroutine; after the
+	// flush at collect time this one finds nothing to do.
+	defer probe.FlushEvents()
 	if col != nil {
 		// Only compiled C feeds the native tally.
 		if p.System == SysC {
@@ -375,6 +394,15 @@ func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 			// when every delivered block is uniform under one attribution
 			// state.
 			probe.RequireAttrSync()
+		}
+	}
+	if !missJoin {
+		// One producer streams per run: compiled C through the workload's
+		// own mipsi.Native, every other system through the probe.
+		if p.System == SysC {
+			ctx.Slots = mc.slots
+		} else {
+			probe.BorrowSlots(mc.slots)
 		}
 	}
 	span := mc.tracer.StartOn(mc.lane, "workload "+p.ID(), "program", p.ID())
@@ -410,6 +438,7 @@ func run(p Program, mc measureConfig, sinks ...trace.Sink) (Result, error) {
 		mc.reg.Counter("trace.batch.flush_fill").Add(b.FlushFill)
 		mc.reg.Counter("trace.batch.flush_attr").Add(b.FlushAttr)
 		mc.reg.Counter("trace.batch.flush_final").Add(b.FlushFinal)
+		mc.reg.Counter("trace.batch.handoffs").Add(b.Handoffs)
 		bs := mc.tracer.StartOn(telemetry.BatchLane, "batch "+p.ID(),
 			"events", b.Events, "blocks", b.Blocks,
 			"flush_fill", b.FlushFill, "flush_attr", b.FlushAttr, "flush_final", b.FlushFinal)

@@ -32,8 +32,8 @@ type detOut struct {
 // detRun executes one experiment with a manifest, profile set, and
 // telemetry registry attached and returns everything the parallel
 // scheduler and the measurement cache promise to keep byte-identical: the
-// rendered text, the manifest run entries (wall times zeroed — they vary
-// even between two serial runs — and cache_hit zeroed, the one field that
+// rendered text, the manifest run entries (wall and CPU times zeroed —
+// they vary even between two serial runs — and cache_hit zeroed, the one field that
 // legitimately flips between a cold and a warm run), the merged folded
 // profile, and its pprof encoding.
 func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache) detOut {
@@ -48,7 +48,7 @@ func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache) det
 	}
 	out := detOut{text: buf.String(), guestRuns: reg.Counter("core.measures").Value()}
 	for _, r := range man.Runs {
-		r.DurationUS = 0
+		r.DurationUS, r.CPUUS = 0, 0
 		// The sched block records scheduling itself — timestamps, worker
 		// assignment, runtime churn — so it legitimately differs between
 		// serial and parallel runs; null it like the wall times.

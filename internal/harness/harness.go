@@ -142,7 +142,7 @@ func Run(id string, opt Options) error {
 	opt.experiment = id
 	span := opt.Tracer.Start("experiment "+id, "id", id, "scale", opt.scale())
 	defer span.End()
-	start := time.Now()
+	start, startCPU := time.Now(), telemetry.ProcessCPU()
 	var buf *bytes.Buffer
 	if opt.Manifest != nil {
 		opt.rec = opt.Manifest.StartRun(id)
@@ -154,6 +154,7 @@ func Run(id string, opt Options) error {
 		// DurationUS is recorded even for failed runs, so they are
 		// visible in the manifest; Text only reflects a complete run.
 		opt.rec.DurationUS = float64(time.Since(start)) / float64(time.Microsecond)
+		opt.rec.CPUUS = float64(telemetry.ProcessCPU()-startCPU) / float64(time.Microsecond)
 		if err == nil {
 			opt.rec.Text = buf.String()
 		} else {

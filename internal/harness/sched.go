@@ -11,6 +11,7 @@ import (
 	"interplab/internal/alphasim"
 	"interplab/internal/core"
 	"interplab/internal/labstats"
+	"interplab/internal/trace"
 )
 
 // This file is the parallel measurement scheduler.  The experiments'
@@ -49,6 +50,13 @@ import (
 // Each job runs under pprof labels naming its experiment, kind, program
 // and variant, so a Go CPU profile of a run (interp-lab -cpuprofile)
 // splits host time by job: go tool pprof -tagfocus=program=MIPSI/li.
+//
+// A parallel batch lends idle workers' slots to its running jobs (see
+// trace.Slots): every worker slot it leaves unfilled, and each worker's
+// once the claim queue is empty.  A job's producer borrows one at a fill
+// flush and runs its simulators on it, beside the guest, so a batch's
+// tail keeps every slot busy without running more goroutines than
+// workers.  The serial path (-parallel 1) lends nothing.
 
 // job is one schedulable measurement.
 type job struct {
@@ -72,6 +80,9 @@ type batch struct {
 	jobs []*job
 	// created is the origin of every ledger row's timestamps.
 	created time.Time
+	// slots is the pool idle workers lend their slots to while the batch
+	// runs; nil on the serial path.
+	slots *trace.Slots
 }
 
 // newBatch starts an empty batch carrying the experiment's options.
@@ -134,6 +145,12 @@ func (b *batch) run() error {
 		workers = 1
 	}
 	beginUS := b.sinceUS(time.Now())
+	if requested > 1 {
+		b.slots = new(trace.Slots)
+		for range requested - workers {
+			b.slots.Lend()
+		}
+	}
 	b.runJobs(workers)
 	b.recordSched(requested, workers, beginUS, b.sinceUS(time.Now()))
 	for _, j := range b.jobs {
@@ -190,6 +207,7 @@ func (b *batch) runJobs(workers int) {
 			for {
 				n := int(cursor.Add(1)) - 1
 				if n >= len(order) {
+					b.slots.Lend()
 					return
 				}
 				i := order[n]
@@ -244,7 +262,7 @@ func (b *batch) exec(j *job, lane int) {
 	}
 	span := o.Tracer.StartOn(lane, "measure "+id, args...)
 	defer span.End()
-	opts := o.measureOpts()
+	opts := append(o.measureOpts(), core.WithSlots(b.slots))
 	if lane > 0 {
 		opts = append(opts, core.WithTraceLane(lane))
 	}

@@ -54,6 +54,9 @@ func TestManifestRoundTripMatchesDirectRun(t *testing.T) {
 	if len(got.Runs) != 1 || got.Runs[0].ID != "table1" {
 		t.Fatalf("runs wrong: %+v", got.Runs)
 	}
+	if r := got.Runs[0]; r.DurationUS <= 0 || telemetry.ProcessCPU() > 0 && r.CPUUS <= 0 {
+		t.Errorf("run entry records duration_us %g and cpu_us %g, want both > 0", r.DurationUS, r.CPUUS)
+	}
 	mms := got.Runs[0].Measurements
 	if len(mms) != 30 {
 		t.Errorf("got %d measurements, want 30", len(mms))

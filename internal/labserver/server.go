@@ -17,7 +17,10 @@
 //   - Workers: Config.Parallelism workers take admitted requests in
 //     arrival order, one at a time, and each request is answered as soon
 //     as its own measurement ends — a cache hit is never held behind a
-//     long measurement on another worker.
+//     long measurement on another worker.  A worker waiting on an empty
+//     queue lends its slot to the running measurements, whose simulators
+//     then run beside their guests, and takes it back when a request
+//     arrives, without waiting for the borrower (trace.Slots).
 //   - Backpressure: the admission queue is bounded; when it is full the
 //     server answers 429 with Retry-After instead of queueing unboundedly.
 //   - Deadlines: each request waits at most min(its timeout_ms, the
@@ -50,6 +53,7 @@ import (
 	"interplab/internal/profile"
 	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
+	"interplab/internal/trace"
 )
 
 // Config configures a Server.  The zero value serves with defaults and no
@@ -129,6 +133,9 @@ type Server struct {
 	inflight map[string]*call
 	draining bool
 	queue    chan *call
+
+	// slots holds the slots of workers waiting on an empty queue.
+	slots trace.Slots
 
 	workers sync.WaitGroup // running workers; each exits once Drain closes the queue and it is empty
 }
@@ -280,7 +287,11 @@ func (s *Server) admit(key string, rr *resolved) (c *call, deduped bool, herr *h
 // closed the queue and the queue is empty.
 func (s *Server) worker(lane int) {
 	defer s.workers.Done()
-	for c := range s.queue {
+	for {
+		c, ok := s.next()
+		if !ok {
+			return
+		}
 		s.reg.Gauge("server.queue_depth").Add(-1)
 		if s.cfg.gate != nil {
 			<-s.cfg.gate
@@ -291,6 +302,21 @@ func (s *Server) worker(lane int) {
 		s.mu.Unlock()
 		close(c.done)
 	}
+}
+
+// next takes the next admitted call, lending the worker's slot while the
+// queue is empty.  It reports false once Drain has closed the queue and
+// the queue is empty.
+func (s *Server) next() (*call, bool) {
+	select {
+	case c, ok := <-s.queue:
+		return c, ok
+	default:
+	}
+	s.slots.Lend()
+	defer s.slots.Reclaim()
+	c, ok := <-s.queue
+	return c, ok
 }
 
 // answer measures one call and renders its response: the
@@ -349,6 +375,7 @@ func (s *Server) measure(rr *resolved, lane int) (core.Result, time.Duration, er
 		core.WithTraceLane(lane),
 		core.WithTelemetry(s.reg),
 		core.WithCache(s.cfg.Cache, rr.scope),
+		core.WithSlots(&s.slots),
 	}
 	if rr.req.Profiling {
 		opts = append(opts, core.WithProfiling())

@@ -66,8 +66,13 @@ func (n *Native) emit(e trace.Event) {
 	}
 }
 
-// Flush delivers any buffered events.  Run flushes on every exit path;
-// callers stepping the machine by hand flush before reading sink state.
+// BorrowSlots lets the Native hand its blocks to a delivery goroutine on
+// a slot borrowed from s (trace.Batcher.BorrowFrom).
+func (n *Native) BorrowSlots(s *trace.Slots) { n.batch.BorrowFrom(s) }
+
+// Flush delivers any buffered events and waits until the sink has
+// consumed them all.  Run flushes on every exit path; callers stepping
+// the machine by hand flush before reading sink state.
 func (n *Native) Flush() { n.batch.Flush(trace.FlushFinal) }
 
 // BatchStats returns the native path's batching account.

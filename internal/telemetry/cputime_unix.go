@@ -1,15 +1,15 @@
 //go:build unix
 
-package main
+package telemetry
 
 import (
 	"syscall"
 	"time"
 )
 
-// processCPU returns the CPU time, user plus system, that the process has
+// ProcessCPU returns the CPU time, user plus system, that the process has
 // used so far, from getrusage.
-func processCPU() time.Duration {
+func ProcessCPU() time.Duration {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		return 0

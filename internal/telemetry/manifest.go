@@ -30,6 +30,10 @@ type Manifest struct {
 	Config    RunConfig   `json:"config"`
 	Runs      []*RunEntry `json:"experiments"`
 	Metrics   []Metric    `json:"metrics,omitempty"`
+	// AchievedParallelism is the run's process CPU time over its wall
+	// time: how many CPUs it kept busy on average (schema v1 additive
+	// field; 0 where the platform reports no CPU time).
+	AchievedParallelism float64 `json:"achieved_parallelism,omitempty"`
 }
 
 // RunConfig records the knobs the run was launched with.
@@ -65,8 +69,12 @@ type RunEntry struct {
 	// Error holds the failure message when the experiment errored; Text
 	// stays empty then, but DurationUS is still recorded so failed runs
 	// are visible in the manifest (schema v1 additive field).
-	Error        string            `json:"error,omitempty"`
-	DurationUS   float64           `json:"duration_us,omitempty"`
+	Error      string  `json:"error,omitempty"`
+	DurationUS float64 `json:"duration_us,omitempty"`
+	// CPUUS is the process CPU time, user plus system, the experiment
+	// used: a getrusage delta over the same span as DurationUS (schema v1
+	// additive field; 0 where the platform reports no CPU time).
+	CPUUS        float64           `json:"cpu_us,omitempty"`
 	Measurements []Measurement     `json:"measurements,omitempty"`
 	Profiles     []ProfileArtifact `json:"profiles,omitempty"`
 

@@ -176,6 +176,10 @@ type BatchStats struct {
 	FlushFill  uint64 `json:"flush_fill,omitempty"`
 	FlushAttr  uint64 `json:"flush_attr,omitempty"`
 	FlushFinal uint64 `json:"flush_final,omitempty"`
+	// Handoffs counts the blocks a delivery goroutine took (see Slots).
+	// It depends on what the other workers were doing, not on the
+	// stream, so it stays out of the manifest and the cache.
+	Handoffs uint64 `json:"-"`
 }
 
 // Flushes returns the total flush count (== Blocks for a well-formed
@@ -197,6 +201,7 @@ func (s *BatchStats) Add(other BatchStats) {
 	s.FlushFill += other.FlushFill
 	s.FlushAttr += other.FlushAttr
 	s.FlushFinal += other.FlushFinal
+	s.Handoffs += other.Handoffs
 }
 
 // count tallies one flushed block.

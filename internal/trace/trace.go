@@ -104,6 +104,10 @@ func (e Event) Call() bool { return e.Flags&FlagCall != 0 }
 // block are in program order, any of them a stretch of several
 // instructions (see Block).  Producers reuse their blocks, so a sink must
 // finish with b before EmitBlock returns and must not retain it.
+// EmitBlock may run on a goroutine other than the producer's, beside it
+// (a Batcher's delivery goroutine, see Slots), never on two at once: only
+// a sink whose producer delivers inline, as atom.Probe does under
+// RequireAttrSync, may read producer state.
 // The simulators (the pipeline and the cache sweep) are the sinks;
 // producers count the stream themselves (see Counter).
 type Sink interface {

@@ -82,6 +82,7 @@ func runNative(ctx *core.Ctx, name, src string) error {
 		return err
 	}
 	nat.Tally = ctx.NativeTally()
+	nat.BorrowSlots(ctx.Slots)
 	if err := nat.Run(0); err != nil {
 		return err
 	}
